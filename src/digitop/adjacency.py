@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from .lattice import Point, Translation, bounding_box, vec_add
@@ -57,7 +57,7 @@ class AdjacencySpec:
         if not self.offsets <= full:
             raise ValueError("offset set must be contained in the full (king-move) offsets")
 
-    @property
+    @cached_property
     def sorted_offsets(self) -> tuple[Translation, ...]:
         return tuple(sorted(self.offsets))
 

@@ -169,7 +169,7 @@ def _replay_witness(w: dict, mset, pair: AdjacencyPair, margin: int, args) -> bo
         sides = local_components(p, mset, pair)
         return any(not any(pair.beta.adjacent(q, x) for x in side) for side in sides)
     if kind == "simple-point":
-        return is_simple_point(tuple(w["point"]), mset, pair)
+        return is_simple_point(tuple(w["point"]), mset, pair, Region.around(mset, margin))
     if kind == "not-common-boundary":
         region = Region.around(mset, margin)
         labeling = complement_components(pair.beta, mset, region)
@@ -195,12 +195,17 @@ def _maybe_replay(args: argparse.Namespace, mset, pair: AdjacencyPair) -> int | 
         saved = json.loads(Path(args.replay).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise InputFormatError(f"{args.replay}: {exc}") from exc
-    witnesses = saved.get("witnesses", [])
+    witnesses = saved.get("witnesses", []) if isinstance(saved, dict) else None
+    if not isinstance(witnesses, list) or not all(isinstance(w, dict) for w in witnesses):
+        raise InputFormatError(f"{args.replay}: not a digitop report")
     if not witnesses:
         return None  # passing report: fall through to a fresh run
     for w in witnesses:
-        ok = _replay_witness(w, mset, pair, args.margin, args)
         label = w.get("kind", "?")
+        try:
+            ok = _replay_witness(w, mset, pair, args.margin, args)
+        except (KeyError, TypeError) as exc:
+            raise InputFormatError(f"{args.replay}: malformed {label} witness: {exc!r}") from exc
         print(f"replay {label}: {'violation reproduced' if ok else 'NOT reproduced'}")
         if not ok:
             return 2
@@ -350,7 +355,8 @@ def _cmd_simple_points(args: argparse.Namespace) -> int:
     if code is not None:
         return code
     region = Region.around(mset, args.margin)
-    simple = [p for p in sorted(mset) if is_simple_point(p, mset, pair, region)]
+    labels = complement_components(pair.beta, mset, region)
+    simple = [p for p in sorted(mset) if is_simple_point(p, mset, pair, region, _labels=labels)]
     result = {"simple_points": [list(p) for p in simple], "count": len(simple)}
     witnesses = [{"kind": "simple-point", "point": list(p)} for p in simple]
     lines = [f"simple points: {len(simple)}"] + [f"  {' '.join(map(str, p))}" for p in simple]

@@ -109,7 +109,7 @@ def jordan_check(
 
     no_simple = Verdict(True)
     for p in sorted(mset):
-        if is_simple_point(p, mset, pair, region):
+        if is_simple_point(p, mset, pair, region, _labels=labeling):
             no_simple = Verdict(False, {"kind": "simple-point", "point": list(p)})
             break
 

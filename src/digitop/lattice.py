@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 Point = tuple[int, ...]
@@ -167,8 +168,29 @@ def completing_translations(cstar: Cube, c: Cube) -> list[tuple[Translation, Tra
     """
     if cstar.dim != c.dim - 2:
         raise ValueError(f"expected a {c.dim - 2}-subcube, got a {cstar.dim}-cube")
-    if cstar not in subcubes(c, cstar.dim):
+    offset = vec_sub(cstar.base, c.base)
+    pairs = None
+    if cstar.n == c.n and all(d in (0, 1) for d in offset):
+        pairs = _completing_translations(offset, cstar.axes, c.axes)
+    if pairs is None:
         raise ValueError(f"{cstar} is not a subcube of {c}")
+    return list(pairs)
+
+
+@lru_cache(maxsize=None)
+def _completing_translations(
+    offset: Translation, star_axes: tuple[int, ...], axes: tuple[int, ...]
+) -> tuple[tuple[Translation, Translation], ...] | None:
+    """The pairs for C* at ``offset`` (a 0/1 vector) from the base of C,
+    or None when C* is no subcube of C.
+
+    The pairs are unit vectors fixed by the shape alone, so the key is
+    relative and the cache holds at most one entry per shape.
+    """
+    cstar = Cube(offset, star_axes)
+    c = Cube((0,) * len(offset), axes)
+    if cstar not in subcubes(c, cstar.dim):
+        return None
     missing = [a for a in c.axes if a not in cstar.axes]
     n = c.n
     target = set(cube_vertices(c))
@@ -181,7 +203,7 @@ def completing_translations(cstar: Cube, c: Cube) -> list[tuple[Translation, Tra
                 union.update((v, vec_add(v, t1), vec_add(v, t2), vec_add(vec_add(v, t1), t2)))
             if union == target:
                 candidates.append((t1, t2))
-    return sorted(candidates)
+    return tuple(sorted(candidates))
 
 
 def bounding_box(points: Iterable[Point]) -> tuple[Point, Point]:

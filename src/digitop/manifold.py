@@ -15,6 +15,7 @@ from typing import Iterable, Literal, Mapping, Optional
 from .adjacency import (
     AdjacencyPair,
     AdjacencySpec,
+    ComponentLabeling,
     Region,
     complement_components,
     components,
@@ -289,22 +290,38 @@ def global_sides(
 
 
 def is_simple_point(
-    p: Point, m: Iterable[Point], pair: AdjacencyPair, region: Region | None = None
+    p: Point,
+    m: Iterable[Point],
+    pair: AdjacencyPair,
+    region: Region | None = None,
+    _labels: ComponentLabeling | None = None,
 ) -> bool:
-    """True iff deleting p changes neither side's component count."""
+    """True iff deleting p changes neither side's component count.
+
+    The background side is decided from the one labeling of region \\ m.
+    Let k be the number of distinct labels among p's beta-neighbours.
+    Moving p into the background joins those k components and p itself
+    into one, so the count changes by 1 - k (by +1 when k = 0): it is
+    unchanged iff k == 1.  This is exact because p lies strictly inside
+    the region, so every beta-neighbour of p is either in m or labeled,
+    and because the boundary-touching components already share one id,
+    just as they would after the move.  Only when k == 1 are the two
+    alpha-labelings of m and m \\ {p} compared.  ``_labels`` is
+    ``complement_components(pair.beta, m, region)`` when the caller
+    already holds it.
+    """
     mset = frozenset(m)
     if p not in mset:
         raise ValueError(f"{p} is not a foreground point")
-    if region is None:
-        region = Region.around(mset, margin=2)
-    smaller = mset - {p}
-    before_fg = components(pair.alpha, mset).count
-    after_fg = components(pair.alpha, smaller).count
-    if before_fg != after_fg:
+    if _labels is None:
+        if region is None:
+            region = Region.around(mset, margin=2)
+        _labels = complement_components(pair.beta, mset, region)
+    labels = _labels.labels
+    touched = {labels[q] for q in neighbors(pair.beta, p) if q in labels}
+    if len(touched) != 1:
         return False
-    before_bg = complement_components(pair.beta, mset, region).count
-    after_bg = complement_components(pair.beta, smaller, region).count
-    return before_bg == after_bg
+    return components(pair.alpha, mset).count == components(pair.alpha, mset - {p}).count
 
 
 def double_points(z: Point, pair: AdjacencyPair) -> list[DoublePointWitness]:

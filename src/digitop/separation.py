@@ -9,8 +9,6 @@ two single-step preimages are foreground too.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -145,28 +143,11 @@ def has_separation_property(
         for c in cubes_meeting_box(lo, hi, k, n)
         if any(v in mset for v in cube_vertices(c))
     ]
-    workers = _env_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for witness in pool.map(
-                lambda c: _violation_in_cube(mset, c, pair, labels), cubes
-            ):
-                if witness is not None:
-                    return SeparationVerdict(False, witness)
-        return SeparationVerdict(True)
     for c in cubes:
         witness = _violation_in_cube(mset, c, pair, labels)
         if witness is not None:
             return SeparationVerdict(False, witness)
     return SeparationVerdict(True)
-
-
-def _env_workers() -> int:
-    """Worker cap from DIGITOP_THREADS; checks are pure, so sharing is safe."""
-    try:
-        return max(1, int(os.environ.get("DIGITOP_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def replay_separation_witness(

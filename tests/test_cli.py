@@ -196,3 +196,32 @@ def test_replay_manifold_witness(tmp_path):
     assert main(argv) == 1
     assert main(["verify-manifold", "--points", str(broken), "--alpha", "axis", "--beta", "full",
                  "--replay", str(report)]) == 1
+
+
+def test_replay_of_a_malformed_report_is_an_input_error(tmp_path, capsys):
+    pts = tmp_path / "diag.txt"
+    pts.write_text("0 0\n1 1\n", encoding="utf-8")
+    common = ["--points", str(pts), "--alpha", "axis", "--beta", "full"]
+    report = tmp_path / "vm.json"
+    assert main(["verify-manifold", *common, "--format", "json", "-o", str(report)]) == 1
+    saved = json.loads(report.read_text(encoding="utf-8"))
+    kinds = [w["kind"] for w in saved["witnesses"]]
+    assert "cube-intersection-disconnected" in kinds
+    for w in saved["witnesses"]:
+        w.pop("cube", None)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(saved), encoding="utf-8")
+    assert main(["verify-manifold", *common, "--replay", str(broken)]) == 2
+    assert "malformed cube-intersection-disconnected witness" in capsys.readouterr().err
+    for payload in ([], {"witnesses": ["simple-point"]}, {"witnesses": [{"kind": "simple-point", "point": 7}]}):
+        broken.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["verify-manifold", *common, "--replay", str(broken)]) == 2
+
+
+def test_replay_simple_points_under_the_recorded_margin(tmp_path):
+    arc = tmp_path / "arc.txt"
+    arc.write_text("0 0\n1 1\n2 2\n", encoding="utf-8")
+    common = ["--points", str(arc), "--alpha", "full", "--beta", "axis", "--margin", "4"]
+    report = tmp_path / "sp.json"
+    assert main(["simple-points", *common, "--format", "json", "-o", str(report)]) == 1
+    assert main(["simple-points", *common, "--replay", str(report)]) == 1

@@ -1,7 +1,20 @@
-import pytest
+import itertools
 
-from digitop.adjacency import AdjacencyPair, Region, axis_adjacency, custom_adjacency, full_adjacency
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from digitop.adjacency import (
+    AdjacencyPair,
+    Region,
+    axis_adjacency,
+    complement_components,
+    components,
+    custom_adjacency,
+    full_adjacency,
+)
 from digitop.jordan import box_surface, rect_boundary
+from digitop.lattice import vec_add
 from digitop.manifold import (
     NotCertifiedError,
     check_manifold,
@@ -94,6 +107,46 @@ def test_certified_manifold_has_no_simple_points():
 
 def test_isolated_point_is_not_simple():
     assert not is_simple_point((3, 3), {(3, 3)}, AXIS_FULL_2)
+
+
+def is_simple_point_oracle(p, m, pair, region=None):
+    """Reference: compare both sides' counts before and after deleting p,
+    with four whole-window flood fills."""
+    mset = frozenset(m)
+    if region is None:
+        region = Region.around(mset, margin=2)
+    smaller = mset - {p}
+    if components(pair.alpha, mset).count != components(pair.alpha, smaller).count:
+        return False
+    before = complement_components(pair.beta, mset, region).count
+    return before == complement_components(pair.beta, smaller, region).count
+
+
+@st.composite
+def simple_point_cases(draw):
+    n = draw(st.sampled_from((2, 3)))
+    box = sorted(itertools.product(range(4 if n == 2 else 3), repeat=n))
+    m = draw(st.frozensets(st.sampled_from(box), min_size=1))
+    alpha = draw(st.sampled_from((axis_adjacency, full_adjacency)))(n)
+    beta = draw(st.sampled_from((axis_adjacency, full_adjacency)))(n)
+    shift = draw(st.tuples(*[st.integers(-30, 30)] * n))
+    probes = draw(st.lists(st.sampled_from(sorted(m)), min_size=1, max_size=3, unique=True))
+    return m, AdjacencyPair(alpha, beta), shift, probes
+
+
+@given(simple_point_cases())
+@example((frozenset({(0, 0), (1, 1), (2, 2)}), FULL_AXIS_2, (0, 0), [(2, 2), (1, 1)]))
+@example((frozenset({(3, 3)}), AXIS_FULL_2, (5, -7), [(3, 3)]))
+@settings(max_examples=60, deadline=None)
+def test_shared_labeling_matches_the_oracle(case):
+    m, pair, shift, probes = case
+    expected = [is_simple_point_oracle(p, m, pair) for p in probes]
+    moved = frozenset(vec_add(q, shift) for q in m)
+    for margin in (2, 4):
+        region = Region.around(moved, margin)
+        labels = complement_components(pair.beta, moved, region)
+        got = [is_simple_point(vec_add(p, shift), moved, pair, region, _labels=labels) for p in probes]
+        assert got == expected
 
 
 def test_double_points_full_full():

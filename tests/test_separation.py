@@ -137,14 +137,3 @@ def test_subcube_components_never_split_across_dimensions():
                 }
                 assert len(inner_ids) <= 1
 
-
-def test_worker_cap_env_var_gives_same_results(monkeypatch):
-    ring = rect_boundary(5, 5)
-    pair = AdjacencyPair(axis_adjacency(2), full_adjacency(2))
-    sequential = has_separation_property(ring, pair)
-    monkeypatch.setenv("DIGITOP_THREADS", "4")
-    threaded = has_separation_property(ring, pair)
-    assert sequential.holds == threaded.holds
-    bad = has_separation_property(PLATE, FULL_AXIS_3)
-    monkeypatch.setenv("DIGITOP_THREADS", "1")
-    assert bad.witness == has_separation_property(PLATE, FULL_AXIS_3).witness
