@@ -64,10 +64,6 @@ def format_points(points: Iterable[Point]) -> str:
     return "\n".join(" ".join(str(c) for c in p) for p in sorted(points)) + "\n"
 
 
-def save_points(path: str | FsPath, points: Iterable[Point]) -> None:
-    FsPath(path).write_text(format_points(points), encoding="utf-8")
-
-
 def parse_adjacency_arg(value: str, n: int) -> AdjacencySpec:
     if value == "axis":
         return axis_adjacency(n)

@@ -26,10 +26,6 @@ def vec_sub(p: Point, q: Point) -> Point:
     return tuple(a - b for a, b in zip(p, q))
 
 
-def vec_neg(v: Point) -> Point:
-    return tuple(-a for a in v)
-
-
 def unit(n: int, axis: int, sign: int = 1) -> Translation:
     """The generator translation ±e_axis in dimension n."""
     v = [0] * n
@@ -44,12 +40,6 @@ def is_lattice2(h: HalfPoint) -> bool:
 
 def double(p: Point) -> HalfPoint:
     return tuple(2 * c for c in p)
-
-
-def halve(h: HalfPoint) -> Point:
-    if not is_lattice2(h):
-        raise ValueError(f"{h} is not a doubled lattice point")
-    return tuple(c // 2 for c in h)
 
 
 @dataclass(frozen=True, order=True)
@@ -79,23 +69,8 @@ class Cube:
     def n(self) -> int:
         return len(self.base)
 
-    @staticmethod
-    def from_point(p: Point) -> "Cube":
-        return Cube(p, ())
-
     def vertices(self) -> tuple[Point, ...]:
         return cube_vertices(self)
-
-    def contains_point(self, p: Point) -> bool:
-        for i, (b, c) in enumerate(zip(self.base, p)):
-            hi = b + (1 if i in self.axes else 0)
-            if not b <= c <= hi:
-                return False
-        # inside the box and integral => a vertex iff free axes take 0/1
-        return all(p[i] == self.base[i] for i in range(self.n) if i not in self.axes)
-
-    def translate(self, v: Translation) -> "Cube":
-        return Cube(vec_add(self.base, v), self.axes)
 
     def box2(self) -> tuple[HalfPoint, HalfPoint]:
         """Closed bounding box in doubled coordinates."""

@@ -69,13 +69,12 @@ def _violation_in_cube(
     cut = frozenset(v for v in cube_vertices(c) if v in mset)
     if not cut:
         return None
+    slices = [(cstar, cube_vertices(cstar)) for cstar in subcubes(c, c.dim - 2)]
     for comp in sorted(components(pair.alpha, cut).components().values(), key=min):
-        slices = subcubes(c, c.dim - 2)
-        best = max(sum(1 for v in cube_vertices(s) if v in comp) for s in slices)
+        best = max(sum(1 for v in verts if v in comp) for _, verts in slices)
         if best == 0:
             continue
-        for cstar in slices:
-            star_verts = cube_vertices(cstar)
+        for cstar, star_verts in slices:
             if sum(1 for v in star_verts if v in comp) != best:
                 continue
             for tau1, tau2 in completing_translations(cstar, c):

@@ -2,10 +2,10 @@
 
 Vertices live on the half-integer grid and are stored with doubled integer
 coordinates.  Every lattice point of the foreground is a vertex; a cube
-contributes its barycenter exactly when the barycenter test passes.  Each
-passing cube cones its barycenter over every already-built simplex inside
-its closed hull, so every simplex is a flag of nested cube barycenters,
-optionally rooted at a lattice point.
+contributes its barycenter exactly when the barycenter test passes.  The
+complex K(M) is the order complex of the passing cubes: its simplices are
+the chains c0 < c1 < ... < ck of passing cubes under the face order, where
+the 0-cubes are the points of the set.
 
 The reduction removes barycenters of cubes whose in-cube background is
 connected, together with every simplex using them; what remains
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from ._exact import integer_rank, open_simplices_intersect, point_in_closed_simplex
 from .adjacency import AdjacencyPair, ComponentLabeling, Region, components
@@ -26,19 +26,17 @@ from .lattice import (
     HalfPoint,
     Point,
     barycenter,
-    bounding_box,
     cube_vertices,
-    cubes_meeting_box,
     double,
     is_lattice2,
     subcubes,
+    vec_sub,
 )
 
 Simplex = tuple[HalfPoint, ...]  # canonical: vertices sorted, distinct
-
-
-def _canonical(vertices: Iterable[HalfPoint]) -> Simplex:
-    return tuple(sorted(vertices))
+Box = tuple[HalfPoint, HalfPoint]
+# (axes, occupancy bitmask of the cube's vertices) -> (test passed, background count)
+ShapeTable = dict[tuple[tuple[int, ...], int], tuple[bool, int]]
 
 
 @dataclass(frozen=True)
@@ -70,24 +68,36 @@ class SimplicialComplex:
         return len(self.simplices)
 
 
-def _in_cube_background_split(c: Cube, mset: frozenset[Point], pair: AdjacencyPair) -> bool:
-    """Some antipodal background pair falls in different in-cube components."""
+def _shape_verdict(
+    c: Cube, mset: frozenset[Point], pair: AdjacencyPair, table: ShapeTable
+) -> tuple[bool, int]:
+    """Barycenter verdict and in-cube background component count of a cube.
+
+    Adjacency is translation-invariant, so both depend only on the cube's
+    axes and on which of its vertices are foreground; ``table`` holds one
+    entry per such shape, so each shape is flooded once.  A table belongs
+    to one call on one set and one pair.
+    """
     verts = cube_vertices(c)
-    free = [v for v in verts if v not in mset]
-    if len(free) < 2:
-        return False
-    labeling = components(pair.beta, free)
-    ind = tuple(1 if i in c.axes else 0 for i in range(c.n))
-    span = tuple(2 * b + i for b, i in zip(c.base, ind))
-    for v in free:
-        opposite = tuple(s - x for s, x in zip(span, v))
-        if opposite > v and opposite not in mset:
-            if not labeling.same_component(v, opposite):
-                return True
-    return False
+    shape = (c.axes, sum(1 << i for i, v in enumerate(verts) if v in mset))
+    found = table.get(shape)
+    if found is None:
+        free = [v for v in verts if v not in mset]
+        labeling = components(pair.beta, free)
+        center = barycenter(c)
+        antipodes = [(v, tuple(s - x for s, x in zip(center, v))) for v in verts]
+        passed = not free or any(
+            pair.alpha.adjacent(v, w) if v in mset else not labeling.same_component(v, w)
+            for v, w in antipodes
+            if w > v and (v in mset) == (w in mset)
+        )
+        found = table[shape] = (passed, labeling.count)
+    return found
 
 
-def barycenter_test(c: Cube, m: Iterable[Point], pair: AdjacencyPair) -> bool:
+def barycenter_test(
+    c: Cube, m: Iterable[Point], pair: AdjacencyPair, _table: ShapeTable | None = None
+) -> bool:
     """Barycenter test: does the cube contribute a vertex to the complex?
 
     True when an antipodal vertex pair is foreground and alpha-adjacent,
@@ -96,83 +106,65 @@ def barycenter_test(c: Cube, m: Iterable[Point], pair: AdjacencyPair) -> bool:
     """
     if c.dim < 1:
         raise ValueError("the barycenter test needs a cube of dimension >= 1")
-    mset = frozenset(m)
-    verts = cube_vertices(c)
-    if all(v in mset for v in verts):
-        return True
-    ind = tuple(1 if i in c.axes else 0 for i in range(c.n))
-    span = tuple(2 * b + i for b, i in zip(c.base, ind))
-    for v in verts:
-        opposite = tuple(s - x for s, x in zip(span, v))
-        if opposite <= v:
-            continue
-        if v in mset and opposite in mset and pair.alpha.adjacent(v, opposite):
-            return True
-    return _in_cube_background_split(c, mset, pair)
+    return _shape_verdict(c, frozenset(m), pair, {} if _table is None else _table)[0]
 
 
-def _box_contains(box: tuple[HalfPoint, HalfPoint], simplex: Simplex) -> bool:
-    lo, hi = box
-    return all(all(a <= c <= b for a, c, b in zip(lo, v, hi)) for v in simplex)
+def _order_complex(
+    n: int, mset: frozenset[Point], cubes: Iterable[Cube], pair: AdjacencyPair
+) -> SimplicialComplex:
+    """Chains c0 < c1 < ... < ck of the passing cubes, plus the points of the set.
 
-
-def build_complex_in_cube(cn: Cube, m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
-    """Complex of the foreground restricted to one covering n-cube."""
-    mset = frozenset(m) & frozenset(cube_vertices(cn))
-    built: list[Simplex] = [(double(p),) for p in sorted(mset)]
+    ``cubes`` comes in order of dimension and holds every passing face of
+    dimension >= 1 of its passing cubes; each cube is tested once.
+    """
+    table: ShapeTable = {}
+    simplices: set[Simplex] = {(double(p),) for p in mset}
     provenance: dict[HalfPoint, Cube] = {}
-    for k in range(1, cn.dim + 1):
-        for c in subcubes(cn, k):
-            if not barycenter_test(c, mset, pair):
-                continue
-            center = barycenter(c)
-            provenance[center] = c
-            box = c.box2()
-            new = [(center,)]
-            for s in built:
-                if center not in s and _box_contains(box, s):
-                    new.append(_canonical(s + (center,)))
-            built.extend(new)
-    return SimplicialComplex(cn.n, frozenset(built), provenance)
-
-
-def build_complex(m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
-    """Union of the per-cube complexes over all n-cubes near the set."""
-    mset = frozenset(m)
-    n = pair.n
-    if not mset:
-        return SimplicialComplex(n, frozenset())
-    lo, hi = bounding_box(mset)
-    lo = tuple(c - 1 for c in lo)
-    hi = tuple(c + 1 for c in hi)
-    simplices: set[Simplex] = set()
-    provenance: dict[HalfPoint, Cube] = {}
-    for cn in cubes_meeting_box(lo, hi, n, n):
-        if all(v not in mset for v in cube_vertices(cn)):
+    chains: dict[Cube, list[Simplex]] = {}  # chains ending at a passing cube
+    for c in cubes:
+        if not barycenter_test(c, mset, pair, _table=table):
             continue
-        part = build_complex_in_cube(cn, mset, pair)
-        simplices |= part.simplices
-        provenance.update(part.provenance)
+        center = barycenter(c)
+        provenance[center] = c
+        below = [(double(p),) for p in cube_vertices(c) if p in mset]
+        for k in range(1, c.dim):
+            for f in subcubes(c, k):
+                below += chains.get(f, ())
+        chains[c] = [(center,)] + [ch + (center,) for ch in below]
+        simplices.update(tuple(sorted(ch)) for ch in chains[c])
     return SimplicialComplex(n, frozenset(simplices), provenance)
 
 
-def _background_component_count(c: Cube, mset: frozenset[Point], pair: AdjacencyPair) -> int:
-    free = [v for v in cube_vertices(c) if v not in mset]
-    if not free:
-        return 0
-    return components(pair.beta, free).count
+def build_complex_in_cube(cn: Cube, m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
+    """Complex of the foreground restricted to one cube: chains of its passing faces."""
+    mset = frozenset(m) & frozenset(cube_vertices(cn))
+    faces = (f for k in range(1, cn.dim + 1) for f in subcubes(cn, k))
+    return _order_complex(cn.n, mset, faces, pair)
+
+
+def build_complex(m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
+    """K(M): the order complex of the cubes that pass the barycenter test.
+
+    Only cubes with a vertex in the set are tested: the vertices of any
+    other cube are background, connected along its edges, so it fails.
+    """
+    mset = frozenset(m)
+    n = pair.n
+    cubes = (
+        Cube(vec_sub(p, d), axes)
+        for k in range(1, n + 1)
+        for axes in itertools.combinations(range(n), k)
+        for d in cube_vertices(Cube((0,) * n, axes))
+        for p in mset
+    )
+    return _order_complex(n, mset, dict.fromkeys(cubes), pair)
 
 
 def reduce_complex(
     k: SimplicialComplex, m: Iterable[Point], pair: AdjacencyPair
 ) -> SimplicialComplex:
     """Drop barycenters of cubes whose in-cube background is one piece."""
-    mset = frozenset(m)
-    removed = {
-        center
-        for center, cube in k.provenance.items()
-        if _background_component_count(cube, mset, pair) == 1
-    }
+    removed = {barycenter(t.cube) for t in reduction_trace(k, m, pair) if not t.barycenter_kept}
     simplices = frozenset(s for s in k.simplices if not any(v in removed for v in s))
     provenance = {c: cube for c, cube in k.provenance.items() if c not in removed}
     return SimplicialComplex(k.n, simplices, provenance)
@@ -192,9 +184,10 @@ def reduction_trace(
     k: SimplicialComplex, m: Iterable[Point], pair: AdjacencyPair
 ) -> tuple[CubeTrace, ...]:
     mset = frozenset(m)
+    table: ShapeTable = {}
     out = []
     for center, cube in sorted(k.provenance.items()):
-        count = _background_component_count(cube, mset, pair)
+        count = _shape_verdict(cube, mset, pair, table)[1]
         out.append(CubeTrace(cube, True, count, count != 1))
     return tuple(out)
 
@@ -233,15 +226,46 @@ def skeleton_components(k: SimplicialComplex) -> ComponentLabeling:
     return ComponentLabeling(labels)
 
 
-def _bbox2(s: Simplex) -> tuple[HalfPoint, HalfPoint]:
+def _bbox2(s: Simplex) -> Box:
     n = len(s[0])
     lo = tuple(min(v[i] for v in s) for i in range(n))
     hi = tuple(max(v[i] for v in s) for i in range(n))
     return lo, hi
 
 
-def _bboxes_overlap(a: tuple[HalfPoint, HalfPoint], b: tuple[HalfPoint, HalfPoint]) -> bool:
+def _bboxes_overlap(a: Box, b: Box) -> bool:
     return all(al <= bh and bl <= ah for al, ah, bl, bh in zip(a[0], a[1], b[0], b[1]))
+
+
+def _open_box(box: Box) -> Box:
+    """Projections of the open simplex with this doubled bounding box.
+
+    Linear maps send relative interiors onto relative interiors, so on each
+    axis the open simplex projects to (lo, hi), or to lo when lo == hi.  As
+    the ends are integers, (lo, hi) doubled is exactly [2 lo + 1, 2 hi - 1].
+    """
+    lo, hi = box
+    return (
+        tuple(2 * a + (a < b) for a, b in zip(lo, hi)),
+        tuple(2 * b - (a < b) for a, b in zip(lo, hi)),
+    )
+
+
+def _cells(box: Box) -> Iterator[Point]:
+    """The lattice cells floor(x / 2) that a doubled closed box covers."""
+    return itertools.product(*(range(a // 2, b // 2 + 1) for a, b in zip(*box)))
+
+
+def _buckets(boxes: list[Box]) -> dict[Point, list[int]]:
+    """Indices of the boxes covering each lattice cell, in increasing order.
+
+    Overlapping closed boxes share the cell of an integer point they share.
+    """
+    out: dict[Point, list[int]] = {}
+    for i, box in enumerate(boxes):
+        for cell in _cells(box):
+            out.setdefault(cell, []).append(i)
+    return out
 
 
 def verify_complex_axioms(
@@ -250,8 +274,10 @@ def verify_complex_axioms(
     """Check affine independence, face closure and open disjointness.
 
     Returns (True, None) or (False, witness).  Disjointness runs the exact
-    rational intersection test on every simplex pair whose closed bounding
-    boxes overlap, which is sufficient at half-integer granularity.
+    rational intersection test on every later simplex in a shared lattice
+    cell whose open projections meet the first one's on every axis; both
+    filters are necessary conditions, and pairs are visited in sorted
+    order, so the witness is the first intersecting pair in that order.
     """
     simplices = sorted(k.simplices)
     sset = k.simplices
@@ -274,12 +300,14 @@ def verify_complex_axioms(
                         "simplex": [list(v) for v in s],
                         "face": [list(v) for v in face],
                     }
-    boxes = {s: _bbox2(s) for s in simplices}
+    boxes = [_bbox2(s) for s in simplices]
+    open_boxes = [_open_box(box) for box in boxes]
+    buckets = _buckets(boxes)
     for i, s in enumerate(simplices):
-        for t in simplices[i + 1 :]:
-            if not _bboxes_overlap(boxes[s], boxes[t]):
-                continue
-            if open_simplices_intersect(s, t):
+        later = sorted({j for cell in _cells(boxes[i]) for j in buckets[cell] if j > i})
+        for j in later:
+            t = simplices[j]
+            if _bboxes_overlap(open_boxes[i], open_boxes[j]) and open_simplices_intersect(s, t):
                 return False, {
                     "kind": "open-intersection",
                     "simplex": [list(v) for v in s],
@@ -331,19 +359,19 @@ def realization_chambers(k: SimplicialComplex, region: Region) -> int:
     """
     simplices = sorted(k.simplices)
     boxes = [_bbox2(s) for s in simplices]
+    buckets = _buckets(boxes)
     n = region.n
     lo2 = [2 * c for c in region.lo]
     hi2 = [2 * c for c in region.hi]
 
     free: set[tuple[int, ...]] = set()
     for x2 in itertools.product(*(range(a, b + 1) for a, b in zip(lo2, hi2))):
-        blocked = False
-        for s, (lo, hi) in zip(simplices, boxes):
-            if all(l <= c <= h for l, c, h in zip(lo, x2, hi)):
-                if point_in_closed_simplex(s, [Fraction(c) for c in x2]):
-                    blocked = True
-                    break
-        if not blocked:
+        cell = tuple(c // 2 for c in x2)
+        if not any(
+            _bboxes_overlap(boxes[i], (x2, x2))
+            and point_in_closed_simplex(simplices[i], [Fraction(c) for c in x2])
+            for i in buckets.get(cell, ())
+        ):
             free.add(x2)
     seen: set[tuple[int, ...]] = set()
     chambers = 0

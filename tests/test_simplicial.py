@@ -1,10 +1,30 @@
+import itertools
+import json
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from digitop.adjacency import AdjacencyPair, Region, axis_adjacency, full_adjacency
+from digitop._exact import integer_rank, open_simplices_intersect
+from digitop.adjacency import (
+    AdjacencyPair,
+    Region,
+    axis_adjacency,
+    components,
+    custom_adjacency,
+    full_adjacency,
+)
 from digitop.jordan import box_surface, rect_boundary
-from digitop.lattice import Cube
+from digitop.lattice import (
+    Cube,
+    barycenter,
+    bounding_box,
+    cube_of_barycenter,
+    cube_vertices,
+    cubes_meeting_box,
+    double,
+    subcubes,
+)
 from digitop.simplicial import (
     SimplicialComplex,
     build_complex,
@@ -27,6 +47,138 @@ AXIS_FULL_3 = AdjacencyPair(axis_adjacency(3), full_adjacency(3))
 
 UNIT_SQUARE = Cube((0, 0), (0, 1))
 UNIT_EDGE = Cube((0, 0), (0,))
+# Only the diagonals of the (x, y) planes: squares in other planes differ, so
+# a verdict keyed without the axes would show.
+XY_DIAGONALS_3 = custom_adjacency(
+    3, [v for v in itertools.product((-1, 0, 1), repeat=3) if any(v) and (v[2] == 0 or v.count(0) == 2)]
+)
+PAIRS = {
+    n: [AdjacencyPair(a(n), b(n)) for a in (axis_adjacency, full_adjacency)
+        for b in (axis_adjacency, full_adjacency)]
+    for n in (2, 3)
+}
+PAIRS[3].append(AdjacencyPair(XY_DIAGONALS_3, full_adjacency(3)))
+
+
+# Oracles: the per-n-cube coning construction of K(M) and K'(M), and the
+# all-pairs axiom check, kept as the slow references for the fast paths.
+
+
+def barycenter_test_oracle(c, mset, pair):
+    verts = cube_vertices(c)
+    if all(v in mset for v in verts):
+        return True
+    span = barycenter(c)
+    for v in verts:
+        opposite = tuple(s - x for s, x in zip(span, v))
+        if opposite > v and v in mset and opposite in mset and pair.alpha.adjacent(v, opposite):
+            return True
+    free = [v for v in verts if v not in mset]
+    if len(free) < 2:
+        return False
+    labeling = components(pair.beta, free)
+    for v in free:
+        opposite = tuple(s - x for s, x in zip(span, v))
+        if opposite > v and opposite not in mset and not labeling.same_component(v, opposite):
+            return True
+    return False
+
+
+def build_complex_oracle(m, pair):
+    """Every passing face of every n-cube meeting the set cones its barycenter
+    over the simplices already built inside its closed box."""
+    mset = frozenset(m)
+    n = pair.n
+    if not mset:
+        return SimplicialComplex(n, frozenset())
+    lo, hi = bounding_box(mset)
+    simplices = set()
+    provenance = {}
+    for cn in cubes_meeting_box(tuple(c - 1 for c in lo), tuple(c + 1 for c in hi), n, n):
+        local = mset & frozenset(cube_vertices(cn))
+        if not local:
+            continue
+        built = [(double(p),) for p in sorted(local)]
+        for k in range(1, n + 1):
+            for c in subcubes(cn, k):
+                if not barycenter_test_oracle(c, local, pair):
+                    continue
+                center = barycenter(c)
+                provenance[center] = c
+                box_lo, box_hi = c.box2()
+                new = [(center,)]
+                for s in built:
+                    if center not in s and all(
+                        all(a <= x <= b for a, x, b in zip(box_lo, v, box_hi)) for v in s
+                    ):
+                        new.append(tuple(sorted(s + (center,))))
+                built.extend(new)
+        simplices.update(built)
+    return SimplicialComplex(n, frozenset(simplices), provenance)
+
+
+def reduce_complex_oracle(k, m, pair):
+    mset = frozenset(m)
+
+    def background_count(cube):
+        free = [v for v in cube_vertices(cube) if v not in mset]
+        return components(pair.beta, free).count if free else 0
+
+    removed = {c for c, cube in k.provenance.items() if background_count(cube) == 1}
+    simplices = frozenset(s for s in k.simplices if not any(v in removed for v in s))
+    provenance = {c: cube for c, cube in k.provenance.items() if c not in removed}
+    return SimplicialComplex(k.n, simplices, provenance)
+
+
+def verify_complex_axioms_oracle(k):
+    """The axiom check with the all-pairs scan over overlapping closed boxes."""
+    simplices = sorted(k.simplices)
+    for s in simplices:
+        if len(set(s)) != len(s):
+            return False, {"kind": "repeated-vertex", "simplex": [list(v) for v in s]}
+        if len(s) > 1:
+            rows = [[v[i] - s[0][i] for i in range(len(s[0]))] for v in s[1:]]
+            if integer_rank(rows) != len(s) - 1:
+                return False, {"kind": "affinely-dependent", "simplex": [list(v) for v in s]}
+    for s in simplices:
+        for size in range(1, len(s)):
+            for face in itertools.combinations(s, size):
+                if face not in k.simplices:
+                    return False, {
+                        "kind": "missing-face",
+                        "simplex": [list(v) for v in s],
+                        "face": [list(v) for v in face],
+                    }
+    boxes = {s: (tuple(map(min, zip(*s))), tuple(map(max, zip(*s)))) for s in simplices}
+    for i, s in enumerate(simplices):
+        for t in simplices[i + 1 :]:
+            (al, ah), (bl, bh) = boxes[s], boxes[t]
+            if not all(a <= d and c <= b for a, b, c, d in zip(al, ah, bl, bh)):
+                continue
+            if open_simplices_intersect(s, t):
+                return False, {
+                    "kind": "open-intersection",
+                    "simplex": [list(v) for v in s],
+                    "other": [list(v) for v in t],
+                }
+    return True, None
+
+
+@st.composite
+def boxed_sets(draw, max_fill=1.0):
+    """A random subset of a 4x4 or 3x3x3 box, translated, under one of the
+    four axis/full pairs (or, in Z^3, the (x, y)-diagonal pair); at most
+    ``max_fill`` of the box is foreground."""
+    sides = draw(st.sampled_from([(4, 4), (3, 3, 3)]))
+    cells = list(itertools.product(*(range(s) for s in sides)))
+    chosen = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    assume(sum(chosen) <= max_fill * len(cells))
+    shift = draw(st.tuples(*[st.integers(-5, 5)] * len(sides)))
+    pair = draw(st.sampled_from(PAIRS[len(sides)]))
+    m = frozenset(
+        tuple(a + b for a, b in zip(p, shift)) for p, keep in zip(cells, chosen) if keep
+    )
+    return m, pair
 
 
 def test_edge_in_foreground_passes():
@@ -162,6 +314,7 @@ def test_verify_axioms_catches_crossing_edges():
     )
     ok, witness = verify_complex_axioms(bad)
     assert not ok and witness["kind"] == "open-intersection"
+    assert (ok, witness) == verify_complex_axioms_oracle(bad)
 
 
 def test_verify_axioms_catches_missing_face():
@@ -249,3 +402,56 @@ def test_no_top_dimension_simplices_in_reduced_corpus():
     box = box_surface(3, 3, 3)
     k3 = reduce_complex(build_complex(box, AXIS_FULL_3), box, AXIS_FULL_3)
     assert all(len(s) <= 3 for s in k3.simplices)
+
+
+def _is_strict_chain(s, mset, provenance):
+    """The vertices of s are a chain c0 < c1 < ... of cubes under the face
+    order: points of the set, then barycenters of passing cubes."""
+    cubes = sorted((cube_of_barycenter(v) for v in s), key=lambda c: c.dim)
+    if any(c.base not in mset if c.dim == 0 else provenance.get(barycenter(c)) != c for c in cubes):
+        return False
+    return all(
+        a.dim < b.dim and set(cube_vertices(a)) <= set(cube_vertices(b))
+        for a, b in zip(cubes, cubes[1:])
+    )
+
+
+@given(boxed_sets())
+@settings(max_examples=60, deadline=None)
+def test_order_complex_matches_the_coning_oracle(case):
+    m, pair = case
+    k, oracle = build_complex(m, pair), build_complex_oracle(m, pair)
+    reduced, oracle_reduced = reduce_complex(k, m, pair), reduce_complex_oracle(oracle, m, pair)
+    for new, old in ((k, oracle), (reduced, oracle_reduced)):
+        assert new.simplices == old.simplices
+        assert dict(new.provenance) == dict(old.provenance)
+        assert json.dumps(complex_to_json(new)) == json.dumps(complex_to_json(old))
+    assert all(_is_strict_chain(s, m, k.provenance) for s in k.simplices)
+
+
+@st.composite
+def complexes_with_an_extra_simplex(draw):
+    """A built K' plus one face-closed simplex with vertices on the doubled grid."""
+    m, pair = draw(boxed_sets(max_fill=0.5).filter(lambda case: case[0]))
+    k = reduce_complex(build_complex(m, pair), m, pair)
+    lo, hi = bounding_box(m)
+    grid = st.tuples(*[st.integers(2 * a - 1, 2 * b + 1) for a, b in zip(lo, hi)])
+    extra = sorted(draw(st.lists(grid, min_size=2, max_size=pair.n + 1, unique=True)))
+    faces = {f for r in range(1, len(extra) + 1) for f in itertools.combinations(extra, r)}
+    return SimplicialComplex(k.n, k.simplices | faces)
+
+
+# The all-pairs oracle is quadratic in the simplex count (a filled 3x3x3 box
+# has 1977 simplices), so the axiom properties draw sets at most half full.
+@given(boxed_sets(max_fill=0.5))
+@settings(max_examples=30, deadline=None)
+def test_axiom_check_matches_the_oracle_on_built_complexes(case):
+    m, pair = case
+    k = reduce_complex(build_complex(m, pair), m, pair)
+    assert verify_complex_axioms(k) == verify_complex_axioms_oracle(k)
+
+
+@given(complexes_with_an_extra_simplex())
+@settings(max_examples=40, deadline=None)
+def test_axiom_check_matches_the_oracle_with_an_extra_simplex(k):
+    assert verify_complex_axioms(k) == verify_complex_axioms_oracle(k)
