@@ -56,8 +56,6 @@ from .manifold import (
 )
 from .pseudomanifold import PseudomanifoldReport, is_pseudomanifold
 from .separation import (
-    SeparationVerdict,
-    SeparationWitness,
     beta_neighbor_lower_bound,
     component_count_bounds_hold,
     has_separation_property,
@@ -78,3 +76,4 @@ from .simplicial import (
     barycenter_test,
     verify_complex_axioms,
 )
+from .verdict import Verdict

@@ -13,21 +13,13 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import __version__
-from .adjacency import AdjacencyPair, Region, complement_components, components, neighbors
+from . import __version__, jordan, manifold, pseudomanifold, separation
+from .adjacency import AdjacencyPair, Region, complement_components
 from .fileio import InputFormatError, format_points, load_points, parse_adjacency_arg
-from .jordan import GeneratorSpec, generate, jordan_check
-from .lattice import Cube, cube_vertices
-from .manifold import (
-    DoublePointWitness,
-    NotCertifiedError,
-    check_manifold,
-    is_good_pair,
-    is_simple_point,
-    local_components,
-)
+from .jordan import GeneratorSpec, generate, jordan_check, simple_point_witness
+from .manifold import NotCertifiedError, check_manifold, is_good_pair, is_simple_point
 from .pseudomanifold import is_pseudomanifold
-from .separation import SeparationWitness, has_separation_property, replay_separation_witness
+from .separation import has_separation_property
 from .simplicial import (
     build_complex,
     complex_to_json,
@@ -35,6 +27,9 @@ from .simplicial import (
     euler_characteristic,
     reduce_complex,
 )
+from .verdict import wrong_dimension
+
+_REPLAYS = {**manifold.REPLAYS, **separation.REPLAYS, **jordan.REPLAYS, **pseudomanifold.REPLAYS}
 
 
 def _add_common(p: argparse.ArgumentParser, points: bool = True) -> None:
@@ -99,7 +94,8 @@ def _load_context(args: argparse.Namespace):
     if args.budget < 0:
         raise InputFormatError("--budget must be nonnegative")
     pair = AdjacencyPair(parse_adjacency_arg(args.alpha, n), parse_adjacency_arg(args.beta, n))
-    return points, n, pair
+    region = Region.around(points, args.margin) if points else None
+    return points, n, pair, region
 
 
 def _config(args: argparse.Namespace, n: int) -> dict:
@@ -140,54 +136,7 @@ def _report(args: argparse.Namespace, config: dict, result: dict, witnesses: lis
         _emit(args, "\n".join(lines) + "\n")
 
 
-def _replay_witness(w: dict, mset, pair: AdjacencyPair, margin: int, args) -> bool:
-    kind = w.get("kind")
-    if kind == "separation":
-        witness = SeparationWitness(
-            Cube(tuple(w["cube"]["base"]), tuple(w["cube"]["axes"])),
-            Cube(tuple(w["cstar"]["base"]), tuple(w["cstar"]["axes"])),
-            tuple(w["tau1"]),
-            tuple(w["tau2"]),
-            tuple(w["point"]),
-        )
-        return replay_separation_witness(witness, mset, pair)
-    if kind == "double-point":
-        witness = DoublePointWitness(
-            tuple(w["z"]), tuple(w["p"]), tuple(w["q"]), tuple(w["r"]), tuple(w["tau"])
-        )
-        return witness.verify(pair)
-    if kind == "alpha-disconnected":
-        return components(pair.alpha, mset).count > 1
-    if kind == "cube-intersection-disconnected":
-        cube = Cube(tuple(w["cube"]["base"]), tuple(w["cube"]["axes"]))
-        cut = [v for v in cube_vertices(cube) if v in mset]
-        return bool(cut) and components(pair.alpha, cut).count > 1
-    if kind == "local-component-count":
-        return len(local_components(tuple(w["point"]), mset, pair)) != 2
-    if kind == "one-sided-neighbor":
-        p, q = tuple(w["p"]), tuple(w["q"])
-        sides = local_components(p, mset, pair)
-        return any(not any(pair.beta.adjacent(q, x) for x in side) for side in sides)
-    if kind == "simple-point":
-        return is_simple_point(tuple(w["point"]), mset, pair, Region.around(mset, margin))
-    if kind == "not-common-boundary":
-        region = Region.around(mset, margin)
-        labeling = complement_components(pair.beta, mset, region)
-        ids = set(labeling.components())
-        p = tuple(w["point"])
-        reached = {labeling.labels[q] for q in neighbors(pair.beta, p) if q in labeling.labels}
-        return reached != ids
-    if kind == "component-count":
-        region = Region.around(mset, margin)
-        return complement_components(pair.beta, mset, region).count != 2
-    if kind in ("homogeneity", "nondegeneracy", "strong-connectivity"):
-        reduced = reduce_complex(build_complex(mset, pair), mset, pair)
-        report = is_pseudomanifold(reduced, pair.n - 1)
-        return any(x.get("kind") == kind for x in report.witnesses())
-    raise InputFormatError(f"cannot replay witness kind {kind!r}")
-
-
-def _maybe_replay(args: argparse.Namespace, mset, pair: AdjacencyPair) -> int | None:
+def _maybe_replay(args: argparse.Namespace, mset, pair: AdjacencyPair, region: Region) -> int | None:
     """Returns an exit code when replay handled the invocation, else None."""
     if not getattr(args, "replay", None):
         return None
@@ -200,48 +149,52 @@ def _maybe_replay(args: argparse.Namespace, mset, pair: AdjacencyPair) -> int | 
         raise InputFormatError(f"{args.replay}: not a digitop report")
     if not witnesses:
         return None  # passing report: fall through to a fresh run
-    for w in witnesses:
-        label = w.get("kind", "?")
-        try:
-            ok = _replay_witness(w, mset, pair, args.margin, args)
-        except (KeyError, TypeError) as exc:
-            raise InputFormatError(f"{args.replay}: malformed {label} witness: {exc!r}") from exc
-        print(f"replay {label}: {'violation reproduced' if ok else 'NOT reproduced'}")
-        if not ok:
-            return 2
+    try:
+        for w in witnesses:
+            kind = w.get("kind")
+            if not isinstance(kind, str) or kind not in _REPLAYS:
+                raise InputFormatError(f"cannot replay witness kind {kind!r}")
+            bad = wrong_dimension(w, pair.n)
+            if bad is not None:
+                raise InputFormatError(f"{args.replay}: {kind} witness is not of dimension {pair.n}: {bad}")
+        for w in witnesses:
+            ok = _REPLAYS[w["kind"]](w, mset, pair, region)
+            print(f"replay {w['kind']}: {'violation reproduced' if ok else 'NOT reproduced'}")
+            if not ok:
+                return 2
+    except (KeyError, TypeError) as exc:
+        raise InputFormatError(f"{args.replay}: malformed {w['kind']} witness: {exc!r}") from exc
     return 1
 
 
 def _cmd_verify_manifold(args: argparse.Namespace) -> int:
-    mset, n, pair = _load_context(args)
-    code = _maybe_replay(args, mset, pair)
+    mset, n, pair, region = _load_context(args)
+    code = _maybe_replay(args, mset, pair, region)
     if code is not None:
         return code
-    report = check_manifold(mset, pair)
+    report = check_manifold(mset, pair, region)
     lines = [f"certified: {report.certified}"]
     for name, verdict in (
         ("alpha-connected", report.alpha_connected),
         ("cube-connectivity", report.cube_connectivity),
         ("local-two-components", report.local_two_components),
         ("two-sidedness", report.two_sidedness),
+        ("separation", report.separation),
     ):
         lines.append(f"{name}: {verdict.holds}")
         if not verdict.holds and verdict.witness:
             lines.append(f"  witness: {json.dumps(verdict.witness, sort_keys=True)}")
-    lines.append(f"separation: {report.separation.holds}")
-    if not report.separation.holds and report.separation.witness:
-        lines.append(f"  witness: {json.dumps(report.separation.witness.to_json(), sort_keys=True)}")
     _report(args, _config(args, n), report.to_json(), report.witnesses(), lines)
     return 0 if report.certified else 1
 
 
 def _cmd_check_separation(args: argparse.Namespace) -> int:
-    mset, n, pair = _load_context(args)
-    code = _maybe_replay(args, mset, pair)
+    mset, n, pair, region = _load_context(args)
+    code = _maybe_replay(args, mset, pair, region)
     if code is not None:
         return code
-    verdict = has_separation_property(mset, pair)
-    witnesses = [verdict.witness.to_json()] if verdict.witness else []
+    verdict = has_separation_property(mset, pair, region)
+    witnesses = [verdict.witness] if verdict.witness else []
     lines = [f"separation: {verdict.holds}"]
     if witnesses:
         lines.append(f"  witness: {json.dumps(witnesses[0], sort_keys=True)}")
@@ -250,7 +203,7 @@ def _cmd_check_separation(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    mset, n, pair = _load_context(args)
+    mset, n, pair, _ = _load_context(args)
     full = build_complex(mset, pair)
     reduced = reduce_complex(full, mset, pair)
     if args.format == "off":
@@ -272,8 +225,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_pseudomanifold(args: argparse.Namespace) -> int:
-    mset, n, pair = _load_context(args)
-    code = _maybe_replay(args, mset, pair)
+    mset, n, pair, region = _load_context(args)
+    code = _maybe_replay(args, mset, pair, region)
     if code is not None:
         return code
     reduced = reduce_complex(build_complex(mset, pair), mset, pair)
@@ -293,7 +246,7 @@ def _cmd_check_pseudomanifold(args: argparse.Namespace) -> int:
 
 
 def _cmd_euler(args: argparse.Namespace) -> int:
-    mset, n, pair = _load_context(args)
+    mset, n, pair, _ = _load_context(args)
     full = build_complex(mset, pair)
     reduced = reduce_complex(full, mset, pair)
     result = {
@@ -306,8 +259,8 @@ def _cmd_euler(args: argparse.Namespace) -> int:
 
 
 def _cmd_jordan(args: argparse.Namespace) -> int:
-    mset, n, pair = _load_context(args)
-    code = _maybe_replay(args, mset, pair)
+    mset, n, pair, region = _load_context(args)
+    code = _maybe_replay(args, mset, pair, region)
     if code is not None:
         return code
     report = jordan_check(mset, pair, margin=args.margin)
@@ -326,10 +279,10 @@ def _cmd_jordan(args: argparse.Namespace) -> int:
 
 
 def _cmd_good_pair(args: argparse.Namespace) -> int:
-    _, n, pair = _load_context(args)
+    _, n, pair, _ = _load_context(args)
     # witnesses of a good-pair report live on the origin's background sphere
     sphere = frozenset(pair.beta.offsets)
-    code = _maybe_replay(args, sphere, pair)
+    code = _maybe_replay(args, sphere, pair, Region.around(sphere, args.margin))
     if code is not None:
         return code
     report = is_good_pair(pair, bound=args.bound, budget=args.budget)
@@ -350,15 +303,14 @@ def _cmd_good_pair(args: argparse.Namespace) -> int:
 
 
 def _cmd_simple_points(args: argparse.Namespace) -> int:
-    mset, n, pair = _load_context(args)
-    code = _maybe_replay(args, mset, pair)
+    mset, n, pair, region = _load_context(args)
+    code = _maybe_replay(args, mset, pair, region)
     if code is not None:
         return code
-    region = Region.around(mset, args.margin)
     labels = complement_components(pair.beta, mset, region)
     simple = [p for p in sorted(mset) if is_simple_point(p, mset, pair, region, _labels=labels)]
     result = {"simple_points": [list(p) for p in simple], "count": len(simple)}
-    witnesses = [{"kind": "simple-point", "point": list(p)} for p in simple]
+    witnesses = [simple_point_witness(p) for p in simple]
     lines = [f"simple points: {len(simple)}"] + [f"  {' '.join(map(str, p))}" for p in simple]
     _report(args, _config(args, n), result, witnesses, lines)
     return 0 if not simple else 1
@@ -371,21 +323,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         points = generate(spec)
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"generate {args.kind}: {exc}") from exc
-    if args.format == "json":
-        payload = {
-            "tool": "digitop",
-            "version": __version__,
-            "config": {"command": "generate", "kind": args.kind, "params": list(args.params)},
-            "result": {"points": [list(p) for p in sorted(points)], "count": len(points)},
-            "witnesses": [],
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        text = format_points(points)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    config = {"command": "generate", "kind": args.kind, "params": list(args.params)}
+    result = {"points": [list(p) for p in sorted(points)], "count": len(points)}
+    _report(args, config, result, [], format_points(points).splitlines())
     return 0
 
 

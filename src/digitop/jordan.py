@@ -12,13 +12,8 @@ from typing import Iterable
 
 from .adjacency import AdjacencyPair, Region, complement_components, neighbors
 from .lattice import Point
-from .manifold import (
-    ManifoldReport,
-    NotCertifiedError,
-    Verdict,
-    check_manifold,
-    is_simple_point,
-)
+from .manifold import ManifoldReport, NotCertifiedError, check_manifold, is_simple_point
+from .verdict import Verdict
 
 
 @dataclass(frozen=True)
@@ -43,10 +38,8 @@ class JordanReport:
         out = []
         if not self.two_components:
             out.append({"kind": "component-count", "count": self.component_count})
-        for v in (self.common_boundary, self.no_simple_points):
-            if not v.holds and v.witness:
-                out.append(v.witness)
-        return out
+        verdicts = (self.common_boundary, self.no_simple_points)
+        return out + [v.witness for v in verdicts if not v.holds and v.witness]
 
     def to_json(self) -> dict:
         return {
@@ -110,7 +103,7 @@ def jordan_check(
     no_simple = Verdict(True)
     for p in sorted(mset):
         if is_simple_point(p, mset, pair, region, _labels=labeling):
-            no_simple = Verdict(False, {"kind": "simple-point", "point": list(p)})
+            no_simple = Verdict(False, simple_point_witness(p))
             break
 
     return JordanReport(
@@ -121,6 +114,37 @@ def jordan_check(
         common_boundary=common,
         no_simple_points=no_simple,
     )
+
+
+def simple_point_witness(p: Point) -> dict:
+    return {"kind": "simple-point", "point": list(p)}
+
+
+def _replay_component_count(w: dict, mset, pair: AdjacencyPair, region: Region) -> bool:
+    count = complement_components(pair.beta, mset, region).count
+    return count != 2 and count == w["count"]
+
+
+def _replay_not_common_boundary(w: dict, mset, pair: AdjacencyPair, region: Region) -> bool:
+    p, missing = tuple(w["point"]), tuple(w["missing_component"])
+    labels = complement_components(pair.beta, mset, region).labels
+    return (
+        p in mset
+        and labels.get(missing) == missing  # component ids label themselves
+        and all(labels.get(q) != missing for q in neighbors(pair.beta, p))
+    )
+
+
+def _replay_simple_point(w: dict, mset, pair: AdjacencyPair, region: Region) -> bool:
+    p = tuple(w["point"])
+    return p in mset and is_simple_point(p, mset, pair, region)
+
+
+REPLAYS = {
+    "component-count": _replay_component_count,
+    "not-common-boundary": _replay_not_common_boundary,
+    "simple-point": _replay_simple_point,
+}
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,13 @@ class Cube:
     def vertices(self) -> tuple[Point, ...]:
         return cube_vertices(self)
 
+    def to_json(self) -> dict:
+        return {"base": list(self.base), "axes": list(self.axes)}
+
+    @staticmethod
+    def from_json(d: dict) -> "Cube":
+        return Cube(tuple(d["base"]), tuple(d["axes"]))
+
     def box2(self) -> tuple[HalfPoint, HalfPoint]:
         """Closed bounding box in doubled coordinates."""
         lo = double(self.base)

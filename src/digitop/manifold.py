@@ -24,6 +24,7 @@ from .adjacency import (
     neighbors,
 )
 from .lattice import (
+    Cube,
     Point,
     Translation,
     bounding_box,
@@ -32,18 +33,10 @@ from .lattice import (
     vec_add,
     vec_sub,
 )
-from .separation import SeparationVerdict, has_separation_property
+from .separation import has_separation_property
+from .verdict import Verdict
 
 DEFAULT_BUDGET = 100_000
-
-
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    witness: Optional[dict] = None
-
-    def to_json(self) -> dict:
-        return {"holds": self.holds, "witness": self.witness}
 
 
 @dataclass(frozen=True)
@@ -54,7 +47,7 @@ class ManifoldReport:
     cube_connectivity: Verdict
     local_two_components: Verdict
     two_sidedness: Verdict
-    separation: SeparationVerdict
+    separation: Verdict
     local_sides: Optional[Mapping[Point, tuple[frozenset[Point], frozenset[Point]]]]
 
     @property
@@ -68,18 +61,14 @@ class ManifoldReport:
         )
 
     def witnesses(self) -> list[dict]:
-        out = []
-        for verdict in (
+        verdicts = (
             self.alpha_connected,
             self.cube_connectivity,
             self.local_two_components,
             self.two_sidedness,
-        ):
-            if not verdict.holds and verdict.witness:
-                out.append(verdict.witness)
-        if not self.separation.holds and self.separation.witness:
-            out.append(self.separation.witness.to_json())
-        return out
+            self.separation,
+        )
+        return [v.witness for v in verdicts if not v.holds and v.witness]
 
     def to_json(self) -> dict:
         return {
@@ -153,13 +142,9 @@ def local_components(p: Point, m: Iterable[Point], pair: AdjacencyPair) -> list[
     mset = frozenset(m)
     if p not in mset:
         raise ValueError(f"{p} is not a foreground point")
-    shell = neighbors(_omega(pair.n), p) - mset
+    shell = neighbors(full_adjacency(pair.n), p) - mset
     comps = components(pair.beta, shell).components()
     return [comps[cid] for cid in sorted(comps)]
-
-
-def _omega(n: int) -> AdjacencySpec:
-    return full_adjacency(n)
 
 
 def check_manifold(
@@ -190,12 +175,12 @@ def check_manifold(
                 False,
                 {
                     "kind": "cube-intersection-disconnected",
-                    "cube": {"base": list(c.base), "axes": list(c.axes)},
+                    "cube": c.to_json(),
                 },
             )
             break
 
-    omega = _omega(n)
+    omega = full_adjacency(n)
     local_two = Verdict(True)
     sides: dict[Point, tuple[frozenset[Point], frozenset[Point]]] = {}
     for p in sorted(mset):
@@ -263,7 +248,7 @@ def global_sides(
         report = check_manifold(mset, pair)
     if not report.certified or report.local_sides is None:
         raise NotCertifiedError("global sides are defined only for certified manifolds")
-    omega = _omega(pair.n)
+    omega = full_adjacency(pair.n)
     shell = set()
     for p in mset:
         shell |= neighbors(omega, p)
@@ -428,3 +413,44 @@ def is_regular_rotation(spec: AdjacencySpec) -> bool:
             if image != offsets:
                 return False
     return True
+
+
+def _replay_alpha_disconnected(w: dict, mset, pair: AdjacencyPair, region) -> bool:
+    ids = set(components(pair.alpha, mset).labels.values())
+    reps = {tuple(r) for r in w["components"]}
+    return len(w["components"]) == len(reps) == 2 and reps <= ids
+
+
+def _replay_cube_disconnected(w: dict, mset, pair: AdjacencyPair, region) -> bool:
+    cut = [v for v in cube_vertices(Cube.from_json(w["cube"])) if v in mset]
+    return bool(cut) and components(pair.alpha, cut).count > 1
+
+
+def _replay_local_count(w: dict, mset, pair: AdjacencyPair, region) -> bool:
+    p, count = tuple(w["point"]), w["count"]
+    return p in mset and count != 2 and len(local_components(p, mset, pair)) == count
+
+
+def _replay_one_sided(w: dict, mset, pair: AdjacencyPair, region) -> bool:
+    p, q = tuple(w["p"]), tuple(w["q"])
+    side = frozenset(map(tuple, w["side"]))
+    return (
+        p in mset
+        and q in mset
+        and pair.alpha.adjacent(p, q)
+        and side in local_components(p, mset, pair)
+        and not any(pair.beta.adjacent(q, x) for x in side)
+    )
+
+
+def _replay_double_point(w: dict, mset, pair: AdjacencyPair, region) -> bool:
+    return DoublePointWitness(*(tuple(w[k]) for k in ("z", "p", "q", "r", "tau"))).verify(pair)
+
+
+REPLAYS = {
+    "alpha-disconnected": _replay_alpha_disconnected,
+    "cube-intersection-disconnected": _replay_cube_disconnected,
+    "local-component-count": _replay_local_count,
+    "one-sided-neighbor": _replay_one_sided,
+    "double-point": _replay_double_point,
+}

@@ -5,26 +5,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
-from .simplicial import Simplex, SimplicialComplex
-
-
-@dataclass(frozen=True)
-class PropertyVerdict:
-    holds: bool
-    witness: Optional[dict] = None
-
-    def to_json(self) -> dict:
-        return {"holds": self.holds, "witness": self.witness}
+from .adjacency import AdjacencyPair
+from .simplicial import Simplex, SimplicialComplex, build_complex, reduce_complex
+from .verdict import Verdict
 
 
 @dataclass(frozen=True)
 class PseudomanifoldReport:
     dimension: int
-    homogeneous: PropertyVerdict
-    nondegenerate: PropertyVerdict
-    strongly_connected: PropertyVerdict
+    homogeneous: Verdict
+    nondegenerate: Verdict
+    strongly_connected: Verdict
 
     @property
     def all_hold(self) -> bool:
@@ -55,7 +47,7 @@ def _simplex_json(s: Simplex) -> list[list[int]]:
     return [list(v) for v in s]
 
 
-def is_homogeneous(k: SimplicialComplex, d: int) -> PropertyVerdict:
+def is_homogeneous(k: SimplicialComplex, d: int) -> Verdict:
     """Every simplex must be a face of some d-simplex."""
     top = [s for s in k.simplices if len(s) == d + 1]
     by_vertex: dict = {}
@@ -64,19 +56,19 @@ def is_homogeneous(k: SimplicialComplex, d: int) -> PropertyVerdict:
             by_vertex.setdefault(v, []).append(t)
     for s in sorted(k.simplices):
         if len(s) - 1 > d:
-            return PropertyVerdict(
+            return Verdict(
                 False, {"kind": "homogeneity", "simplex": _simplex_json(s)}
             )
         vset = set(s)
         candidates = by_vertex.get(s[0], [])
         if not any(vset <= set(t) for t in candidates):
-            return PropertyVerdict(
+            return Verdict(
                 False, {"kind": "homogeneity", "simplex": _simplex_json(s)}
             )
-    return PropertyVerdict(True)
+    return Verdict(True)
 
 
-def is_nondegenerate(k: SimplicialComplex, d: int) -> PropertyVerdict:
+def is_nondegenerate(k: SimplicialComplex, d: int) -> Verdict:
     """Every (d-1)-simplex must have exactly two d-dimensional cofaces."""
     cofaces: dict[Simplex, int] = {s: 0 for s in k.simplices if len(s) == d}
     for t in k.simplices:
@@ -87,7 +79,7 @@ def is_nondegenerate(k: SimplicialComplex, d: int) -> PropertyVerdict:
                 cofaces[face] += 1
     for s in sorted(cofaces):
         if cofaces[s] != 2:
-            return PropertyVerdict(
+            return Verdict(
                 False,
                 {
                     "kind": "nondegeneracy",
@@ -95,14 +87,14 @@ def is_nondegenerate(k: SimplicialComplex, d: int) -> PropertyVerdict:
                     "cofaces": cofaces[s],
                 },
             )
-    return PropertyVerdict(True)
+    return Verdict(True)
 
 
-def is_strongly_connected(k: SimplicialComplex, d: int) -> PropertyVerdict:
+def is_strongly_connected(k: SimplicialComplex, d: int) -> Verdict:
     """The dual graph on d-simplices (edges: shared (d-1)-faces) is connected."""
     top = sorted(s for s in k.simplices if len(s) == d + 1)
     if len(top) <= 1:
-        return PropertyVerdict(True)
+        return Verdict(True)
     by_face: dict[Simplex, list[Simplex]] = {}
     for t in top:
         for face in itertools.combinations(t, d):
@@ -117,9 +109,9 @@ def is_strongly_connected(k: SimplicialComplex, d: int) -> PropertyVerdict:
                     seen.add(other)
                     stack.append(other)
     if len(seen) == len(top):
-        return PropertyVerdict(True)
+        return Verdict(True)
     stranded = next(t for t in top if t not in seen)
-    return PropertyVerdict(
+    return Verdict(
         False,
         {
             "kind": "strong-connectivity",
@@ -137,3 +129,12 @@ def is_pseudomanifold(k: SimplicialComplex, d: int) -> PseudomanifoldReport:
         nondegenerate=is_nondegenerate(k, d),
         strongly_connected=is_strongly_connected(k, d),
     )
+
+
+def _replay(w: dict, mset, pair: AdjacencyPair, region) -> bool:
+    """True iff the recorded witness is one the check of K'(M) finds."""
+    reduced = reduce_complex(build_complex(mset, pair), mset, pair)
+    return w in is_pseudomanifold(reduced, pair.n - 1).witnesses()
+
+
+REPLAYS = dict.fromkeys(("homogeneity", "nondegeneracy", "strong-connectivity"), _replay)

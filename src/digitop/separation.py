@@ -9,14 +9,12 @@ two single-step preimages are foreground too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .adjacency import AdjacencyPair, ComponentLabeling, Region, complement_components, components
 from .lattice import (
     Cube,
     Point,
-    Translation,
     bounding_box,
     completing_translations,
     cube_vertices,
@@ -24,40 +22,7 @@ from .lattice import (
     subcubes,
     vec_add,
 )
-
-
-@dataclass(frozen=True)
-class SeparationWitness:
-    """A replayable violation: the cube, the slice, both translations and
-    the point whose diagonal image is foreground while a side image is not."""
-
-    cube: Cube
-    cstar: Cube
-    tau1: Translation
-    tau2: Translation
-    point: Point
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "separation",
-            "cube": {"base": list(self.cube.base), "axes": list(self.cube.axes)},
-            "cstar": {"base": list(self.cstar.base), "axes": list(self.cstar.axes)},
-            "tau1": list(self.tau1),
-            "tau2": list(self.tau2),
-            "point": list(self.point),
-        }
-
-
-@dataclass(frozen=True)
-class SeparationVerdict:
-    holds: bool
-    witness: Optional[SeparationWitness] = None
-
-    def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "witness": self.witness.to_json() if self.witness else None,
-        }
+from .verdict import Verdict
 
 
 def _violation_in_cube(
@@ -65,7 +30,9 @@ def _violation_in_cube(
     c: Cube,
     pair: AdjacencyPair,
     labels: ComponentLabeling,
-) -> Optional[SeparationWitness]:
+) -> Optional[dict]:
+    """The first violation in the cube: the slice, both translations and
+    the point whose diagonal image is foreground while a side image is not."""
     cut = frozenset(v for v in cube_vertices(c) if v in mset)
     if not cut:
         return None
@@ -92,7 +59,14 @@ def _violation_in_cube(
                     if vec_add(x, diag) in comp and (
                         vec_add(x, tau1) not in comp or vec_add(x, tau2) not in comp
                     ):
-                        return SeparationWitness(c, cstar, tau1, tau2, x)
+                        return {
+                            "kind": "separation",
+                            "cube": c.to_json(),
+                            "cstar": cstar.to_json(),
+                            "tau1": list(tau1),
+                            "tau2": list(tau2),
+                            "point": list(x),
+                        }
     return None
 
 
@@ -101,25 +75,22 @@ def not_separated_in_cube(
     c: Cube,
     pair: AdjacencyPair,
     region: Region | None = None,
-    _labels: ComponentLabeling | None = None,
-) -> SeparationVerdict:
+) -> Verdict:
     """Check the separation condition for one cube of dimension 2..n."""
     if not 2 <= c.dim <= c.n:
         raise ValueError(f"cube dimension {c.dim} out of range 2..{c.n}")
     mset = frozenset(m)
-    if _labels is None:
-        if region is None:
-            region = Region.around(mset | set(cube_vertices(c)), margin=2)
-        _labels = complement_components(pair.beta, mset, region)
-    witness = _violation_in_cube(mset, c, pair, _labels)
-    return SeparationVerdict(witness is None, witness)
+    if region is None:
+        region = Region.around(mset | set(cube_vertices(c)), margin=2)
+    witness = _violation_in_cube(mset, c, pair, complement_components(pair.beta, mset, region))
+    return Verdict(witness is None, witness)
 
 
 def has_separation_property(
     m: Iterable[Point],
     pair: AdjacencyPair,
     region: Region | None = None,
-) -> SeparationVerdict:
+) -> Verdict:
     """Conjunction of the cube check over every cube near the set.
 
     Scans every k-cube, 2 <= k <= n, meeting the bounding box of m dilated
@@ -128,7 +99,7 @@ def has_separation_property(
     """
     mset = frozenset(m)
     if not mset:
-        return SeparationVerdict(True)
+        return Verdict(True)
     n = pair.n
     if region is None:
         region = Region.around(mset, margin=2)
@@ -145,16 +116,18 @@ def has_separation_property(
     for c in cubes:
         witness = _violation_in_cube(mset, c, pair, labels)
         if witness is not None:
-            return SeparationVerdict(False, witness)
-    return SeparationVerdict(True)
+            return Verdict(False, witness)
+    return Verdict(True)
 
 
 def replay_separation_witness(
-    w: SeparationWitness, m: Iterable[Point], pair: AdjacencyPair, region: Region | None = None
+    w: dict, m: Iterable[Point], pair: AdjacencyPair, region: Region | None = None
 ) -> bool:
-    """Re-run the cube named by the witness; True iff it still violates."""
-    verdict = not_separated_in_cube(m, w.cube, pair, region)
-    return not verdict.holds
+    """True iff the recorded cube yields exactly the recorded violation."""
+    return not_separated_in_cube(m, Cube.from_json(w["cube"]), pair, region).witness == w
+
+
+REPLAYS = {"separation": replay_separation_witness}
 
 
 def beta_neighbor_lower_bound(k: int, size: int) -> int:

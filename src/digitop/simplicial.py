@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional
 
 from ._exact import integer_rank, open_simplices_intersect, point_in_closed_simplex
-from .adjacency import AdjacencyPair, ComponentLabeling, Region, components
+from .adjacency import AdjacencyPair, ComponentLabeling, Region, axis_adjacency, components
 from .lattice import (
     Cube,
     HalfPoint,
@@ -360,7 +360,6 @@ def realization_chambers(k: SimplicialComplex, region: Region) -> int:
     simplices = sorted(k.simplices)
     boxes = [_bbox2(s) for s in simplices]
     buckets = _buckets(boxes)
-    n = region.n
     lo2 = [2 * c for c in region.lo]
     hi2 = [2 * c for c in region.hi]
 
@@ -373,25 +372,7 @@ def realization_chambers(k: SimplicialComplex, region: Region) -> int:
             for i in buckets.get(cell, ())
         ):
             free.add(x2)
-    seen: set[tuple[int, ...]] = set()
-    chambers = 0
-    for cell in sorted(free):
-        if cell in seen:
-            continue
-        chambers += 1
-        stack = [cell]
-        seen.add(cell)
-        while stack:
-            cur = stack.pop()
-            for axis in range(n):
-                for delta in (-1, 1):
-                    nxt = tuple(
-                        c + (delta if i == axis else 0) for i, c in enumerate(cur)
-                    )
-                    if nxt in free and nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-    return chambers
+    return components(axis_adjacency(region.n), free).count
 
 
 def complex_to_json(k: SimplicialComplex) -> dict:
@@ -400,7 +381,7 @@ def complex_to_json(k: SimplicialComplex) -> dict:
     index = {v: i for i, v in enumerate(vertices)}
     simplices = sorted(sorted(index[v] for v in s) for s in k.simplices)
     provenance = {
-        str(index[c]): {"base": list(cube.base), "axes": list(cube.axes)}
+        str(index[c]): cube.to_json()
         for c, cube in sorted(k.provenance.items())
         if c in index
     }

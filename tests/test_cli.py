@@ -1,8 +1,17 @@
+import contextlib
+import io
+import itertools
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from digitop.adjacency import AdjacencyPair, axis_adjacency, full_adjacency
 from digitop.cli import main
+from digitop.jordan import rect_boundary
 from digitop.fileio import (
     InputFormatError,
     format_points,
@@ -225,3 +234,155 @@ def test_replay_simple_points_under_the_recorded_margin(tmp_path):
     report = tmp_path / "sp.json"
     assert main(["simple-points", *common, "--format", "json", "-o", str(report)]) == 1
     assert main(["simple-points", *common, "--replay", str(report)]) == 1
+
+
+RING = format_points(sorted(rect_boundary(5, 5)))
+
+
+def _replay_bogus(tmp_path, capsys, command, points, alpha, beta, witness):
+    report = tmp_path / "bogus.json"
+    report.write_text(json.dumps({"witnesses": [witness]}), encoding="utf-8")
+    code = main([command, "--points", str(points), "--alpha", alpha, "--beta", beta, "--replay", str(report)])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("alpha,beta", [("full", "axis"), ("axis", "full")])
+def test_replay_checks_the_recorded_side_of_a_one_sided_neighbor(ring_file, tmp_path, capsys, alpha, beta):
+    bogus = {"kind": "one-sided-neighbor", "p": [0, 0], "q": [9, 9], "side": []}
+    code, out = _replay_bogus(tmp_path, capsys, "verify-manifold", ring_file, alpha, beta, bogus)
+    assert code == 2
+    assert "replay one-sided-neighbor: NOT reproduced" in out.out
+
+
+@pytest.mark.parametrize(
+    "text,alpha,beta,kind,field,value",
+    [
+        ("0 0\n5 5\n", "axis", "full", "alpha-disconnected", "components", [[0, 0], [0, 0]]),
+        ("0 0\n5 5\n", "axis", "full", "alpha-disconnected", "components", [[0, 0], [1, 1]]),
+        ("0 0\n5 5\n", "axis", "full", "local-component-count", "count", 3),
+        (RING, "full", "axis", "one-sided-neighbor", "side", []),
+    ],
+    ids=["same-component", "not-in-the-set", "local-count", "empty-side"],
+)
+def test_replay_of_a_tampered_witness_is_not_reproduced(tmp_path, capsys, text, alpha, beta, kind, field, value):
+    points = tmp_path / "m.txt"
+    points.write_text(text, encoding="utf-8")
+    report = tmp_path / "vm.json"
+    argv = ["verify-manifold", "--points", str(points), "--alpha", alpha, "--beta", beta]
+    assert main([*argv, "--format", "json", "-o", str(report)]) == 1
+    (witness,) = [w for w in json.loads(report.read_text(encoding="utf-8"))["witnesses"] if w["kind"] == kind]
+    code, out = _replay_bogus(tmp_path, capsys, "verify-manifold", points, alpha, beta, {**witness, field: value})
+    assert code == 2
+    assert f"replay {kind}: NOT reproduced" in out.out
+
+
+def _plate_witness(tmp_path):
+    plate = tmp_path / "plate.txt"
+    plate.write_text("0 0 0\n1 0 0\n0 1 1\n1 1 1\n", encoding="utf-8")
+    report = tmp_path / "sep.json"
+    argv = ["check-separation", "--points", str(plate), "--alpha", "full", "--beta", "axis",
+            "--format", "json", "-o", str(report)]
+    assert main(argv) == 1
+    (witness,) = json.loads(report.read_text(encoding="utf-8"))["witnesses"]
+    return plate, witness
+
+
+def test_replay_checks_every_field_of_a_separation_witness(tmp_path, capsys):
+    plate, witness = _plate_witness(tmp_path)
+    bogus = dict(witness, cstar={"base": [5, 5, 5], "axes": [0]}, point=[9, 9, 9])
+    code, out = _replay_bogus(tmp_path, capsys, "check-separation", plate, "full", "axis", bogus)
+    assert code == 2
+    assert "replay separation: NOT reproduced" in out.out
+
+
+def test_replay_rejects_a_witness_of_another_dimension(tmp_path, capsys):
+    plate, witness = _plate_witness(tmp_path)
+    bogus = dict(witness, cube={"base": [0, 0, 0, 0], "axes": [0, 1, 2, 3]})
+    code, out = _replay_bogus(tmp_path, capsys, "check-separation", plate, "full", "axis", bogus)
+    assert code == 2
+    assert "not of dimension 3" in out.err and "replay" not in out.out
+
+
+def test_replay_checks_the_recorded_simplex_of_a_pseudomanifold_witness(tmp_path, capsys):
+    from digitop.simplicial import build_complex, reduce_complex
+
+    arc = tmp_path / "arc.txt"
+    arc.write_text("0 0\n1 1\n2 2\n", encoding="utf-8")
+    common = ["--points", str(arc), "--alpha", "full", "--beta", "axis"]
+    report = tmp_path / "pm.json"
+    assert main(["check-pseudomanifold", *common, "--format", "json", "-o", str(report)]) == 1
+    assert main(["check-pseudomanifold", *common, "--replay", str(report)]) == 1
+    (witness,) = json.loads(report.read_text(encoding="utf-8"))["witnesses"]
+    pair = AdjacencyPair(full_adjacency(2), axis_adjacency(2))
+    m = frozenset({(0, 0), (1, 1), (2, 2)})
+    other = next(
+        [list(v) for v in s]
+        for s in sorted(reduce_complex(build_complex(m, pair), m, pair).simplices)
+        if len(s) == len(witness["simplex"]) and [list(v) for v in s] != witness["simplex"]
+    )
+    capsys.readouterr()
+    code, out = _replay_bogus(tmp_path, capsys, "check-pseudomanifold", arc, "full", "axis",
+                              dict(witness, simplex=other))
+    assert code == 2
+    assert f"replay {witness['kind']}: NOT reproduced" in out.out
+
+
+@st.composite
+def boxed_cases(draw):
+    """A nonempty random subset of a 4x4 or 3x3x3 box, translated, under one
+    of the four axis/full pairs, as point-file text and adjacency names."""
+    sides = draw(st.sampled_from([(4, 4), (3, 3, 3)]))
+    cells = list(itertools.product(*(range(s) for s in sides)))
+    chosen = draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+    shift = draw(st.tuples(*[st.integers(-20, 20)] * len(sides)))
+    alpha, beta = draw(st.sampled_from(list(itertools.product(("axis", "full"), repeat=2))))
+    moved = sorted(tuple(a + b for a, b in zip(p, shift)) for p in chosen)
+    return format_points(moved), alpha, beta
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@given(boxed_cases())
+@example((RING, "full", "axis"))  # one-sided-neighbor
+@example(("\n".join(RING.splitlines()[1:]), "axis", "axis"))  # cube and one-sided
+@example(("0 0 0\n1 0 0\n0 1 1\n1 1 1\n", "full", "axis"))  # separation
+@settings(max_examples=40, deadline=None)
+def test_every_recorded_witness_replays(case):
+    text, alpha, beta = case
+    with tempfile.TemporaryDirectory() as tmp:
+        points = os.path.join(tmp, "m.txt")
+        report = os.path.join(tmp, "report.json")
+        with open(points, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        common = ["--points", points, "--alpha", alpha, "--beta", beta]
+        for command in ("verify-manifold", "check-separation", "check-pseudomanifold"):
+            code, _ = _run([command, *common, "--format", "json", "-o", report])
+            with open(report, encoding="utf-8") as fh:
+                witnesses = json.load(fh)["witnesses"]
+            assert (code == 1) == bool(witnesses)
+            if witnesses:
+                code, out = _run([command, *common, "--replay", report])
+                assert code == 1
+                assert out.splitlines() == [
+                    f"replay {w['kind']}: violation reproduced" for w in witnesses
+                ]
+
+
+@given(boxed_cases())
+@settings(max_examples=40, deadline=None)
+def test_reports_do_not_depend_on_the_margin(case):
+    text, alpha, beta = case
+    with tempfile.TemporaryDirectory() as tmp:
+        points = os.path.join(tmp, "m.txt")
+        with open(points, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        common = ["--points", points, "--alpha", alpha, "--beta", beta, "--format", "json"]
+        for command in ("verify-manifold", "check-separation"):
+            at2, at4 = (json.loads(_run([command, *common, "--margin", m])[1]) for m in ("2", "4"))
+            assert at2["config"].pop("margin") == 2 and at4["config"].pop("margin") == 4
+            assert at2 == at4

@@ -29,7 +29,7 @@ def test_diagonal_plate_splits_its_complement():
     verdict = not_separated_in_cube(PLATE, UNIT_CUBE, FULL_AXIS_3)
     assert not verdict.holds
     w = verdict.witness
-    assert w is not None and w.cube == UNIT_CUBE
+    assert w is not None and w["cube"] == UNIT_CUBE.to_json()
     # the witness replays to a violation
     assert replay_separation_witness(w, PLATE, FULL_AXIS_3)
 
