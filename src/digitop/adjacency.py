@@ -13,11 +13,12 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence, TypeVar
 
 from .lattice import Point, Translation, bounding_box, vec_add
 
 Path = Sequence[Point]
+T = TypeVar("T")
 
 
 def _axis_offsets(n: int) -> frozenset[Translation]:
@@ -99,10 +100,17 @@ class AdjacencyPair:
 
 @dataclass(frozen=True)
 class Region:
-    """Axis-aligned box lo..hi (inclusive), the finite analysis window."""
+    """Axis-aligned box lo..hi (inclusive), the finite analysis window.
+
+    A window memoizes the complement labeling of each (spec, m) it is asked
+    for, so every check of one command reads one labeling.  The memo takes
+    no part in equality or hashing, and a labeling is never mutated, so a
+    window stays logically immutable.
+    """
 
     lo: Point
     hi: Point
+    _complements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.lo) != len(self.hi) or any(a > b for a, b in zip(self.lo, self.hi)):
@@ -112,16 +120,8 @@ class Region:
     def n(self) -> int:
         return len(self.lo)
 
-    def contains(self, p: Point) -> bool:
-        return all(a <= c <= b for a, c, b in zip(self.lo, p, self.hi))
-
     def strictly_contains(self, p: Point, margin: int = 1) -> bool:
         return all(a + margin <= c <= b - margin for a, c, b in zip(self.lo, p, self.hi))
-
-    def on_boundary(self, p: Point) -> bool:
-        return self.contains(p) and any(
-            c == a or c == b for a, c, b in zip(self.lo, p, self.hi)
-        )
 
     def points(self) -> Iterator[Point]:
         yield from itertools.product(*(range(a, b + 1) for a, b in zip(self.lo, self.hi)))
@@ -134,15 +134,24 @@ class Region:
         lo, hi = bounding_box(points)
         return Region(lo, hi).dilate(margin)
 
+    def complement(self, spec: AdjacencySpec, m: Iterable[Point]) -> "ComponentLabeling":
+        """``complement_components(spec, m, self)``, labeled once per window."""
+        mset = frozenset(m)
+        key = (spec, mset)
+        labeling = self._complements.get(key)
+        if labeling is None:
+            labeling = self._complements[key] = complement_components(spec, mset, self)
+        return labeling
+
 
 @dataclass(frozen=True)
 class ComponentLabeling:
     """Partition of a point set into connected components.
 
     Each point maps to its component id, the lexicographically smallest
-    member.  Ids in ``infinite_ids`` belong to components that touch the
-    analysis-region boundary and therefore stand in for the one infinite
-    component of the complement.
+    member.  For a complement labeling, ``infinite_ids`` holds the id of
+    the component that touches the analysis-region boundary, which stands
+    in for the one infinite component of the complement.
     """
 
     labels: Mapping[Point, Point]
@@ -172,56 +181,52 @@ def neighbors(spec: AdjacencySpec, p: Point) -> set[Point]:
     return {vec_add(p, v) for v in spec.offsets}
 
 
-def components(spec: AdjacencySpec, points: Iterable[Point]) -> ComponentLabeling:
-    """Exact connected components of a finite set under the adjacency."""
-    todo = set(points)
-    labels: dict[Point, Point] = {}
-    for start in sorted(todo):
+def label(points: Iterable[T], step: Callable[[T], Iterable[T]]) -> dict[T, T]:
+    """Flood-fill labeling: each point maps to the smallest member of its component.
+
+    ``step(p)`` yields p's neighbours and must be symmetric; neighbours
+    outside ``points`` are skipped.  Seeds are taken in sorted order, so a
+    seed is the smallest point of the component it floods.
+    """
+    order = sorted(points)
+    todo = set(order)
+    labels: dict[T, T] = {}
+    for start in order:
         if start in labels:
             continue
-        comp = {start}
+        labels[start] = start
         stack = [start]
         while stack:
-            p = stack.pop()
-            for v in spec.sorted_offsets:
-                q = vec_add(p, v)
-                if q in todo and q not in comp:
-                    comp.add(q)
+            for q in step(stack.pop()):
+                if q in todo and q not in labels:
+                    labels[q] = start
                     stack.append(q)
-        cid = min(comp)
-        for p in comp:
-            labels[p] = cid
-    return ComponentLabeling(labels)
+    return labels
+
+
+def components(spec: AdjacencySpec, points: Iterable[Point]) -> ComponentLabeling:
+    """Exact connected components of a finite set under the adjacency."""
+    offsets = spec.sorted_offsets
+    return ComponentLabeling(label(points, lambda p: [vec_add(p, v) for v in offsets]))
 
 
 def complement_components(
     spec: AdjacencySpec, m: Iterable[Point], region: Region
 ) -> ComponentLabeling:
-    """Components of region \\ m, with boundary-touching components merged.
+    """Components of region \\ m; the one touching the region's boundary is flagged.
 
-    Components containing a point on the topological boundary of the region
-    are all part of the one infinite component of the full complement, so
-    they are merged under one id and flagged.  Requires every point of m to
-    sit at least one step inside the region.
+    Every point of m must sit at least one step inside the region.  Then
+    the boundary shell of the region is free and axis-connected, and every
+    spec contains the axis offsets, so exactly one component touches the
+    boundary: the one of ``region.lo``, which is also its id.  It stands in
+    for the one infinite component of the full complement.
     """
     mset = set(m)
     for p in mset:
         if not region.strictly_contains(p, 1):
             raise ValueError(f"region too small: {p} touches the margin zone")
-    free = {p for p in region.points() if p not in mset}
-    labeling = components(spec, free)
-    comps = labeling.components()
-    infinite = sorted(
-        cid for cid, pts in comps.items() if any(region.on_boundary(p) for p in pts)
-    )
-    if not infinite:
-        return ComponentLabeling(dict(labeling.labels), frozenset())
-    merged_id = infinite[0]
-    merged = set(infinite)
-    labels = {
-        p: (merged_id if cid in merged else cid) for p, cid in labeling.labels.items()
-    }
-    return ComponentLabeling(labels, frozenset({merged_id}))
+    free = [p for p in region.points() if p not in mset]
+    return ComponentLabeling(components(spec, free).labels, frozenset({region.lo}))
 
 
 def is_path(spec: AdjacencySpec, seq: Path) -> bool:
@@ -373,9 +378,6 @@ def n_simply_connected_bounded(
     pts = frozenset(s)
     if not pts:
         return "yes"
-    lab = components(spec, pts)
-    if lab.count != 1:
-        raise ValueError("the set must be connected under the given adjacency")
     root = min(pts)
     parent: dict[Point, Point | None] = {root: None}
     queue = [root]
@@ -386,6 +388,8 @@ def n_simply_connected_bounded(
             if q in pts and q not in parent:
                 parent[q] = p
                 queue.append(q)
+    if len(parent) != len(pts):
+        raise ValueError("the set must be connected under the given adjacency")
 
     def root_path(p: Point) -> list[Point]:
         out = [p]

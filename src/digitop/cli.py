@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__, jordan, manifold, pseudomanifold, separation
-from .adjacency import AdjacencyPair, Region, complement_components
+from .adjacency import AdjacencyPair, Region
 from .fileio import InputFormatError, format_points, load_points, parse_adjacency_arg
 from .jordan import GeneratorSpec, generate, jordan_check, simple_point_witness
 from .manifold import NotCertifiedError, check_manifold, is_good_pair, is_simple_point
@@ -32,7 +32,7 @@ from .verdict import wrong_dimension
 _REPLAYS = {**manifold.REPLAYS, **separation.REPLAYS, **jordan.REPLAYS, **pseudomanifold.REPLAYS}
 
 
-def _add_common(p: argparse.ArgumentParser, points: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, points: bool, formats: tuple[str, ...], replay: bool) -> None:
     if points:
         p.add_argument("--points", required=True, help="point-set file")
     p.add_argument("--alpha", default="full", help="foreground adjacency: axis|full|custom:PATH")
@@ -41,9 +41,10 @@ def _add_common(p: argparse.ArgumentParser, points: bool = True) -> None:
     p.add_argument("--margin", type=int, default=2, help="analysis margin around the set")
     p.add_argument("--N", type=int, default=2, dest="bound", help="path-rewrite bound")
     p.add_argument("--budget", type=int, default=100_000, help="search budget")
-    p.add_argument("--format", choices=("text", "json", "off"), default="text")
+    p.add_argument("--format", choices=formats, default="text")
     p.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
-    p.add_argument("--replay", default=None, help="re-verify the witnesses of a saved JSON report")
+    if replay:
+        p.add_argument("--replay", default=None, help="re-verify the witnesses of a saved JSON report")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,18 +55,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"digitop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, needs_points in (
-        ("verify-manifold", True),
-        ("check-separation", True),
-        ("build", True),
-        ("check-pseudomanifold", True),
-        ("euler", True),
-        ("jordan", True),
-        ("good-pair", False),
-        ("simple-points", True),
+    # only build writes OFF, and only reports with witnesses can be replayed
+    for name, needs_points, formats, replay in (
+        ("verify-manifold", True, ("text", "json"), True),
+        ("check-separation", True, ("text", "json"), True),
+        ("build", True, ("text", "json", "off"), False),
+        ("check-pseudomanifold", True, ("text", "json"), True),
+        ("euler", True, ("text", "json"), False),
+        ("jordan", True, ("text", "json"), True),
+        ("good-pair", False, ("text", "json"), True),
+        ("simple-points", True, ("text", "json"), True),
     ):
         p = sub.add_parser(name)
-        _add_common(p, points=needs_points)
+        _add_common(p, needs_points, formats, replay)
 
     g = sub.add_parser("generate")
     g.add_argument("--kind", required=True, choices=("rect-boundary", "box-surface", "sphere-shell"))
@@ -307,8 +309,7 @@ def _cmd_simple_points(args: argparse.Namespace) -> int:
     code = _maybe_replay(args, mset, pair, region)
     if code is not None:
         return code
-    labels = complement_components(pair.beta, mset, region)
-    simple = [p for p in sorted(mset) if is_simple_point(p, mset, pair, region, _labels=labels)]
+    simple = [p for p in sorted(mset) if is_simple_point(p, mset, pair, region)]
     result = {"simple_points": [list(p) for p in simple], "count": len(simple)}
     witnesses = [simple_point_witness(p) for p in simple]
     lines = [f"simple points: {len(simple)}"] + [f"  {' '.join(map(str, p))}" for p in simple]

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .adjacency import AdjacencyPair, Region, complement_components, neighbors
+from .adjacency import AdjacencyPair, Region, neighbors
 from .lattice import Point
 from .manifold import ManifoldReport, NotCertifiedError, check_manifold, is_simple_point
 from .verdict import Verdict
@@ -62,17 +62,19 @@ def jordan_check(
     """Two complement components, common boundary, no removable points.
 
     Refuses uncertified input: the conclusion is only claimed for certified
-    manifolds, and silent evaluation invites misreading.
+    manifolds, and silent evaluation invites misreading.  A report made
+    here is checked in the same window, so its separation scan, this check
+    and the simple-point tests read one complement labeling.
     """
     if margin < 2:
         raise ValueError("margin must be at least 2")
     mset = frozenset(m)
+    region = Region.around(mset, margin)
     if report is None:
-        report = check_manifold(mset, pair)
+        report = check_manifold(mset, pair, region)
     if not report.certified:
         raise NotCertifiedError("jordan check requires a certified manifold")
-    region = Region.around(mset, margin)
-    labeling = complement_components(pair.beta, mset, region)
+    labeling = region.complement(pair.beta, mset)
     comps = labeling.components()
     two = len(comps) == 2
     inside_size = 0
@@ -102,7 +104,7 @@ def jordan_check(
 
     no_simple = Verdict(True)
     for p in sorted(mset):
-        if is_simple_point(p, mset, pair, region, _labels=labeling):
+        if is_simple_point(p, mset, pair, region):
             no_simple = Verdict(False, simple_point_witness(p))
             break
 
@@ -121,13 +123,13 @@ def simple_point_witness(p: Point) -> dict:
 
 
 def _replay_component_count(w: dict, mset, pair: AdjacencyPair, region: Region) -> bool:
-    count = complement_components(pair.beta, mset, region).count
+    count = region.complement(pair.beta, mset).count
     return count != 2 and count == w["count"]
 
 
 def _replay_not_common_boundary(w: dict, mset, pair: AdjacencyPair, region: Region) -> bool:
     p, missing = tuple(w["point"]), tuple(w["missing_component"])
-    labels = complement_components(pair.beta, mset, region).labels
+    labels = region.complement(pair.beta, mset).labels
     return (
         p in mset
         and labels.get(missing) == missing  # component ids label themselves

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 from typing import Iterable
 
 Point = tuple[int, ...]
@@ -19,11 +20,11 @@ Translation = tuple[int, ...]
 
 
 def vec_add(p: Point, v: Point) -> Point:
-    return tuple(a + b for a, b in zip(p, v))
+    return tuple(map(add, p, v))
 
 
 def vec_sub(p: Point, q: Point) -> Point:
-    return tuple(a - b for a, b in zip(p, q))
+    return tuple(map(sub, p, q))
 
 
 def unit(n: int, axis: int, sign: int = 1) -> Translation:

@@ -15,9 +15,7 @@ from typing import Iterable, Literal, Mapping, Optional
 from .adjacency import (
     AdjacencyPair,
     AdjacencySpec,
-    ComponentLabeling,
     Region,
-    complement_components,
     components,
     full_adjacency,
     n_simply_connected_bounded,
@@ -180,12 +178,10 @@ def check_manifold(
             )
             break
 
-    omega = full_adjacency(n)
     local_two = Verdict(True)
     sides: dict[Point, tuple[frozenset[Point], frozenset[Point]]] = {}
     for p in sorted(mset):
-        shell = neighbors(omega, p) - mset
-        comps = sorted(components(pair.beta, shell).components().values(), key=min)
+        comps = local_components(p, mset, pair)
         if len(comps) != 2:
             local_two = Verdict(
                 False,
@@ -279,7 +275,6 @@ def is_simple_point(
     m: Iterable[Point],
     pair: AdjacencyPair,
     region: Region | None = None,
-    _labels: ComponentLabeling | None = None,
 ) -> bool:
     """True iff deleting p changes neither side's component count.
 
@@ -291,18 +286,15 @@ def is_simple_point(
     the region, so every beta-neighbour of p is either in m or labeled,
     and because the boundary-touching components already share one id,
     just as they would after the move.  Only when k == 1 are the two
-    alpha-labelings of m and m \\ {p} compared.  ``_labels`` is
-    ``complement_components(pair.beta, m, region)`` when the caller
-    already holds it.
+    alpha-labelings of m and m \\ {p} compared.  The labeling is the
+    one the region memoizes, so repeated tests in one window share it.
     """
     mset = frozenset(m)
     if p not in mset:
         raise ValueError(f"{p} is not a foreground point")
-    if _labels is None:
-        if region is None:
-            region = Region.around(mset, margin=2)
-        _labels = complement_components(pair.beta, mset, region)
-    labels = _labels.labels
+    if region is None:
+        region = Region.around(mset, margin=2)
+    labels = region.complement(pair.beta, mset).labels
     touched = {labels[q] for q in neighbors(pair.beta, p) if q in labels}
     if len(touched) != 1:
         return False

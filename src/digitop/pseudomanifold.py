@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .adjacency import AdjacencyPair
+from .adjacency import AdjacencyPair, label
 from .simplicial import Simplex, SimplicialComplex, build_complex, reduce_complex
 from .verdict import Verdict
 
@@ -99,18 +100,12 @@ def is_strongly_connected(k: SimplicialComplex, d: int) -> Verdict:
     for t in top:
         for face in itertools.combinations(t, d):
             by_face.setdefault(face, []).append(t)
-    seen = {top[0]}
-    stack = [top[0]]
-    while stack:
-        t = stack.pop()
-        for face in itertools.combinations(t, d):
-            for other in by_face.get(face, ()):
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-    if len(seen) == len(top):
+    labels = label(
+        top, lambda t: [o for face in itertools.combinations(t, d) for o in by_face[face]]
+    )
+    stranded = next((t for t in top if labels[t] != top[0]), None)
+    if stranded is None:
         return Verdict(True)
-    stranded = next(t for t in top if t not in seen)
     return Verdict(
         False,
         {
@@ -131,10 +126,16 @@ def is_pseudomanifold(k: SimplicialComplex, d: int) -> PseudomanifoldReport:
     )
 
 
+@lru_cache(maxsize=1)
+def _fresh_witnesses(mset: frozenset, pair: AdjacencyPair) -> tuple[dict, ...]:
+    """The witnesses of K'(M), built once for all the witnesses of a report."""
+    reduced = reduce_complex(build_complex(mset, pair), mset, pair)
+    return tuple(is_pseudomanifold(reduced, pair.n - 1).witnesses())
+
+
 def _replay(w: dict, mset, pair: AdjacencyPair, region) -> bool:
     """True iff the recorded witness is one the check of K'(M) finds."""
-    reduced = reduce_complex(build_complex(mset, pair), mset, pair)
-    return w in is_pseudomanifold(reduced, pair.n - 1).witnesses()
+    return w in _fresh_witnesses(frozenset(mset), pair)
 
 
 REPLAYS = dict.fromkeys(("homogeneity", "nondegeneracy", "strong-connectivity"), _replay)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .adjacency import AdjacencyPair, ComponentLabeling, Region, complement_components, components
+from .adjacency import AdjacencyPair, ComponentLabeling, Region, components
 from .lattice import (
     Cube,
     Point,
@@ -82,7 +82,7 @@ def not_separated_in_cube(
     mset = frozenset(m)
     if region is None:
         region = Region.around(mset | set(cube_vertices(c)), margin=2)
-    witness = _violation_in_cube(mset, c, pair, complement_components(pair.beta, mset, region))
+    witness = _violation_in_cube(mset, c, pair, region.complement(pair.beta, mset))
     return Verdict(witness is None, witness)
 
 
@@ -103,7 +103,7 @@ def has_separation_property(
     n = pair.n
     if region is None:
         region = Region.around(mset, margin=2)
-    labels = complement_components(pair.beta, mset, region)
+    labels = region.complement(pair.beta, mset)
     lo, hi = bounding_box(mset)
     lo = tuple(c - 1 for c in lo)
     hi = tuple(c + 1 for c in hi)

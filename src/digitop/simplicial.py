@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional
 
 from ._exact import integer_rank, open_simplices_intersect, point_in_closed_simplex
-from .adjacency import AdjacencyPair, ComponentLabeling, Region, axis_adjacency, components
+from .adjacency import AdjacencyPair, ComponentLabeling, Region, axis_adjacency, components, label
 from .lattice import (
     Cube,
     HalfPoint,
@@ -208,22 +208,7 @@ def skeleton_components(k: SimplicialComplex) -> ComponentLabeling:
         if len(s) == 2:
             edges[s[0]].add(s[1])
             edges[s[1]].add(s[0])
-    labels: dict[HalfPoint, HalfPoint] = {}
-    for start in sorted(vertices):
-        if start in labels:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            p = stack.pop()
-            for q in edges[p]:
-                if q not in comp:
-                    comp.add(q)
-                    stack.append(q)
-        cid = min(comp)
-        for p in comp:
-            labels[p] = cid
-    return ComponentLabeling(labels)
+    return ComponentLabeling(label(vertices, edges.__getitem__))
 
 
 def _bbox2(s: Simplex) -> Box:

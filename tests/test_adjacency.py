@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitop.adjacency import (
+    AdjacencyPair,
+    ComponentLabeling,
     Region,
     axis_adjacency,
     complement_components,
@@ -140,6 +142,69 @@ def test_complement_components_margin_enforced():
     region = Region((0, 0), (4, 4))
     with pytest.raises(ValueError):
         complement_components(axis_adjacency(2), {(0, 2)}, region)
+
+
+def complement_components_oracle(spec, m, region):
+    """Reference: label region \\ m, then merge every component that touches
+    the region's boundary under the smallest of their ids."""
+    mset = set(m)
+    for p in mset:
+        if not region.strictly_contains(p, 1):
+            raise ValueError(f"region too small: {p} touches the margin zone")
+    free = {p for p in region.points() if p not in mset}
+    labeling = components(spec, free)
+    comps = labeling.components()
+
+    def on_boundary(p):
+        return any(c == a or c == b for a, c, b in zip(region.lo, p, region.hi))
+
+    infinite = sorted(cid for cid, pts in comps.items() if any(on_boundary(p) for p in pts))
+    if not infinite:
+        return ComponentLabeling(dict(labeling.labels), frozenset())
+    merged_id = infinite[0]
+    merged = set(infinite)
+    labels = {p: (merged_id if cid in merged else cid) for p, cid in labeling.labels.items()}
+    return ComponentLabeling(labels, frozenset({merged_id}))
+
+
+@st.composite
+def boxed_sets(draw):
+    """A nonempty random subset of a 4x4 or 3x3x3 box, translated, under one
+    of the four axis/full pairs."""
+    sides = draw(st.sampled_from([(4, 4), (3, 3, 3)]))
+    cells = sorted(itertools.product(*(range(s) for s in sides)))
+    chosen = draw(st.frozensets(st.sampled_from(cells), min_size=1))
+    shift = draw(st.tuples(*[st.integers(-30, 30)] * len(sides)))
+    n = len(sides)
+    alpha = draw(st.sampled_from((axis_adjacency, full_adjacency)))(n)
+    beta = draw(st.sampled_from((axis_adjacency, full_adjacency)))(n)
+    m = frozenset(tuple(a + b for a, b in zip(p, shift)) for p in chosen)
+    return m, AdjacencyPair(alpha, beta)
+
+
+@given(boxed_sets())
+@settings(max_examples=60, deadline=None)
+def test_complement_components_match_the_oracle(case):
+    m, pair = case
+    for margin in (2, 4):
+        region = Region.around(m, margin)
+        got = complement_components(pair.beta, m, region)
+        expected = complement_components_oracle(pair.beta, m, region)
+        assert got.labels == expected.labels
+        assert got.infinite_ids == expected.infinite_ids
+
+
+def test_region_labels_its_complement_once_and_stays_a_value():
+    ring = {(x, y) for x in range(5) for y in range(5) if x in (0, 4) or y in (0, 4)}
+    region = Region.around(ring, 2)
+    labeling = region.complement(axis_adjacency(2), ring)
+    assert region.complement(axis_adjacency(2), frozenset(ring)) is labeling
+    assert labeling.labels == complement_components(axis_adjacency(2), ring, region).labels
+    assert region.complement(full_adjacency(2), ring) is not labeling
+    assert labeling.count == 2 and region.complement(axis_adjacency(2), ring - {(2, 0)}).count == 1
+    fresh = Region(region.lo, region.hi)
+    assert region == fresh and hash(region) == hash(fresh)
+    assert repr(region) == repr(fresh)
 
 
 def test_is_path():

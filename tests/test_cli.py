@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -159,6 +160,51 @@ def test_off_export(box_file, tmp_path, capsys):
     nv, nf, _ = map(int, lines[1].split())
     assert nv > 0 and nf > 0
     assert "warning" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [
+        ("verify-manifold", ["--format", "off"]),
+        ("euler", ["--format", "off"]),
+        ("jordan", ["--format", "off"]),
+        ("build", ["--replay", "report.json"]),
+        ("euler", ["--replay", "report.json"]),
+    ],
+)
+def test_options_are_offered_only_where_they_act(ring_file, command, option, capsys):
+    common = ["--points", str(ring_file), "--alpha", "axis", "--beta", "full"]
+    assert main([command, *common, *option]) == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_common_flags_stay_on_every_command_and_in_the_envelope(ring_file, capsys):
+    for command in ("build", "euler"):
+        argv = [command, "--points", str(ring_file), "--alpha", "axis", "--beta", "full",
+                "--N", "3", "--budget", "7", "--margin", "4", "--format", "json"]
+        assert main(argv) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["N"], config["budget"], config["margin"]) == (3, 7, 4)
+
+
+@pytest.mark.parametrize("margin", ["2", "4"])
+@pytest.mark.parametrize("command", ["jordan", "simple-points"])
+def test_one_complement_labeling_per_command(ring_file, monkeypatch, command, margin):
+    from digitop.adjacency import complement_components
+
+    calls = []
+
+    def counting_label(*args):
+        calls.append(args)
+        return complement_components(*args)
+
+    # every module that holds the name, as the benchmark's tracer patches it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("digitop") and getattr(module, "complement_components", None) is complement_components:
+            monkeypatch.setattr(module, "complement_components", counting_label)
+    argv = [command, "--points", str(ring_file), "--alpha", "axis", "--beta", "full", "--margin", margin]
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_replay_round_trip(tmp_path, capsys):

@@ -144,8 +144,7 @@ def test_shared_labeling_matches_the_oracle(case):
     moved = frozenset(vec_add(q, shift) for q in m)
     for margin in (2, 4):
         region = Region.around(moved, margin)
-        labels = complement_components(pair.beta, moved, region)
-        got = [is_simple_point(vec_add(p, shift), moved, pair, region, _labels=labels) for p in probes]
+        got = [is_simple_point(vec_add(p, shift), moved, pair, region) for p in probes]
         assert got == expected
 
 

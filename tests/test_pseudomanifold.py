@@ -1,4 +1,13 @@
+import itertools
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from digitop import pseudomanifold
 from digitop.adjacency import AdjacencyPair, axis_adjacency, full_adjacency
+from digitop.cli import main
+from digitop.fileio import format_points
 from digitop.jordan import box_surface, rect_boundary
 from digitop.pseudomanifold import (
     is_homogeneous,
@@ -103,6 +112,11 @@ def test_two_disjoint_edges_are_not_strongly_connected():
     )
     verdict = is_strongly_connected(k, 1)
     assert not verdict.holds
+    assert verdict.witness == {
+        "kind": "strong-connectivity",
+        "simplex": [[0, 0], [2, 0]],
+        "other": [[6, 0], [8, 0]],
+    }
 
 
 def test_single_top_simplex_is_strongly_connected():
@@ -115,3 +129,75 @@ def test_single_top_simplex_is_strongly_connected():
 def test_circle_dual_graph_is_two_regular():
     k = reduced(rect_boundary(4, 4), AXIS_FULL_2)
     assert is_nondegenerate(k, 1).holds  # every vertex on exactly two edges
+
+
+def is_strongly_connected_oracle(k, d):
+    """Reference: a depth-first search of the dual graph from the smallest
+    top simplex, with the first one it misses as the witness."""
+    top = sorted(s for s in k.simplices if len(s) == d + 1)
+    if len(top) <= 1:
+        return True, None
+    seen = {top[0]}
+    stack = [top[0]]
+    while stack:
+        t = stack.pop()
+        for other in top:
+            if other not in seen and len(set(t) & set(other)) == d:
+                seen.add(other)
+                stack.append(other)
+    stranded = next((t for t in top if t not in seen), None)
+    if stranded is None:
+        return True, None
+    return False, {
+        "kind": "strong-connectivity",
+        "simplex": [list(v) for v in top[0]],
+        "other": [list(v) for v in stranded],
+    }
+
+
+@st.composite
+def boxed_sets(draw):
+    """A random subset of a 4x4 or 3x3x3 box, translated, under one of the
+    four axis/full pairs."""
+    sides = draw(st.sampled_from([(4, 4), (3, 3, 3)]))
+    cells = sorted(itertools.product(*(range(s) for s in sides)))
+    chosen = draw(st.frozensets(st.sampled_from(cells)))
+    shift = draw(st.tuples(*[st.integers(-5, 5)] * len(sides)))
+    n = len(sides)
+    alpha = draw(st.sampled_from((axis_adjacency, full_adjacency)))(n)
+    beta = draw(st.sampled_from((axis_adjacency, full_adjacency)))(n)
+    m = frozenset(tuple(a + b for a, b in zip(p, shift)) for p in chosen)
+    return m, AdjacencyPair(alpha, beta)
+
+
+@given(boxed_sets())
+@settings(max_examples=40, deadline=None)
+def test_strong_connectivity_matches_the_oracle(case):
+    m, pair = case
+    k = build_complex(m, pair)
+    for c in (k, reduce_complex(k, m, pair)):
+        verdict = is_strongly_connected(c, pair.n - 1)
+        assert (verdict.holds, verdict.witness) == is_strongly_connected_oracle(c, pair.n - 1)
+
+
+def test_replay_builds_the_complex_once_for_all_witnesses(tmp_path, monkeypatch):
+    block = set(itertools.product(range(4), range(4), range(3)))
+    block -= {(0, 0, 0), (1, 2, 1), (3, 3, 2)}
+    points, report = tmp_path / "block.txt", tmp_path / "report.json"
+    points.write_text(format_points(block), encoding="utf-8")
+    common = ["--points", str(points), "--alpha", "axis", "--beta", "full"]
+    assert main(["check-pseudomanifold", *common, "--format", "json", "-o", str(report)]) == 1
+    witnesses = json.loads(report.read_text(encoding="utf-8"))["witnesses"]
+    assert [w["kind"] for w in witnesses] == ["homogeneity", "nondegeneracy"]
+
+    calls = []
+    build = pseudomanifold.build_complex
+
+    def counting_build(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(pseudomanifold, "build_complex", counting_build)
+    pseudomanifold._fresh_witnesses.cache_clear()
+    assert main(["check-pseudomanifold", *common, "--replay", str(report)]) == 1
+    assert len(calls) == 1

@@ -341,6 +341,43 @@ def test_skeleton_components_counts():
     assert skeleton_components(SimplicialComplex(2, frozenset())).count == 0
 
 
+def skeleton_components_oracle(k):
+    """Reference: a flood fill of its own over the vertex-edge graph."""
+    vertices = set(k.vertices())
+    edges = {v: set() for v in vertices}
+    for s in k.simplices:
+        if len(s) == 2:
+            edges[s[0]].add(s[1])
+            edges[s[1]].add(s[0])
+    labels = {}
+    for start in sorted(vertices):
+        if start in labels:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            p = stack.pop()
+            for q in edges[p]:
+                if q not in comp:
+                    comp.add(q)
+                    stack.append(q)
+        cid = min(comp)
+        for p in comp:
+            labels[p] = cid
+    return labels
+
+
+@given(boxed_sets())
+@settings(max_examples=60, deadline=None)
+def test_skeleton_components_match_the_oracle(case):
+    m, pair = case
+    k = build_complex(m, pair)
+    for c in (k, reduce_complex(k, m, pair)):
+        got = skeleton_components(c)
+        assert got.labels == skeleton_components_oracle(c)
+        assert got.infinite_ids == frozenset()
+
+
 def test_lattice_correspondence_ring():
     ring = rect_boundary(5, 5)
     k = build_complex(ring, AXIS_FULL_2)
