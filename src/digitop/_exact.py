@@ -157,11 +157,6 @@ def barycentric_coordinates(
     return particular
 
 
-def point_in_open_simplex(vertices: Sequence[Sequence[int]], point: Sequence[Fraction]) -> bool:
-    coords = barycentric_coordinates(vertices, point)
-    return coords is not None and all(c > 0 for c in coords)
-
-
 def point_in_closed_simplex(vertices: Sequence[Sequence[int]], point: Sequence[Fraction]) -> bool:
     coords = barycentric_coordinates(vertices, point)
     return coords is not None and all(c >= 0 for c in coords)

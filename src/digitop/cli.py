@@ -138,19 +138,25 @@ def _report(args: argparse.Namespace, config: dict, result: dict, witnesses: lis
         _emit(args, "\n".join(lines) + "\n")
 
 
-def _maybe_replay(args: argparse.Namespace, mset, pair: AdjacencyPair, region: Region) -> int | None:
-    """Returns an exit code when replay handled the invocation, else None."""
+def _maybe_replay(args: argparse.Namespace, mset, pair: AdjacencyPair) -> int | None:
+    """Returns an exit code when replay handled the invocation, else None.
+    Replay uses the window of the report's margin; ``--margin`` if it has no config."""
     if not getattr(args, "replay", None):
         return None
     try:
         saved = json.loads(Path(args.replay).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputFormatError(f"{args.replay}: {exc}") from exc
     witnesses = saved.get("witnesses", []) if isinstance(saved, dict) else None
     if not isinstance(witnesses, list) or not all(isinstance(w, dict) for w in witnesses):
         raise InputFormatError(f"{args.replay}: not a digitop report")
+    config = saved.get("config", {"margin": args.margin})
+    margin = config.get("margin") if isinstance(config, dict) else None
+    if type(margin) is not int or margin < 2:
+        raise InputFormatError(f"{args.replay}: config.margin must be an integer >= 2, got {margin!r}")
     if not witnesses:
         return None  # passing report: fall through to a fresh run
+    region = Region.around(mset, margin)
     try:
         for w in witnesses:
             kind = w.get("kind")
@@ -171,7 +177,7 @@ def _maybe_replay(args: argparse.Namespace, mset, pair: AdjacencyPair, region: R
 
 def _cmd_verify_manifold(args: argparse.Namespace) -> int:
     mset, n, pair, region = _load_context(args)
-    code = _maybe_replay(args, mset, pair, region)
+    code = _maybe_replay(args, mset, pair)
     if code is not None:
         return code
     report = check_manifold(mset, pair, region)
@@ -192,7 +198,7 @@ def _cmd_verify_manifold(args: argparse.Namespace) -> int:
 
 def _cmd_check_separation(args: argparse.Namespace) -> int:
     mset, n, pair, region = _load_context(args)
-    code = _maybe_replay(args, mset, pair, region)
+    code = _maybe_replay(args, mset, pair)
     if code is not None:
         return code
     verdict = has_separation_property(mset, pair, region)
@@ -228,7 +234,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_check_pseudomanifold(args: argparse.Namespace) -> int:
     mset, n, pair, region = _load_context(args)
-    code = _maybe_replay(args, mset, pair, region)
+    code = _maybe_replay(args, mset, pair)
     if code is not None:
         return code
     reduced = reduce_complex(build_complex(mset, pair), mset, pair)
@@ -262,7 +268,7 @@ def _cmd_euler(args: argparse.Namespace) -> int:
 
 def _cmd_jordan(args: argparse.Namespace) -> int:
     mset, n, pair, region = _load_context(args)
-    code = _maybe_replay(args, mset, pair, region)
+    code = _maybe_replay(args, mset, pair)
     if code is not None:
         return code
     report = jordan_check(mset, pair, margin=args.margin)
@@ -284,7 +290,7 @@ def _cmd_good_pair(args: argparse.Namespace) -> int:
     _, n, pair, _ = _load_context(args)
     # witnesses of a good-pair report live on the origin's background sphere
     sphere = frozenset(pair.beta.offsets)
-    code = _maybe_replay(args, sphere, pair, Region.around(sphere, args.margin))
+    code = _maybe_replay(args, sphere, pair)
     if code is not None:
         return code
     report = is_good_pair(pair, bound=args.bound, budget=args.budget)
@@ -306,7 +312,7 @@ def _cmd_good_pair(args: argparse.Namespace) -> int:
 
 def _cmd_simple_points(args: argparse.Namespace) -> int:
     mset, n, pair, region = _load_context(args)
-    code = _maybe_replay(args, mset, pair, region)
+    code = _maybe_replay(args, mset, pair)
     if code is not None:
         return code
     simple = [p for p in sorted(mset) if is_simple_point(p, mset, pair, region)]

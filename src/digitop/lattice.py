@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import add, sub
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 Point = tuple[int, ...]
 HalfPoint = tuple[int, ...]  # doubled coordinates
@@ -151,29 +150,8 @@ def completing_translations(cstar: Cube, c: Cube) -> list[tuple[Translation, Tra
     """
     if cstar.dim != c.dim - 2:
         raise ValueError(f"expected a {c.dim - 2}-subcube, got a {cstar.dim}-cube")
-    offset = vec_sub(cstar.base, c.base)
-    pairs = None
-    if cstar.n == c.n and all(d in (0, 1) for d in offset):
-        pairs = _completing_translations(offset, cstar.axes, c.axes)
-    if pairs is None:
+    if cstar.n != c.n or cstar not in subcubes(c, cstar.dim):
         raise ValueError(f"{cstar} is not a subcube of {c}")
-    return list(pairs)
-
-
-@lru_cache(maxsize=None)
-def _completing_translations(
-    offset: Translation, star_axes: tuple[int, ...], axes: tuple[int, ...]
-) -> tuple[tuple[Translation, Translation], ...] | None:
-    """The pairs for C* at ``offset`` (a 0/1 vector) from the base of C,
-    or None when C* is no subcube of C.
-
-    The pairs are unit vectors fixed by the shape alone, so the key is
-    relative and the cache holds at most one entry per shape.
-    """
-    cstar = Cube(offset, star_axes)
-    c = Cube((0,) * len(offset), axes)
-    if cstar not in subcubes(c, cstar.dim):
-        return None
     missing = [a for a in c.axes if a not in cstar.axes]
     n = c.n
     target = set(cube_vertices(c))
@@ -186,7 +164,7 @@ def _completing_translations(
                 union.update((v, vec_add(v, t1), vec_add(v, t2), vec_add(vec_add(v, t1), t2)))
             if union == target:
                 candidates.append((t1, t2))
-    return tuple(sorted(candidates))
+    return sorted(candidates)
 
 
 def bounding_box(points: Iterable[Point]) -> tuple[Point, Point]:
@@ -210,3 +188,27 @@ def cubes_meeting_box(lo: Point, hi: Point, k: int, n: int) -> list[Cube]:
         for base in itertools.product(*ranges):
             out.append(Cube(base, axes))
     return sorted(out)
+
+
+def occupancy(c: Cube, m: AbstractSet[Point]) -> tuple[tuple[Point, ...], int]:
+    """The cube's vertices and occupancy mask (bit i set iff vertex i is in m).
+    Every cube-local test depends only on the shape ``(c.axes, mask)``."""
+    verts = cube_vertices(c)
+    return verts, sum(1 << i for i, v in enumerate(verts) if v in m)
+
+
+def at_origin(n: int, axes: tuple[int, ...], mask: int) -> tuple[Cube, frozenset[Point]]:
+    """The cube of a shape based at the origin of Z^n, and its occupied vertices."""
+    c = Cube((0,) * n, axes)
+    return c, frozenset(v for i, v in enumerate(cube_vertices(c)) if mask >> i & 1)
+
+
+def cubes_meeting(m: AbstractSet[Point], k: int, n: int) -> list[Cube]:
+    """All k-cubes of Z^n with a vertex in m, in sorted order."""
+    found = {
+        (vec_sub(p, d), axes)
+        for axes in itertools.combinations(range(n), k)
+        for d in cube_vertices(Cube((0,) * n, axes))
+        for p in m
+    }
+    return [Cube(base, axes) for base, axes in sorted(found)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Literal, Mapping, Optional
 
 from .adjacency import (
@@ -25,9 +26,9 @@ from .lattice import (
     Cube,
     Point,
     Translation,
-    bounding_box,
-    cube_vertices,
-    cubes_meeting_box,
+    at_origin,
+    cubes_meeting,
+    occupancy,
     vec_add,
     vec_sub,
 )
@@ -145,6 +146,12 @@ def local_components(p: Point, m: Iterable[Point], pair: AdjacencyPair) -> list[
     return [comps[cid] for cid in sorted(comps)]
 
 
+@lru_cache(maxsize=None)
+def _cut_connected(alpha: AdjacencySpec, axes: tuple[int, ...], mask: int) -> bool:
+    """Is the occupied part of a cube shape alpha-connected (or empty)?"""
+    return components(alpha, at_origin(alpha.n, axes, mask)[1]).count <= 1
+
+
 def check_manifold(
     m: Iterable[Point], pair: AdjacencyPair, region: Region | None = None
 ) -> ManifoldReport:
@@ -165,10 +172,8 @@ def check_manifold(
         )
 
     cube_connectivity = Verdict(True)
-    lo, hi = bounding_box(mset)
-    for c in cubes_meeting_box(lo, hi, n, n):
-        cut = [v for v in cube_vertices(c) if v in mset]
-        if cut and components(pair.alpha, cut).count > 1:
+    for c in cubes_meeting(mset, n, n):
+        if not _cut_connected(pair.alpha, c.axes, occupancy(c, mset)[1]):
             cube_connectivity = Verdict(
                 False,
                 {
@@ -414,8 +419,8 @@ def _replay_alpha_disconnected(w: dict, mset, pair: AdjacencyPair, region) -> bo
 
 
 def _replay_cube_disconnected(w: dict, mset, pair: AdjacencyPair, region) -> bool:
-    cut = [v for v in cube_vertices(Cube.from_json(w["cube"])) if v in mset]
-    return bool(cut) and components(pair.alpha, cut).count > 1
+    c = Cube.from_json(w["cube"])
+    return not _cut_connected(pair.alpha, c.axes, occupancy(c, mset)[1])
 
 
 def _replay_local_count(w: dict, mset, pair: AdjacencyPair, region) -> bool:

@@ -9,20 +9,55 @@ two single-step preimages are foreground too.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Optional
 
-from .adjacency import AdjacencyPair, ComponentLabeling, Region, components
+from .adjacency import AdjacencyPair, AdjacencySpec, ComponentLabeling, Region, components
 from .lattice import (
     Cube,
     Point,
-    bounding_box,
+    at_origin,
     completing_translations,
     cube_vertices,
-    cubes_meeting_box,
+    cubes_meeting,
+    occupancy,
     subcubes,
     vec_add,
 )
 from .verdict import Verdict
+
+
+@lru_cache(maxsize=None)
+def _candidates(alpha: AdjacencySpec, axes: tuple[int, ...], mask: int) -> tuple:
+    """Scan-order (free-vertex indices, cstar, tau1, tau2, point) of a cube
+    shape at the origin, kept where the diagonal test fails.  All but the
+    global-label test lies inside the cube, so it is decided once per shape;
+    a cube violates at the first candidate whose free vertices share a label.
+    """
+    c, cut = at_origin(alpha.n, axes, mask)
+    index = {v: i for i, v in enumerate(cube_vertices(c))}
+    slices = [(cstar, cube_vertices(cstar)) for cstar in subcubes(c, c.dim - 2)]
+    out = []
+    for comp in sorted(components(alpha, cut).components().values(), key=min):
+        best = max(sum(1 for v in verts if v in comp) for _, verts in slices)
+        if best == 0:
+            continue
+        for cstar, star_verts in slices:
+            if sum(1 for v in star_verts if v in comp) != best:
+                continue
+            for tau1, tau2 in completing_translations(cstar, c):
+                free1 = [index[q] for q in (vec_add(v, tau1) for v in star_verts) if q not in cut]
+                free2 = [index[q] for q in (vec_add(v, tau2) for v in star_verts) if q not in cut]
+                if not free1 or not free2:
+                    continue
+                diag = vec_add(tau1, tau2)
+                for x in star_verts:
+                    if vec_add(x, diag) in comp and (
+                        vec_add(x, tau1) not in comp or vec_add(x, tau2) not in comp
+                    ):
+                        out.append((tuple(free1 + free2), cstar, tau1, tau2, x))
+                        break
+    return tuple(out)
 
 
 def _violation_in_cube(
@@ -33,40 +68,17 @@ def _violation_in_cube(
 ) -> Optional[dict]:
     """The first violation in the cube: the slice, both translations and
     the point whose diagonal image is foreground while a side image is not."""
-    cut = frozenset(v for v in cube_vertices(c) if v in mset)
-    if not cut:
-        return None
-    slices = [(cstar, cube_vertices(cstar)) for cstar in subcubes(c, c.dim - 2)]
-    for comp in sorted(components(pair.alpha, cut).components().values(), key=min):
-        best = max(sum(1 for v in verts if v in comp) for _, verts in slices)
-        if best == 0:
-            continue
-        for cstar, star_verts in slices:
-            if sum(1 for v in star_verts if v in comp) != best:
-                continue
-            for tau1, tau2 in completing_translations(cstar, c):
-                side1 = [vec_add(v, tau1) for v in star_verts]
-                side2 = [vec_add(v, tau2) for v in star_verts]
-                free1 = [q for q in side1 if q not in mset]
-                free2 = [q for q in side2 if q not in mset]
-                if not free1 or not free2:
-                    continue
-                ids = {labels.id_of(q) for q in free1 + free2}
-                if len(ids) != 1:
-                    continue
-                diag = tuple(a + b for a, b in zip(tau1, tau2))
-                for x in star_verts:
-                    if vec_add(x, diag) in comp and (
-                        vec_add(x, tau1) not in comp or vec_add(x, tau2) not in comp
-                    ):
-                        return {
-                            "kind": "separation",
-                            "cube": c.to_json(),
-                            "cstar": cstar.to_json(),
-                            "tau1": list(tau1),
-                            "tau2": list(tau2),
-                            "point": list(x),
-                        }
+    verts, mask = occupancy(c, mset)
+    for free, cstar, tau1, tau2, x in _candidates(pair.alpha, c.axes, mask):
+        if len({labels.id_of(verts[i]) for i in free}) == 1:
+            return {
+                "kind": "separation",
+                "cube": c.to_json(),
+                "cstar": Cube(vec_add(c.base, cstar.base), cstar.axes).to_json(),
+                "tau1": list(tau1),
+                "tau2": list(tau2),
+                "point": list(vec_add(c.base, x)),
+            }
     return None
 
 
@@ -93,9 +105,9 @@ def has_separation_property(
 ) -> Verdict:
     """Conjunction of the cube check over every cube near the set.
 
-    Scans every k-cube, 2 <= k <= n, meeting the bounding box of m dilated
-    by one; cubes that miss m hold vacuously.  The first failing witness in
-    (dimension, base, axes) order is returned.
+    Scans every k-cube, 2 <= k <= n, with a vertex in m; cubes that miss m
+    hold vacuously.  The first failing witness in (dimension, base, axes)
+    order is returned.
     """
     mset = frozenset(m)
     if not mset:
@@ -104,19 +116,11 @@ def has_separation_property(
     if region is None:
         region = Region.around(mset, margin=2)
     labels = region.complement(pair.beta, mset)
-    lo, hi = bounding_box(mset)
-    lo = tuple(c - 1 for c in lo)
-    hi = tuple(c + 1 for c in hi)
-    cubes = [
-        c
-        for k in range(2, n + 1)
-        for c in cubes_meeting_box(lo, hi, k, n)
-        if any(v in mset for v in cube_vertices(c))
-    ]
-    for c in cubes:
-        witness = _violation_in_cube(mset, c, pair, labels)
-        if witness is not None:
-            return Verdict(False, witness)
+    for k in range(2, n + 1):
+        for c in cubes_meeting(mset, k, n):
+            witness = _violation_in_cube(mset, c, pair, labels)
+            if witness is not None:
+                return Verdict(False, witness)
     return Verdict(True)
 
 

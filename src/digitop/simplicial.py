@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional
 
 from ._exact import integer_rank, open_simplices_intersect, point_in_closed_simplex
@@ -25,18 +26,18 @@ from .lattice import (
     Cube,
     HalfPoint,
     Point,
+    at_origin,
     barycenter,
     cube_vertices,
+    cubes_meeting,
     double,
     is_lattice2,
+    occupancy,
     subcubes,
-    vec_sub,
 )
 
 Simplex = tuple[HalfPoint, ...]  # canonical: vertices sorted, distinct
 Box = tuple[HalfPoint, HalfPoint]
-# (axes, occupancy bitmask of the cube's vertices) -> (test passed, background count)
-ShapeTable = dict[tuple[tuple[int, ...], int], tuple[bool, int]]
 
 
 @dataclass(frozen=True)
@@ -68,36 +69,29 @@ class SimplicialComplex:
         return len(self.simplices)
 
 
-def _shape_verdict(
-    c: Cube, mset: frozenset[Point], pair: AdjacencyPair, table: ShapeTable
-) -> tuple[bool, int]:
-    """Barycenter verdict and in-cube background component count of a cube.
+@lru_cache(maxsize=None)
+def _shape_verdict(pair: AdjacencyPair, axes: tuple[int, ...], mask: int) -> tuple[bool, int]:
+    """Barycenter verdict and in-cube background component count of a cube shape.
 
     Adjacency is translation-invariant, so both depend only on the cube's
-    axes and on which of its vertices are foreground; ``table`` holds one
-    entry per such shape, so each shape is flooded once.  A table belongs
-    to one call on one set and one pair.
+    axes and on which of its vertices are foreground; they are decided on
+    the shape's cube at the origin, so each shape is flooded once.
     """
+    c, fg = at_origin(pair.n, axes, mask)
     verts = cube_vertices(c)
-    shape = (c.axes, sum(1 << i for i, v in enumerate(verts) if v in mset))
-    found = table.get(shape)
-    if found is None:
-        free = [v for v in verts if v not in mset]
-        labeling = components(pair.beta, free)
-        center = barycenter(c)
-        antipodes = [(v, tuple(s - x for s, x in zip(center, v))) for v in verts]
-        passed = not free or any(
-            pair.alpha.adjacent(v, w) if v in mset else not labeling.same_component(v, w)
-            for v, w in antipodes
-            if w > v and (v in mset) == (w in mset)
-        )
-        found = table[shape] = (passed, labeling.count)
-    return found
+    free = [v for v in verts if v not in fg]
+    labeling = components(pair.beta, free)
+    center = barycenter(c)
+    antipodes = [(v, tuple(s - x for s, x in zip(center, v))) for v in verts]
+    passed = not free or any(
+        pair.alpha.adjacent(v, w) if v in fg else not labeling.same_component(v, w)
+        for v, w in antipodes
+        if w > v and (v in fg) == (w in fg)
+    )
+    return passed, labeling.count
 
 
-def barycenter_test(
-    c: Cube, m: Iterable[Point], pair: AdjacencyPair, _table: ShapeTable | None = None
-) -> bool:
+def barycenter_test(c: Cube, m: Iterable[Point], pair: AdjacencyPair) -> bool:
     """Barycenter test: does the cube contribute a vertex to the complex?
 
     True when an antipodal vertex pair is foreground and alpha-adjacent,
@@ -106,7 +100,7 @@ def barycenter_test(
     """
     if c.dim < 1:
         raise ValueError("the barycenter test needs a cube of dimension >= 1")
-    return _shape_verdict(c, frozenset(m), pair, {} if _table is None else _table)[0]
+    return _shape_verdict(pair, c.axes, occupancy(c, frozenset(m))[1])[0]
 
 
 def _order_complex(
@@ -117,12 +111,11 @@ def _order_complex(
     ``cubes`` comes in order of dimension and holds every passing face of
     dimension >= 1 of its passing cubes; each cube is tested once.
     """
-    table: ShapeTable = {}
     simplices: set[Simplex] = {(double(p),) for p in mset}
     provenance: dict[HalfPoint, Cube] = {}
     chains: dict[Cube, list[Simplex]] = {}  # chains ending at a passing cube
     for c in cubes:
-        if not barycenter_test(c, mset, pair, _table=table):
+        if not barycenter_test(c, mset, pair):
             continue
         center = barycenter(c)
         provenance[center] = c
@@ -150,14 +143,8 @@ def build_complex(m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
     """
     mset = frozenset(m)
     n = pair.n
-    cubes = (
-        Cube(vec_sub(p, d), axes)
-        for k in range(1, n + 1)
-        for axes in itertools.combinations(range(n), k)
-        for d in cube_vertices(Cube((0,) * n, axes))
-        for p in mset
-    )
-    return _order_complex(n, mset, dict.fromkeys(cubes), pair)
+    cubes = (c for k in range(1, n + 1) for c in cubes_meeting(mset, k, n))
+    return _order_complex(n, mset, cubes, pair)
 
 
 def reduce_complex(
@@ -184,10 +171,9 @@ def reduction_trace(
     k: SimplicialComplex, m: Iterable[Point], pair: AdjacencyPair
 ) -> tuple[CubeTrace, ...]:
     mset = frozenset(m)
-    table: ShapeTable = {}
     out = []
     for center, cube in sorted(k.provenance.items()):
-        count = _shape_verdict(cube, mset, pair, table)[1]
+        count = _shape_verdict(pair, cube.axes, occupancy(cube, mset)[1])[1]
         out.append(CubeTrace(cube, True, count, count != 1))
     return tuple(out)
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from digitop.adjacency import AdjacencyPair, axis_adjacency, full_adjacency
+from digitop import jordan, manifold, pseudomanifold, separation
+from digitop.adjacency import AdjacencyPair, Region, axis_adjacency, full_adjacency
 from digitop.cli import main
 from digitop.jordan import rect_boundary
 from digitop.fileio import (
@@ -271,6 +272,8 @@ def test_replay_of_a_malformed_report_is_an_input_error(tmp_path, capsys):
     for payload in ([], {"witnesses": ["simple-point"]}, {"witnesses": [{"kind": "simple-point", "point": 7}]}):
         broken.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["verify-manifold", *common, "--replay", str(broken)]) == 2
+    broken.write_text("[" * 100_000, encoding="utf-8")  # deeper than the JSON decoder recurses
+    assert main(["verify-manifold", *common, "--replay", str(broken)]) == 2
 
 
 def test_replay_simple_points_under_the_recorded_margin(tmp_path):
@@ -432,3 +435,122 @@ def test_reports_do_not_depend_on_the_margin(case):
             at2, at4 = (json.loads(_run([command, *common, "--margin", m])[1]) for m in ("2", "4"))
             assert at2["config"].pop("margin") == 2 and at4["config"].pop("margin") == 4
             assert at2 == at4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simple-points", "--points", "{arc}", "--alpha", "full", "--beta", "axis"],
+        ["good-pair", "--n", "2", "--alpha", "full", "--beta", "full"],
+    ],
+    ids=["simple-points", "good-pair"],
+)
+def test_replay_uses_the_recorded_margin(tmp_path, monkeypatch, argv):
+    arc, report = tmp_path / "arc.txt", tmp_path / "r.json"
+    arc.write_text("0 0\n1 1\n2 2\n", encoding="utf-8")
+    argv = [a.format(arc=arc) for a in argv]
+    assert _run([*argv, "--margin", "4", "--format", "json", "-o", str(report)])[0] == 1
+    assert json.loads(report.read_text(encoding="utf-8"))["witnesses"]
+    around, margins = Region.around, []
+
+    def spy(points, margin=2):
+        margins.append(margin)
+        return around(points, margin)
+
+    monkeypatch.setattr(Region, "around", staticmethod(spy))
+    code, out = _run([*argv, "--replay", str(report)])  # no --margin: the default is 2
+    assert code == 1 and "NOT reproduced" not in out
+    assert margins[-1] == 4
+    saved = json.loads(report.read_text(encoding="utf-8"))
+    for bad in (1, -3, "4", 4.5, True, None, [4]):
+        saved["config"]["margin"] = bad
+        report.write_text(json.dumps(saved), encoding="utf-8")
+        assert _run([*argv, "--replay", str(report)])[0] == 2
+    report.write_text(json.dumps(dict(saved, config=[4])), encoding="utf-8")
+    assert _run([*argv, "--replay", str(report)])[0] == 2
+
+
+_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3, 3), st.text(max_size=3))
+_VEC = st.one_of(st.lists(st.integers(-3, 3), max_size=4), _LEAF)
+_CUBE = st.one_of(
+    st.fixed_dictionaries({"base": _VEC, "axes": st.one_of(st.lists(st.integers(-1, 4), max_size=4), _LEAF)}),
+    _LEAF,
+)
+_KINDS = sorted({"bogus", *manifold.REPLAYS, *separation.REPLAYS, *jordan.REPLAYS, *pseudomanifold.REPLAYS})
+_WITNESS = st.fixed_dictionaries(
+    {"kind": st.one_of(st.sampled_from(_KINDS), _LEAF)},
+    optional={
+        **dict.fromkeys(("cube", "cstar"), _CUBE),
+        **dict.fromkeys(("tau1", "tau2", "point", "p", "q", "z", "r", "tau", "missing_component"), _VEC),
+        **dict.fromkeys(("side", "components", "simplex"), st.one_of(st.lists(_VEC, max_size=3), _LEAF)),
+        "count": _LEAF,
+    },
+)
+_CONFIG = st.one_of(st.fixed_dictionaries({}, optional={"margin": st.one_of(st.integers(-1, 4), _LEAF)}), _LEAF)
+
+
+def _text_lines(tokens, width):
+    line = st.lists(st.sampled_from(tokens), max_size=width).map(" ".join)
+    return st.lists(line, max_size=5).map(lambda lines: "\n".join(lines).encode("utf-8"))
+
+
+_BYTES = st.one_of(st.binary(max_size=12), st.just(b"0 0\n\xff\xfe 1\n"))
+_VALID_POINTS = st.integers(2, 3).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(-1, 2)] * n), min_size=1, max_size=6)
+).map(lambda pts: format_points(pts).encode("utf-8"))
+_POINTS = st.one_of(_VALID_POINTS, _text_lines(["0", "1", "-1", "2", "x", "1.5", "#", ""], 3), _BYTES)
+_ADJACENCY = st.one_of(st.sampled_from(["axis", "full"]), _text_lines(["0", "1", "-1", "2", "a", "#"], 3), _BYTES)
+_REPLAYABLE = ["verify-manifold", "check-separation", "check-pseudomanifold", "jordan", "simple-points", "good-pair"]
+_DROP = object()
+
+
+def _exit_code(tmp, command, points, alpha, report=None, extra=()):
+    """Runs main on the given file contents (bytes) or adjacency names; exit
+    codes stay in 0..3 and nothing escapes ``main`` as a traceback."""
+    files = {}
+    for name, content in (("points", points), ("adjacency", alpha), ("report", report)):
+        if isinstance(content, bytes):
+            files[name] = os.path.join(tmp, name)
+            with open(files[name], "wb") as fh:
+                fh.write(content)
+    argv = [command, "--n", "2"] if command == "good-pair" else [command, "--points", files["points"]]
+    argv += ["--alpha", f"custom:{files['adjacency']}" if "adjacency" in files else alpha, "--beta", "axis"]
+    if report is not None:
+        argv += ["--replay", files["report"]]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*argv, *extra])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@given(st.sampled_from([*_REPLAYABLE, "build", "euler"]), _POINTS, _ADJACENCY)
+@settings(max_examples=60, deadline=None)
+def test_malformed_point_and_adjacency_files_never_raise(command, points, alpha):
+    with tempfile.TemporaryDirectory() as tmp:
+        _exit_code(tmp, command, points, alpha)
+
+
+@given(st.sampled_from(_REPLAYABLE), _VALID_POINTS, st.sampled_from(["axis", "full"]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_malformed_reports_never_raise(command, points, alpha, data):
+    """A recorded report with one field dropped or replaced, or junk."""
+    with tempfile.TemporaryDirectory() as tmp:
+        recorded = os.path.join(tmp, "recorded.json")
+        _exit_code(tmp, command, points, alpha, extra=["--format", "json", "-o", recorded])
+        saved = {"config": {"margin": 2}, "witnesses": []}
+        if os.path.exists(recorded):  # jordan refuses uncertified sets
+            with open(recorded, encoding="utf-8") as fh:
+                saved = json.load(fh)
+        saved["witnesses"] = saved["witnesses"] or [data.draw(_WITNESS)]
+        target = data.draw(st.sampled_from([saved, saved["config"], *saved["witnesses"]]))
+        key = data.draw(st.sampled_from(sorted(target)))
+        value = data.draw(st.one_of(st.just(_DROP), _LEAF, _VEC, _CUBE))
+        if value is _DROP:
+            del target[key]
+        else:
+            target[key] = value
+        junk = st.one_of(st.lists(_LEAF, max_size=2).map(json.dumps).map(str.encode), _BYTES)
+        report = data.draw(st.one_of(st.just(json.dumps(saved).encode("utf-8")), junk))
+        _exit_code(tmp, command, points, alpha, report)

@@ -7,11 +7,16 @@ from digitop._exact import (
     integer_rank,
     open_simplices_intersect,
     point_in_closed_simplex,
-    point_in_open_simplex,
     solve_affine,
 )
 
 F = Fraction
+
+
+def point_in_open_simplex(vertices, point) -> bool:
+    """Strict barycentric test; the library needs only the closed one."""
+    coords = barycentric_coordinates(vertices, point)
+    return coords is not None and all(c > 0 for c in coords)
 
 
 def test_integer_rank():

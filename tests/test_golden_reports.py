@@ -77,3 +77,33 @@ def test_report_bytes_match_the_golden_file(workload, keys, tmp_path):
         code, sha = _digest(job, points)
         expected = GOLDEN[workload][key]
         assert (code, sha) == (expected["exit"], expected["sha256"]), key
+
+
+# check-separation and simple-points have no job in the golden file.  These
+# (exit, sha256) pairs were recorded from the reports of the scan that decided
+# every cube on its own, before cube shapes were decided once.
+PLATE = "0 0 0\n1 0 0\n0 1 1\n1 1 1\n"
+SCATTER = "0 0 2\n0 2 0\n0 2 1\n0 2 2\n1 2 1\n2 1 0\n"  # fails in a 3-cube
+RING_5_5 = "".join(f"{x} {y}\n" for x in range(5) for y in range(5) if x in (0, 4) or y in (0, 4))
+ARC = "0 0\n1 0\n2 0\n2 1\n2 2\n"
+UNCOVERED = [
+    ("check-separation", PLATE, "full", "axis", 1, "9cdea29ddfe803e846ccf9fdf3ab8fb180a20adf7771d5d87c69d6510cfc35d3"),
+    ("check-separation", SCATTER, "full", "axis", 1, "5a6844d149262f5eef7d3751c6b57d4130a0ab0323643c72dbd1b898dfa51cf6"),
+    ("check-separation", RING_5_5, "axis", "full", 0, "a6f8bf5055c5a60e4417974d814fdb1d167b7afae8753917d9aaafdae8cebbdb"),
+    ("simple-points", ARC, "full", "axis", 1, "cb81f53b29690e6a103a3345371e7d884a3b5eb18aae636efddab24e74aa785f"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,points,alpha,beta,code,sha", UNCOVERED, ids=[f"{c[0]}-{i}" for i, c in enumerate(UNCOVERED)]
+)
+def test_report_bytes_the_golden_file_does_not_cover(command, points, alpha, beta, code, sha, tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_text(points, encoding="utf-8")
+    out = io.StringIO()
+    argv = [command, "--points", str(path), "--alpha", alpha, "--beta", beta, "--format", "json"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        got = main(argv)
+    n = len(points.split("\n", 1)[0].split())
+    text = RUN.canonical(out.getvalue(), (0,) * n)
+    assert (got, hashlib.sha256(text.encode("utf-8")).hexdigest()) == (code, sha)

@@ -13,7 +13,7 @@ from digitop.adjacency import (
     custom_adjacency,
     full_adjacency,
 )
-from digitop.jordan import box_surface, rect_boundary
+from digitop.jordan import box_surface, jordan_check, rect_boundary
 from digitop.lattice import vec_add
 from digitop.manifold import (
     NotCertifiedError,
@@ -30,6 +30,7 @@ from digitop.manifold import (
 AXIS_FULL_2 = AdjacencyPair(axis_adjacency(2), full_adjacency(2))
 AXIS_FULL_3 = AdjacencyPair(axis_adjacency(3), full_adjacency(3))
 FULL_AXIS_2 = AdjacencyPair(full_adjacency(2), axis_adjacency(2))
+FULL_AXIS_3 = AdjacencyPair(full_adjacency(3), axis_adjacency(3))
 
 
 def test_local_components_isolated_point():
@@ -280,3 +281,45 @@ def test_double_points_equivariant_under_signed_permutations():
 
     flipped = {(flip(p), flip(q), flip(r), flip(t)) for p, q, r, t in base}
     assert flipped == base
+
+
+def _verdicts(m, pair):
+    report = check_manifold(m, pair)
+    holds = (
+        report.alpha_connected.holds,
+        report.cube_connectivity.holds,
+        report.local_two_components.holds,
+        report.two_sidedness.holds,
+        report.separation.holds,
+    )
+    return holds, report.certified and jordan_check(m, pair, report=report).all_true
+
+
+@st.composite
+def regular_cases(draw):
+    """A random subset of a 4x4 or 3x3x3 box under one of the four axis/full
+    pairs, a signed axis permutation and a translation."""
+    sides = draw(st.sampled_from([(4, 4), (3, 3, 3)]))
+    n = len(sides)
+    cells = sorted(itertools.product(*(range(s) for s in sides)))
+    m = draw(st.frozensets(st.sampled_from(cells), min_size=1))
+    alpha = draw(st.sampled_from((axis_adjacency, full_adjacency)))(n)
+    beta = draw(st.sampled_from((axis_adjacency, full_adjacency)))(n)
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.tuples(*[st.sampled_from((1, -1))] * n))
+    shift = draw(st.tuples(*[st.integers(-30, 30)] * n))
+    return m, AdjacencyPair(alpha, beta), tuple(perm), signs, shift
+
+
+@given(regular_cases())
+@example((rect_boundary(4, 4), AXIS_FULL_2, (1, 0), (-1, 1), (7, -3)))
+@example((box_surface(3, 3, 3), AXIS_FULL_3, (2, 0, 1), (1, -1, -1), (2, 5, -4)))
+@example((box_surface(3, 4, 5), AXIS_FULL_3, (1, 2, 0), (-1, 1, 1), (0, 0, 0)))
+@example((frozenset((x, y, y) for x in range(3) for y in range(3)), FULL_AXIS_3, (1, 0, 2), (1, 1, -1), (0, 0, 0)))
+@settings(max_examples=60, deadline=None)
+def test_verdicts_are_invariant_under_signed_axis_permutations(case):
+    """Witnesses are lexicographically first and move; verdicts may not."""
+    m, pair, perm, signs, shift = case
+    assert is_regular_rotation(pair.alpha) and is_regular_rotation(pair.beta)
+    moved = frozenset(vec_add(tuple(s * p[i] for s, i in zip(signs, perm)), shift) for p in m)
+    assert _verdicts(moved, pair) == _verdicts(m, pair)

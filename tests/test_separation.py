@@ -1,8 +1,22 @@
-import pytest
+import itertools
 
-from digitop.adjacency import AdjacencyPair, axis_adjacency, full_adjacency
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from digitop.adjacency import AdjacencyPair, Region, axis_adjacency, components, full_adjacency
 from digitop.jordan import rect_boundary
-from digitop.lattice import Cube
+from digitop.lattice import (
+    Cube,
+    bounding_box,
+    completing_translations,
+    cube_vertices,
+    cubes_meeting_box,
+    subcubes,
+    vec_add,
+)
+from digitop.manifold import check_manifold
+from digitop.verdict import Verdict
 from digitop.separation import (
     beta_neighbor_lower_bound,
     component_count_bounds_hold,
@@ -137,3 +151,95 @@ def test_subcube_components_never_split_across_dimensions():
                 }
                 assert len(inner_ids) <= 1
 
+
+
+def violation_in_cube_oracle(mset, c, pair, labels):
+    """The per-cube scan body as it was before cube shapes were tabled: every
+    cube floods its own cut and tests every candidate from scratch."""
+    cut = frozenset(v for v in cube_vertices(c) if v in mset)
+    if not cut:
+        return None
+    slices = [(cstar, cube_vertices(cstar)) for cstar in subcubes(c, c.dim - 2)]
+    for comp in sorted(components(pair.alpha, cut).components().values(), key=min):
+        best = max(sum(1 for v in verts if v in comp) for _, verts in slices)
+        if best == 0:
+            continue
+        for cstar, star_verts in slices:
+            if sum(1 for v in star_verts if v in comp) != best:
+                continue
+            for tau1, tau2 in completing_translations(cstar, c):
+                side1 = [vec_add(v, tau1) for v in star_verts]
+                side2 = [vec_add(v, tau2) for v in star_verts]
+                free1 = [q for q in side1 if q not in mset]
+                free2 = [q for q in side2 if q not in mset]
+                if not free1 or not free2:
+                    continue
+                ids = {labels.id_of(q) for q in free1 + free2}
+                if len(ids) != 1:
+                    continue
+                diag = tuple(a + b for a, b in zip(tau1, tau2))
+                for x in star_verts:
+                    if vec_add(x, diag) in comp and (
+                        vec_add(x, tau1) not in comp or vec_add(x, tau2) not in comp
+                    ):
+                        return {
+                            "kind": "separation",
+                            "cube": c.to_json(),
+                            "cstar": cstar.to_json(),
+                            "tau1": list(tau1),
+                            "tau2": list(tau2),
+                            "point": list(x),
+                        }
+    return None
+
+
+def has_separation_property_oracle(mset, pair, region):
+    """The old scan: every cube of the dilated bounding box that meets the set."""
+    labels = region.complement(pair.beta, mset)
+    lo, hi = bounding_box(mset)
+    lo, hi = tuple(c - 1 for c in lo), tuple(c + 1 for c in hi)
+    for k in range(2, pair.n + 1):
+        for c in cubes_meeting_box(lo, hi, k, pair.n):
+            if any(v in mset for v in cube_vertices(c)):
+                witness = violation_in_cube_oracle(mset, c, pair, labels)
+                if witness is not None:
+                    return Verdict(False, witness)
+    return Verdict(True)
+
+
+def cube_connectivity_oracle(mset, pair):
+    """The old cube-connectivity scan: one flood per n-cube of the bounding box."""
+    lo, hi = bounding_box(mset)
+    for c in cubes_meeting_box(lo, hi, pair.n, pair.n):
+        cut = [v for v in cube_vertices(c) if v in mset]
+        if cut and components(pair.alpha, cut).count > 1:
+            return Verdict(False, {"kind": "cube-intersection-disconnected", "cube": c.to_json()})
+    return Verdict(True)
+
+
+@st.composite
+def boxed_sets(draw):
+    """A nonempty random subset of a 4x4 or 3x3x3 box, translated, under one
+    of the four axis/full pairs."""
+    sides = draw(st.sampled_from([(4, 4), (3, 3, 3)]))
+    cells = sorted(itertools.product(*(range(s) for s in sides)))
+    chosen = draw(st.frozensets(st.sampled_from(cells), min_size=1))
+    shift = draw(st.tuples(*[st.integers(-30, 30)] * len(sides)))
+    n = len(sides)
+    alpha = draw(st.sampled_from((axis_adjacency, full_adjacency)))(n)
+    beta = draw(st.sampled_from((axis_adjacency, full_adjacency)))(n)
+    m = frozenset(tuple(a + b for a, b in zip(p, shift)) for p in chosen)
+    return m, AdjacencyPair(alpha, beta)
+
+
+@given(boxed_sets())
+@example((PLATE, FULL_AXIS_3))
+@example((frozenset(vec_add(p, (3, -2, 5)) for p in PLATE), FULL_AXIS_3))
+@example((frozenset((z, y, x) for x, y, z in PLATE), FULL_AXIS_3))
+@settings(max_examples=80, deadline=None)
+def test_shape_tables_match_the_per_cube_oracle(case):
+    m, pair = case
+    region = Region.around(m, 2)
+    assert has_separation_property(m, pair, region) == has_separation_property_oracle(m, pair, region)
+    got = check_manifold(m, pair, region).cube_connectivity
+    assert got == cube_connectivity_oracle(m, pair)
