@@ -65,6 +65,8 @@ from .simplicial import (
     SimplicialComplex,
     build_complex,
     build_complex_in_cube,
+    build_complexes,
+    build_reduced_complex,
     complex_to_json,
     complex_to_off,
     euler_characteristic,

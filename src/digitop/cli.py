@@ -8,6 +8,7 @@ inconclusive.  Identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -21,11 +22,11 @@ from .manifold import NotCertifiedError, check_manifold, is_good_pair, is_simple
 from .pseudomanifold import is_pseudomanifold
 from .separation import has_separation_property
 from .simplicial import (
-    build_complex,
+    build_complexes,
+    build_reduced_complex,
     complex_to_json,
     complex_to_off,
     euler_characteristic,
-    reduce_complex,
 )
 from .verdict import wrong_dimension
 
@@ -124,6 +125,35 @@ def _emit(args: argparse.Namespace, text: str) -> None:
             sys.stdout.write("\n")
 
 
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for str-keyed values.
+
+    The stdlib's indented encoder is pure Python; this writer joins lists of
+    ints directly and hands every key and scalar to ``json.dumps``.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{json.dumps(k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
+        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        types = set(map(type, value))
+        rows = types == {list} and all(value)
+        if types == {int}:
+            items = map(str, value)
+        elif rows and set(map(type, itertools.chain.from_iterable(value))) == {int}:
+            row, deeper = "[\n" + inner + "  %s\n" + inner + "]", sep + "  "
+            items = (row % deeper.join(map(str, x)) for x in value)
+        else:
+            items = (_json(x, inner) for x in value)
+        return "[\n" + inner + sep.join(items) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def _report(args: argparse.Namespace, config: dict, result: dict, witnesses: list[dict], lines: list[str]) -> None:
     if args.format == "json":
         envelope = {
@@ -133,7 +163,7 @@ def _report(args: argparse.Namespace, config: dict, result: dict, witnesses: lis
             "result": result,
             "witnesses": witnesses,
         }
-        _emit(args, json.dumps(envelope, sort_keys=True, indent=2) + "\n")
+        _emit(args, _json(envelope) + "\n")
     else:
         _emit(args, "\n".join(lines) + "\n")
 
@@ -212,10 +242,8 @@ def _cmd_check_separation(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     mset, n, pair, _ = _load_context(args)
-    full = build_complex(mset, pair)
-    reduced = reduce_complex(full, mset, pair)
     if args.format == "off":
-        text, skipped = complex_to_off(reduced)
+        text, skipped = complex_to_off(build_reduced_complex(mset, pair))
         if skipped:
             print(
                 f"warning: {skipped} simplices of dimension < 2 are not representable in OFF",
@@ -223,10 +251,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
             )
         _emit(args, text)
         return 0
+    full, reduced = build_complexes(mset, pair)
     result = {"K": complex_to_json(full), "K_prime": complex_to_json(reduced)}
     lines = [
-        f"K: {len(full)} simplices on {len(full.vertices())} vertices",
-        f"K': {len(reduced)} simplices on {len(reduced.vertices())} vertices",
+        f"K: {len(full)} simplices on {len(result['K']['vertices'])} vertices",
+        f"K': {len(reduced)} simplices on {len(result['K_prime']['vertices'])} vertices",
     ]
     _report(args, _config(args, n), result, [], lines)
     return 0
@@ -237,7 +266,7 @@ def _cmd_check_pseudomanifold(args: argparse.Namespace) -> int:
     code = _maybe_replay(args, mset, pair)
     if code is not None:
         return code
-    reduced = reduce_complex(build_complex(mset, pair), mset, pair)
+    reduced = build_reduced_complex(mset, pair)
     if not reduced.simplices:
         print("warning: empty complex is vacuously a pseudomanifold", file=sys.stderr)
     report = is_pseudomanifold(reduced, pair.n - 1)
@@ -255,8 +284,7 @@ def _cmd_check_pseudomanifold(args: argparse.Namespace) -> int:
 
 def _cmd_euler(args: argparse.Namespace) -> int:
     mset, n, pair, _ = _load_context(args)
-    full = build_complex(mset, pair)
-    reduced = reduce_complex(full, mset, pair)
+    full, reduced = build_complexes(mset, pair)
     result = {
         "chi_K": euler_characteristic(full),
         "chi_K_prime": euler_characteristic(reduced),

@@ -20,6 +20,15 @@ class InputFormatError(ValueError):
     """Malformed input file; carries a line-numbered message."""
 
 
+def _read_text(fs: FsPath) -> str:
+    try:
+        return fs.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputFormatError(f"{fs}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{fs}: not UTF-8 text: {exc}") from exc
+
+
 def _data_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -53,11 +62,7 @@ def parse_points(text: str, source: str = "<input>") -> tuple[frozenset[Point], 
 
 def load_points(path: str | FsPath) -> tuple[frozenset[Point], int]:
     fs = FsPath(path)
-    try:
-        text = fs.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputFormatError(f"{fs}: {exc.strerror or exc}") from exc
-    return parse_points(text, source=str(fs))
+    return parse_points(_read_text(fs), source=str(fs))
 
 
 def format_points(points: Iterable[Point]) -> str:
@@ -78,12 +83,8 @@ def parse_adjacency_arg(value: str, n: int) -> AdjacencySpec:
 
 def load_adjacency_file(path: str | FsPath, n: int) -> AdjacencySpec:
     fs = FsPath(path)
-    try:
-        text = fs.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputFormatError(f"{fs}: {exc.strerror or exc}") from exc
     offsets = []
-    for lineno, line in _data_lines(text):
+    for lineno, line in _data_lines(_read_text(fs)):
         try:
             vec = tuple(int(tok) for tok in line.split())
         except ValueError as exc:

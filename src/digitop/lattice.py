@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add, sub
 from typing import AbstractSet, Iterable
 
@@ -86,15 +87,16 @@ class Cube:
         return lo, hi
 
 
+@lru_cache(maxsize=None)
+def _corners(n: int, axes: tuple[int, ...]) -> tuple[Translation, ...]:
+    """Offsets from a cube's base to its 2^k vertices, in lexicographic order."""
+    return tuple(itertools.product(*((0, 1) if i in axes else (0,) for i in range(n))))
+
+
 def cube_vertices(c: Cube) -> tuple[Point, ...]:
     """All 2^k vertices of a canonical cube, in lexicographic order."""
-    verts = []
-    for bits in itertools.product((0, 1), repeat=c.dim):
-        p = list(c.base)
-        for axis, bit in zip(c.axes, bits):
-            p[axis] += bit
-        verts.append(tuple(p))
-    return tuple(sorted(verts))
+    base = c.base
+    return tuple(tuple(map(add, base, d)) for d in _corners(len(base), c.axes))
 
 
 def subcubes(c: Cube, j: int) -> list[Cube]:
@@ -208,7 +210,7 @@ def cubes_meeting(m: AbstractSet[Point], k: int, n: int) -> list[Cube]:
     found = {
         (vec_sub(p, d), axes)
         for axes in itertools.combinations(range(n), k)
-        for d in cube_vertices(Cube((0,) * n, axes))
+        for d in _corners(n, axes)
         for p in m
     }
     return [Cube(base, axes) for base, axes in sorted(found)]

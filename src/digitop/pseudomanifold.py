@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .adjacency import AdjacencyPair, label
-from .simplicial import Simplex, SimplicialComplex, build_complex, reduce_complex
+from .simplicial import Simplex, SimplicialComplex, build_reduced_complex
 from .verdict import Verdict
 
 
@@ -129,8 +129,7 @@ def is_pseudomanifold(k: SimplicialComplex, d: int) -> PseudomanifoldReport:
 @lru_cache(maxsize=1)
 def _fresh_witnesses(mset: frozenset, pair: AdjacencyPair) -> tuple[dict, ...]:
     """The witnesses of K'(M), built once for all the witnesses of a report."""
-    reduced = reduce_complex(build_complex(mset, pair), mset, pair)
-    return tuple(is_pseudomanifold(reduced, pair.n - 1).witnesses())
+    return tuple(is_pseudomanifold(build_reduced_complex(mset, pair), pair.n - 1).witnesses())
 
 
 def _replay(w: dict, mset, pair: AdjacencyPair, region) -> bool:

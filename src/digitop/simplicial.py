@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Optional
 
 from ._exact import integer_rank, open_simplices_intersect, point_in_closed_simplex
@@ -28,8 +29,8 @@ from .lattice import (
     Point,
     at_origin,
     barycenter,
+    cube_of_barycenter,
     cube_vertices,
-    cubes_meeting,
     double,
     is_lattice2,
     occupancy,
@@ -103,58 +104,121 @@ def barycenter_test(c: Cube, m: Iterable[Point], pair: AdjacencyPair) -> bool:
     return _shape_verdict(pair, c.axes, occupancy(c, frozenset(m))[1])[0]
 
 
-def _order_complex(
-    n: int, mset: frozenset[Point], cubes: Iterable[Cube], pair: AdjacencyPair
-) -> SimplicialComplex:
-    """Chains c0 < c1 < ... < ck of the passing cubes, plus the points of the set.
+@lru_cache(maxsize=None)
+def _offsets(n: int, axes: tuple[int, ...]) -> tuple[tuple[HalfPoint, ...], tuple[HalfPoint, ...]]:
+    """Doubled offsets from a cube's barycenter to its vertices, in the order
+    of ``cube_vertices``, and to the barycenters of its proper faces of
+    dimension >= 1."""
+    c = Cube((0,) * n, axes)
+    center = barycenter(c)
+    corners = tuple(tuple(map(sub, double(v), center)) for v in cube_vertices(c))
+    faces = (f for k in range(1, c.dim) for f in subcubes(c, k))
+    return corners, tuple(tuple(map(sub, barycenter(f), center)) for f in faces)
 
-    ``cubes`` comes in order of dimension and holds every passing face of
-    dimension >= 1 of its passing cubes; each cube is tested once.
+
+Shape = tuple[HalfPoint, tuple[int, ...], int]  # barycenter, axes, occupancy mask
+
+
+def _shape(c: Cube, mset: frozenset[Point]) -> Shape:
+    return barycenter(c), c.axes, occupancy(c, mset)[1]
+
+
+def _shapes_meeting(mset: frozenset[Point], n: int) -> Iterator[Shape]:
+    """Every cube of dimension >= 1 with a vertex in the set, by dimension.
+
+    The vertices of any other cube are background, connected along its
+    edges, so it fails the barycenter test.  A point is vertex i of the
+    cube whose doubled barycenter is its own minus ``corners[i]``, so the
+    masks are gathered point by point, with no membership test.
     """
-    simplices: set[Simplex] = {(double(p),) for p in mset}
+    doubled = [double(p) for p in mset]
+    for k in range(1, n + 1):
+        for axes in itertools.combinations(range(n), k):
+            masks: dict[HalfPoint, int] = {}
+            for i, corner in enumerate(_offsets(n, axes)[0]):
+                for p in doubled:
+                    h = tuple(map(sub, p, corner))
+                    masks[h] = masks.get(h, 0) | 1 << i
+            yield from ((h, axes, mask) for h, mask in masks.items())
+
+
+def _order_complex(
+    n: int, mset: frozenset[Point], shapes: Iterable[Shape], pair: AdjacencyPair, full: bool
+) -> tuple[SimplicialComplex, Optional[SimplicialComplex]]:
+    """K'(M) and, when ``full``, K(M): chains c0 < c1 < ... < ck of the
+    passing cubes, plus the points of the set.
+
+    A chain is in K' iff each of its cubes keeps its barycenter, i.e. its
+    in-cube background is not one piece.  ``shapes`` comes in order of
+    dimension and holds every passing face of dimension >= 1 of its passing
+    cubes; each cube is tested once.  Chains are kept sorted, keyed by the
+    barycenter of their top cube.
+    """
+    kept: dict[HalfPoint, list[Simplex]] = {}  # chains of kept cubes only
+    lost: dict[HalfPoint, list[Simplex]] = {}  # chains through a dropped cube
     provenance: dict[HalfPoint, Cube] = {}
-    chains: dict[Cube, list[Simplex]] = {}  # chains ending at a passing cube
-    for c in cubes:
-        if not barycenter_test(c, mset, pair):
+    for center, axes, mask in shapes:
+        passed, count = _shape_verdict(pair, axes, mask)
+        if not passed or (count == 1 and not full):
             continue
-        center = barycenter(c)
-        provenance[center] = c
-        below = [(double(p),) for p in cube_vertices(c) if p in mset]
-        for k in range(1, c.dim):
-            for f in subcubes(c, k):
-                below += chains.get(f, ())
-        chains[c] = [(center,)] + [ch + (center,) for ch in below]
-        simplices.update(tuple(sorted(ch)) for ch in chains[c])
-    return SimplicialComplex(n, frozenset(simplices), provenance)
+        provenance[center] = cube_of_barycenter(center)
+        corners, face_offsets = _offsets(n, axes)
+        faces = [tuple(map(add, center, d)) for d in face_offsets]
+        below = [(tuple(map(add, center, e)),) for i, e in enumerate(corners) if mask >> i & 1]
+        for f in faces:
+            below += kept.get(f, ())
+        through = [ch for f in faces for ch in lost.get(f, ())]
+        if count == 1:  # the empty chain grows into the lone barycenter
+            through = [()] + below + through
+        else:
+            kept[center] = [(center,)] + [tuple(sorted((*ch, center))) for ch in below]
+        if through:
+            lost[center] = [tuple(sorted((*ch, center))) for ch in through]
+    reduced = SimplicialComplex(
+        n,
+        frozenset(itertools.chain(((double(p),) for p in mset), *kept.values())),
+        {h: c for h, c in provenance.items() if h in kept},
+    )
+    if not full:
+        return reduced, None
+    return reduced, SimplicialComplex(n, reduced.simplices.union(*lost.values()), provenance)
 
 
 def build_complex_in_cube(cn: Cube, m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
     """Complex of the foreground restricted to one cube: chains of its passing faces."""
     mset = frozenset(m) & frozenset(cube_vertices(cn))
-    faces = (f for k in range(1, cn.dim + 1) for f in subcubes(cn, k))
-    return _order_complex(cn.n, mset, faces, pair)
+    faces = (_shape(f, mset) for k in range(1, cn.dim + 1) for f in subcubes(cn, k))
+    return _order_complex(cn.n, mset, faces, pair, full=True)[1]
 
 
 def build_complex(m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
-    """K(M): the order complex of the cubes that pass the barycenter test.
+    """K(M): the order complex of the cubes that pass the barycenter test."""
+    return build_complexes(m, pair)[0]
 
-    Only cubes with a vertex in the set are tested: the vertices of any
-    other cube are background, connected along its edges, so it fails.
-    """
+
+def build_complexes(
+    m: Iterable[Point], pair: AdjacencyPair
+) -> tuple[SimplicialComplex, SimplicialComplex]:
+    """K(M) and K'(M) from one enumeration of the chains."""
     mset = frozenset(m)
-    n = pair.n
-    cubes = (c for k in range(1, n + 1) for c in cubes_meeting(mset, k, n))
-    return _order_complex(n, mset, cubes, pair)
+    reduced, full = _order_complex(pair.n, mset, _shapes_meeting(mset, pair.n), pair, full=True)
+    return full, reduced
+
+
+def build_reduced_complex(m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
+    """K'(M) alone: the chains of the passing cubes that keep their barycenters."""
+    mset = frozenset(m)
+    return _order_complex(pair.n, mset, _shapes_meeting(mset, pair.n), pair, full=False)[0]
 
 
 def reduce_complex(
     k: SimplicialComplex, m: Iterable[Point], pair: AdjacencyPair
 ) -> SimplicialComplex:
-    """Drop barycenters of cubes whose in-cube background is one piece."""
-    removed = {barycenter(t.cube) for t in reduction_trace(k, m, pair) if not t.barycenter_kept}
-    simplices = frozenset(s for s in k.simplices if not any(v in removed for v in s))
-    provenance = {c: cube for c, cube in k.provenance.items() if c not in removed}
-    return SimplicialComplex(k.n, simplices, provenance)
+    """Drop barycenters of cubes whose in-cube background is one piece:
+    the chains of the cubes of ``k`` that keep their barycenters."""
+    mset = frozenset(m)
+    shapes = sorted((_shape(c, mset) for c in k.provenance.values()), key=lambda s: len(s[1]))
+    return _order_complex(k.n, mset, shapes, pair, full=False)[0]
 
 
 @dataclass(frozen=True)
@@ -239,16 +303,33 @@ def _buckets(boxes: list[Box]) -> dict[Point, list[int]]:
     return out
 
 
+def _is_chain(s: Simplex) -> bool:
+    """Are the vertices the barycenters of a strict chain of lattice cubes?
+
+    A doubled vertex is the barycenter of the cube whose free axes are its
+    odd coordinates, and that cube spans [x - x % 2, x + x % 2] on each
+    axis; a cube is a face of another iff its spans lie in the other's.
+    """
+    cubes = sorted((sum(c & 1 for c in v), v) for v in s)
+    return all(
+        da < db and all(abs(x - y) <= (y & 1) - (x & 1) for x, y in zip(a, b))
+        for (da, a), (db, b) in zip(cubes, cubes[1:])
+    )
+
+
 def verify_complex_axioms(
     k: SimplicialComplex,
 ) -> tuple[bool, Optional[dict]]:
     """Check affine independence, face closure and open disjointness.
 
-    Returns (True, None) or (False, witness).  Disjointness runs the exact
-    rational intersection test on every later simplex in a shared lattice
-    cell whose open projections meet the first one's on every axis; both
-    filters are necessary conditions, and pairs are visited in sorted
-    order, so the witness is the first intersecting pair in that order.
+    Returns (True, None) or (False, witness).  The barycentric subdivision
+    of the lattice's cube complex is a triangulation, so the open simplices
+    of two distinct strict cube chains never meet (Rourke and Sanderson,
+    *Introduction to Piecewise-Linear Topology*, ch. 2).  Every other pair
+    that shares a lattice cell, and whose open projections meet on every
+    axis, gets the exact rational intersection test; both filters are
+    necessary conditions, and pairs are visited in sorted order, so the
+    witness is the first intersecting pair in that order.
     """
     simplices = sorted(k.simplices)
     sset = k.simplices
@@ -271,19 +352,27 @@ def verify_complex_axioms(
                         "simplex": [list(v) for v in s],
                         "face": [list(v) for v in face],
                     }
+    others = [i for i, s in enumerate(simplices) if not _is_chain(s)]
+    if not others:
+        return True, None
     boxes = [_bbox2(s) for s in simplices]
     open_boxes = [_open_box(box) for box in boxes]
     buckets = _buckets(boxes)
-    for i, s in enumerate(simplices):
-        later = sorted({j for cell in _cells(boxes[i]) for j in buckets[cell] if j > i})
-        for j in later:
-            t = simplices[j]
-            if _bboxes_overlap(open_boxes[i], open_boxes[j]) and open_simplices_intersect(s, t):
-                return False, {
-                    "kind": "open-intersection",
-                    "simplex": [list(v) for v in s],
-                    "other": [list(v) for v in t],
-                }
+    pairs = {
+        (min(i, j), max(i, j))
+        for i in others
+        for cell in _cells(boxes[i])
+        for j in buckets[cell]
+        if j != i
+    }
+    for i, j in sorted(pairs):
+        s, t = simplices[i], simplices[j]
+        if _bboxes_overlap(open_boxes[i], open_boxes[j]) and open_simplices_intersect(s, t):
+            return False, {
+                "kind": "open-intersection",
+                "simplex": [list(v) for v in s],
+                "other": [list(v) for v in t],
+            }
     return True, None
 
 
@@ -350,7 +439,8 @@ def complex_to_json(k: SimplicialComplex) -> dict:
     """Stable JSON form: doubled-integer vertices, index lists, provenance."""
     vertices = k.vertices()
     index = {v: i for i, v in enumerate(vertices)}
-    simplices = sorted(sorted(index[v] for v in s) for s in k.simplices)
+    # simplices are sorted and the index is increasing, so rows come out sorted
+    simplices = sorted([index[v] for v in s] for s in k.simplices)
     provenance = {
         str(index[c]): cube.to_json()
         for c, cube in sorted(k.provenance.items())

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from digitop import jordan, manifold, pseudomanifold, separation
+from digitop import cli, jordan, manifold, pseudomanifold, separation
 from digitop.adjacency import AdjacencyPair, Region, axis_adjacency, full_adjacency
 from digitop.cli import main
 from digitop.jordan import rect_boundary
@@ -240,6 +240,18 @@ def test_usage_errors(tmp_path):
     assert main(["jordan", "--points", str(pts), "--n", "3"]) == 2
     assert main(["jordan", "--points", str(pts), "--margin", "1"]) == 2
     assert main(["good-pair", "--alpha", "full", "--beta", "axis"]) == 2  # no --n
+
+
+@pytest.mark.parametrize("where", ["points", "custom"])
+def test_a_file_that_is_not_utf8_is_an_input_error_naming_it(tmp_path, capsys, where):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"0 0\n1 \xff\n")
+    pts = tmp_path / "p.txt"
+    pts.write_text("0 0\n1 0\n", encoding="utf-8")
+    points, alpha = (bad, "full") if where == "points" else (pts, f"custom:{bad}")
+    assert main(["build", "--points", str(points), "--alpha", alpha]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "UTF-8" in err
 
 
 def test_replay_manifold_witness(tmp_path):
@@ -554,3 +566,30 @@ def test_malformed_reports_never_raise(command, points, alpha, data):
         junk = st.one_of(st.lists(_LEAF, max_size=2).map(json.dumps).map(str.encode), _BYTES)
         report = data.draw(st.one_of(st.just(json.dumps(saved).encode("utf-8")), junk))
         _exit_code(tmp, command, points, alpha, report)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    st.text(),
+    st.sampled_from(["\u00e9\u4e2d", "\x00\x1f\t\n\"\\", "\ud83d\ude00"]),
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.integers(-5, 5), max_size=4),
+        st.lists(st.lists(st.integers(-(2**40), 2**40), max_size=3), max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(st.dictionaries(st.text(max_size=6), _JSON, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_report_writer_matches_the_stdlib_encoder(envelope):
+    assert cli._json(envelope) == json.dumps(envelope, sort_keys=True, indent=2)

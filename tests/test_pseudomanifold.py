@@ -4,7 +4,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitop import pseudomanifold
+from digitop import pseudomanifold, simplicial
 from digitop.adjacency import AdjacencyPair, axis_adjacency, full_adjacency
 from digitop.cli import main
 from digitop.fileio import format_points
@@ -191,13 +191,13 @@ def test_replay_builds_the_complex_once_for_all_witnesses(tmp_path, monkeypatch)
     assert [w["kind"] for w in witnesses] == ["homogeneity", "nondegeneracy"]
 
     calls = []
-    build = pseudomanifold.build_complex
+    enumerate_chains = simplicial._order_complex
 
-    def counting_build(*args):
+    def counting_enumeration(*args, **kwargs):
         calls.append(args)
-        return build(*args)
+        return enumerate_chains(*args, **kwargs)
 
-    monkeypatch.setattr(pseudomanifold, "build_complex", counting_build)
+    monkeypatch.setattr(simplicial, "_order_complex", counting_enumeration)
     pseudomanifold._fresh_witnesses.cache_clear()
     assert main(["check-pseudomanifold", *common, "--replay", str(report)]) == 1
     assert len(calls) == 1

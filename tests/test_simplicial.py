@@ -27,8 +27,11 @@ from digitop.lattice import (
 )
 from digitop.simplicial import (
     SimplicialComplex,
+    _is_chain,
     build_complex,
     build_complex_in_cube,
+    build_complexes,
+    build_reduced_complex,
     complex_to_json,
     complex_to_off,
     euler_characteristic,
@@ -458,8 +461,15 @@ def _is_strict_chain(s, mset, provenance):
 def test_order_complex_matches_the_coning_oracle(case):
     m, pair = case
     k, oracle = build_complex(m, pair), build_complex_oracle(m, pair)
-    reduced, oracle_reduced = reduce_complex(k, m, pair), reduce_complex_oracle(oracle, m, pair)
-    for new, old in ((k, oracle), (reduced, oracle_reduced)):
+    oracle_reduced = reduce_complex_oracle(oracle, m, pair)
+    full, reduced = build_complexes(m, pair)
+    for new, old in (
+        (k, oracle),
+        (full, oracle),
+        (reduced, oracle_reduced),
+        (reduce_complex(k, m, pair), oracle_reduced),
+        (build_reduced_complex(m, pair), oracle_reduced),
+    ):
         assert new.simplices == old.simplices
         assert dict(new.provenance) == dict(old.provenance)
         assert json.dumps(complex_to_json(new)) == json.dumps(complex_to_json(old))
@@ -467,13 +477,34 @@ def test_order_complex_matches_the_coning_oracle(case):
 
 
 @st.composite
+def strict_chains(draw, lo, hi):
+    """Two or more cubes of one flag at a lattice point near [lo, hi]: every
+    strict chain of cubes is part of such a flag.  Doubled barycenters."""
+    n = len(lo)
+    point = draw(st.tuples(*[st.integers(a - 1, b + 1) for a, b in zip(lo, hi)]))
+    axes = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    flag, h = [double(point)], list(double(point))
+    for axis, sign in zip(axes, signs):
+        h[axis] += sign
+        flag.append(tuple(h))
+    chosen = draw(st.lists(st.sampled_from(flag), min_size=2, max_size=n + 1, unique=True))
+    return tuple(sorted(chosen))
+
+
+@st.composite
 def complexes_with_an_extra_simplex(draw):
-    """A built K' plus one face-closed simplex with vertices on the doubled grid."""
+    """A built K' plus one face-closed simplex with vertices on the doubled
+    grid; in some draws the simplex is a strict cube chain missing from K."""
     m, pair = draw(boxed_sets(max_fill=0.5).filter(lambda case: case[0]))
-    k = reduce_complex(build_complex(m, pair), m, pair)
+    full, k = build_complexes(m, pair)
     lo, hi = bounding_box(m)
-    grid = st.tuples(*[st.integers(2 * a - 1, 2 * b + 1) for a, b in zip(lo, hi)])
-    extra = sorted(draw(st.lists(grid, min_size=2, max_size=pair.n + 1, unique=True)))
+    if draw(st.booleans()):
+        extra = draw(strict_chains(lo, hi).filter(lambda s: s not in full.simplices))
+        assert _is_chain(extra)
+    else:
+        grid = st.tuples(*[st.integers(2 * a - 1, 2 * b + 1) for a, b in zip(lo, hi)])
+        extra = sorted(draw(st.lists(grid, min_size=2, max_size=pair.n + 1, unique=True)))
     faces = {f for r in range(1, len(extra) + 1) for f in itertools.combinations(extra, r)}
     return SimplicialComplex(k.n, k.simplices | faces)
 
@@ -492,3 +523,37 @@ def test_axiom_check_matches_the_oracle_on_built_complexes(case):
 @settings(max_examples=40, deadline=None)
 def test_axiom_check_matches_the_oracle_with_an_extra_simplex(k):
     assert verify_complex_axioms(k) == verify_complex_axioms_oracle(k)
+
+
+def _face_closure(*simplices):
+    return frozenset(f for s in simplices for r in range(1, len(s) + 1) for f in itertools.combinations(s, r))
+
+
+def test_cubes_of_equal_dimension_are_not_a_chain():
+    # the midpoints of two parallel edges of the unit square: the segment
+    # overlaps the chain edge from the first midpoint to the square's center
+    across = ((1, 0), (1, 2))
+    chain = ((1, 0), (1, 1))
+    assert not _is_chain(across) and _is_chain(chain)
+    assert not _is_chain(((1, 0), (1, 0)))  # one cube twice is no strict chain
+    k = SimplicialComplex(2, _face_closure(across, chain))
+    ok, witness = verify_complex_axioms(k)
+    assert not ok and witness == {
+        "kind": "open-intersection", "simplex": [[1, 0], [1, 1]], "other": [[1, 0], [1, 2]]
+    }
+    assert (ok, witness) == verify_complex_axioms_oracle(k)
+
+
+def test_a_cube_that_is_not_a_face_of_the_next_is_not_a_chain():
+    # the point (0, 0) is no vertex of the square [1, 2] x [0, 1]; the segment
+    # to its center crosses the chain edge from (1, 0) to the midpoint of
+    # the edge (1, 0)-(1, 1)
+    skew = ((0, 0), (3, 1))
+    chain = ((2, 0), (2, 1))
+    assert not _is_chain(skew) and _is_chain(chain)
+    k = SimplicialComplex(2, _face_closure(skew, chain))
+    ok, witness = verify_complex_axioms(k)
+    assert not ok and witness == {
+        "kind": "open-intersection", "simplex": [[0, 0], [3, 1]], "other": [[2, 0], [2, 1]]
+    }
+    assert (ok, witness) == verify_complex_axioms_oracle(k)
