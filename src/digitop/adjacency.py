@@ -255,44 +255,87 @@ def elementary_equivalent(w: Path, w_other: Path, bound: int) -> bool:
     return False
 
 
-def _bounded_paths(
-    spec: AdjacencySpec,
-    allowed: frozenset[Point],
-    first: tuple[str, Point] | None,
-    last_adjacent_to: Point | None,
-    max_len: int,
-) -> Iterator[tuple[Point, ...]]:
-    """Nonempty point sequences inside ``allowed`` usable as a replacement run."""
+class _CycleGraph:
+    """A finite point set as a graph on vertex indices, for the search.
 
-    def starts() -> Iterator[Point]:
+    Vertex i is the i-th point in lexicographic order, and each neighbour
+    list is increasing.  A translation keeps that order, so index order is
+    the order of ``sorted`` points and of ``spec.sorted_offsets``.  The
+    replacement runs depend only on where they start and end and on their
+    length cap, so each run list is enumerated once per graph.
+    """
+
+    def __init__(self, spec: AdjacencySpec, pts: Iterable[Point]) -> None:
+        self.points = tuple(sorted(set(pts)))
+        index = {p: i for i, p in enumerate(self.points)}
+        self.adj = tuple(
+            tuple(j for j in (index.get(vec_add(p, v)) for v in spec.sorted_offsets) if j is not None)
+            for p in self.points
+        )
+        self.adj_sets = tuple(map(frozenset, self.adj))
+        self._runs: dict[tuple, list[tuple[int, ...]]] = {}
+
+    def generator_cycles(self) -> Iterator[tuple[int, ...]]:
+        """The fundamental cycles of the BFS tree rooted at vertex 0, one per
+        non-tree edge (i, j), i < j, in increasing order."""
+        parent: dict[int, int | None] = {0: None}
+        queue = [0]
+        for p in queue:
+            for q in self.adj[p]:
+                if q not in parent:
+                    parent[q] = p
+                    queue.append(q)
+        if len(parent) != len(self.points):
+            raise ValueError("the set must be connected under the given adjacency")
+
+        def root_path(p: int) -> list[int]:
+            out = [p]
+            while parent[out[-1]] is not None:
+                out.append(parent[out[-1]])  # type: ignore[arg-type]
+            out.reverse()
+            return out
+
+        for p, nbrs in enumerate(self.adj):
+            for q in nbrs:
+                if p < q and parent[p] != q and parent[q] != p:
+                    yield tuple(root_path(p) + root_path(q)[::-1])
+
+    def runs(
+        self, first: tuple[str, int] | None, end_next_to: int | None, max_len: int
+    ) -> list[tuple[int, ...]]:
+        """Replacement runs of at most ``max_len`` vertices, in DFS preorder.
+
+        ``first`` pins the start: ("eq", v) starts at v, ("adj", v) at a
+        neighbour of v, and None anywhere.  With ``end_next_to`` set, only
+        runs whose last vertex is its neighbour are kept.
+        """
+        key = (first, end_next_to, max_len)
+        out = self._runs.get(key)
+        if out is not None:
+            return out
+        out = self._runs[key] = []
+        if max_len < 1:
+            return out
         if first is None:
-            yield from sorted(allowed)
-        elif first[0] == "eq":
-            if first[1] in allowed:
-                yield first[1]
+            starts: Sequence[int] = range(len(self.adj))
         else:
-            for q in sorted(neighbors(spec, first[1]) & allowed):
-                yield q
-
-    def extend(prefix: tuple[Point, ...]) -> Iterator[tuple[Point, ...]]:
-        if last_adjacent_to is None or spec.adjacent(prefix[-1], last_adjacent_to):
-            yield prefix
-        if len(prefix) < max_len:
-            for q in sorted(neighbors(spec, prefix[-1]) & allowed):
-                yield from extend(prefix + (q,))
-
-    if max_len >= 1:
-        for s in starts():
-            yield from extend((s,))
+            starts = (first[1],) if first[0] == "eq" else self.adj[first[1]]
+        ends = None if end_next_to is None else self.adj_sets[end_next_to]
+        stack = [(s,) for s in reversed(starts)]
+        while stack:
+            run = stack.pop()
+            if ends is None or run[-1] in ends:
+                out.append(run)
+            if len(run) < max_len:
+                stack.extend(run + (q,) for q in reversed(self.adj[run[-1]]))
+        return out
 
 
 def _cycle_rewrites(
-    spec: AdjacencySpec,
-    allowed: frozenset[Point],
-    w: tuple[Point, ...],
-    bound: int,
-    max_len: int,
-) -> Iterator[tuple[Point, ...]]:
+    graph: _CycleGraph, w: tuple[int, ...], bound: int, max_len: int
+) -> Iterator[tuple[int, ...]]:
+    """Every cycle one middle-run replacement of at most ``bound + 2``
+    vertices in total away from ``w``, in search order."""
     length = len(w)
     for i in range(length + 1):
         for j in range(i, length + 1):
@@ -304,50 +347,39 @@ def _cycle_rewrites(
             before = w[i - 1] if i > 0 else None
             after = w[j] if j < length else None
             # empty replacement: the kept pieces must join up directly
-            if k >= 1 and (
-                before is None
-                or after is None
-                or spec.adjacent(before, after)
-            ):
+            if k >= 1 and (before is None or after is None or after in graph.adj_sets[before]):
                 w2 = w[:i] + w[j:]
                 if w2 and (len(w2) == 1 or w2[0] == w2[-1]):
                     yield w2
             if before is not None:
-                first = ("adj", before)
+                first: tuple[str, int] | None = ("adj", before)
             elif after is not None:
                 # replacement includes the basepoint: pin it to keep a cycle
                 first = ("eq", w[0])
             else:
                 first = None
-            for run in _bounded_paths(spec, allowed, first, after, max(nmax, 0)):
-                if k + len(run) < 1 or k + len(run) > bound + 2:
-                    continue
-                w2 = w[:i] + run + w[j:]
-                if not w2 or len(w2) > max_len:
-                    continue
-                if len(w2) > 1 and w2[0] != w2[-1]:
-                    continue
-                yield w2
+            head, tail = w[:i], w[j:]
+            for run in graph.runs(first, after, max(nmax, 0)):
+                w2 = head + run + tail
+                if 1 <= k + len(run) <= bound + 2 and 0 < len(w2) <= max_len:
+                    if len(w2) == 1 or w2[0] == w2[-1]:
+                        yield w2
 
 
-def _contract_cycle(
-    spec: AdjacencySpec,
-    allowed: frozenset[Point],
-    cycle: Sequence[Point],
-    bound: int,
-    budget: int,
-) -> bool:
+def _contract_cycle(graph: _CycleGraph, cycle: Sequence[int], bound: int, budget: int) -> bool:
+    """Best-first search for a contraction of ``cycle`` to one vertex; False
+    once more than ``budget`` distinct rewritten cycles have been queued."""
     start = tuple(cycle)
     if len(start) <= 1:
         return True
     max_len = len(start) + bound + 2
     seen = {start}
     counter = itertools.count()
-    heap: list[tuple[int, int, tuple[Point, ...]]] = [(len(start), next(counter), start)]
+    heap: list[tuple[int, int, tuple[int, ...]]] = [(len(start), next(counter), start)]
     pushes = 0
     while heap:
         _, _, w = heapq.heappop(heap)
-        for w2 in _cycle_rewrites(spec, allowed, w, bound, max_len):
+        for w2 in _cycle_rewrites(graph, w, bound, max_len):
             if w2 in seen:
                 continue
             seen.add(w2)
@@ -372,41 +404,14 @@ def n_simply_connected_bounded(
     rooted at the smallest point; every other cycle reduces to products of
     these by backtrack insertions and deletions, which are themselves legal
     bounded replacements.  Each generator cycle is contracted by best-first
-    search over middle-run rewrites; ``budget`` caps the states explored per
-    cycle.  Returns "unknown" on budget exhaustion, never "no".
+    search over middle-run rewrites; ``budget`` caps the distinct rewritten
+    cycles queued per generator cycle.  Returns "unknown" on budget
+    exhaustion, never "no".
     """
-    pts = frozenset(s)
-    if not pts:
+    graph = _CycleGraph(spec, s)
+    if not graph.points:
         return "yes"
-    root = min(pts)
-    parent: dict[Point, Point | None] = {root: None}
-    queue = [root]
-    while queue:
-        p = queue.pop(0)
-        for v in spec.sorted_offsets:
-            q = vec_add(p, v)
-            if q in pts and q not in parent:
-                parent[q] = p
-                queue.append(q)
-    if len(parent) != len(pts):
-        raise ValueError("the set must be connected under the given adjacency")
-
-    def root_path(p: Point) -> list[Point]:
-        out = [p]
-        while parent[out[-1]] is not None:
-            out.append(parent[out[-1]])  # type: ignore[arg-type]
-        out.reverse()
-        return out
-
-    tree_edges = {frozenset((p, q)) for p, q in parent.items() if q is not None}
-    non_tree = sorted(
-        (p, q)
-        for p in pts
-        for q in neighbors(spec, p) & pts
-        if p < q and frozenset((p, q)) not in tree_edges
-    )
-    for p, q in non_tree:
-        cycle = root_path(p) + list(reversed(root_path(q)))
-        if not _contract_cycle(spec, pts, cycle, bound, budget):
+    for cycle in graph.generator_cycles():
+        if not _contract_cycle(graph, cycle, bound, budget):
             return "unknown"
     return "yes"

@@ -2,7 +2,8 @@
 
 Exit codes: 0 = property holds / build succeeded, 1 = property fails
 (witness printed), 2 = usage or input error, 3 = bounded search
-inconclusive.  Identical inputs produce byte-identical reports.
+inconclusive, 4 = internal error.  Identical inputs produce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import __version__, jordan, manifold, pseudomanifold, separation
 from .adjacency import AdjacencyPair, Region
 from .fileio import InputFormatError, format_points, load_points, parse_adjacency_arg
 from .jordan import GeneratorSpec, generate, jordan_check, simple_point_witness
-from .manifold import NotCertifiedError, check_manifold, is_good_pair, is_simple_point
+from .manifold import check_manifold, is_good_pair, is_simple_point
 from .pseudomanifold import is_pseudomanifold
 from .separation import has_separation_property
 from .simplicial import (
@@ -252,11 +253,12 @@ def _cmd_build(args: argparse.Namespace) -> int:
         _emit(args, text)
         return 0
     full, reduced = build_complexes(mset, pair)
-    result = {"K": complex_to_json(full), "K_prime": complex_to_json(reduced)}
     lines = [
-        f"K: {len(full)} simplices on {len(result['K']['vertices'])} vertices",
-        f"K': {len(reduced)} simplices on {len(result['K_prime']['vertices'])} vertices",
+        f"{name}: {len(k)} simplices on {len(set().union(*k.simplices))} vertices"
+        for name, k in (("K", full), ("K'", reduced))
     ]
+    # text reports only the counts, so the JSON form is built for JSON alone
+    result = {"K": complex_to_json(full), "K_prime": complex_to_json(reduced)} if args.format == "json" else {}
     _report(args, _config(args, n), result, [], lines)
     return 0
 
@@ -385,15 +387,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _HANDLERS[args.command](args)
-    except InputFormatError as exc:
+    except ValueError as exc:  # InputFormatError and NotCertifiedError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotCertifiedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except RuntimeError as exc:
+        # an inconsistency the checks assert cannot happen: a bug, not a verdict
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -50,23 +50,13 @@ def _simplex_json(s: Simplex) -> list[list[int]]:
 
 def is_homogeneous(k: SimplicialComplex, d: int) -> Verdict:
     """Every simplex must be a face of some d-simplex."""
-    top = [s for s in k.simplices if len(s) == d + 1]
-    by_vertex: dict = {}
-    for t in top:
-        for v in t:
-            by_vertex.setdefault(v, []).append(t)
-    for s in sorted(k.simplices):
-        if len(s) - 1 > d:
-            return Verdict(
-                False, {"kind": "homogeneity", "simplex": _simplex_json(s)}
-            )
-        vset = set(s)
-        candidates = by_vertex.get(s[0], [])
-        if not any(vset <= set(t) for t in candidates):
-            return Verdict(
-                False, {"kind": "homogeneity", "simplex": _simplex_json(s)}
-            )
-    return Verdict(True)
+    # simplices are sorted tuples, so the faces of t are its combinations
+    top = (t for t in k.simplices if len(t) == d + 1)
+    faces = {f for t in top for r in range(1, d + 2) for f in itertools.combinations(t, r)}
+    stray = [s for s in k.simplices if s not in faces]
+    if not stray:
+        return Verdict(True)
+    return Verdict(False, {"kind": "homogeneity", "simplex": _simplex_json(min(stray))})
 
 
 def is_nondegenerate(k: SimplicialComplex, d: int) -> Verdict:

@@ -1,11 +1,16 @@
+from __future__ import annotations
+
+import heapq
 import itertools
+from typing import Iterator, Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from digitop.adjacency import (
     AdjacencyPair,
+    AdjacencySpec,
     ComponentLabeling,
     Region,
     axis_adjacency,
@@ -18,6 +23,8 @@ from digitop.adjacency import (
     n_simply_connected_bounded,
     neighbors,
 )
+from digitop.adjacency import _contract_cycle, _CycleGraph, _cycle_rewrites
+from digitop.lattice import Point, vec_add
 
 
 def brute_flood(points, offsets):
@@ -260,3 +267,203 @@ def test_boxes_are_axis_connected():
     for n in (2, 3):
         box = set(itertools.product(range(5), repeat=n))
         assert components(axis_adjacency(n), box).count == 1
+
+
+# The point-based contractibility search that the indexed one replaced, kept
+# as its oracle: every rewrite and every push must come out the same.
+
+
+def bounded_paths_oracle(
+    spec: AdjacencySpec,
+    allowed: frozenset[Point],
+    first: tuple[str, Point] | None,
+    last_adjacent_to: Point | None,
+    max_len: int,
+) -> Iterator[tuple[Point, ...]]:
+    """Nonempty point sequences inside ``allowed`` usable as a replacement run."""
+
+    def starts() -> Iterator[Point]:
+        if first is None:
+            yield from sorted(allowed)
+        elif first[0] == "eq":
+            if first[1] in allowed:
+                yield first[1]
+        else:
+            for q in sorted(neighbors(spec, first[1]) & allowed):
+                yield q
+
+    def extend(prefix: tuple[Point, ...]) -> Iterator[tuple[Point, ...]]:
+        if last_adjacent_to is None or spec.adjacent(prefix[-1], last_adjacent_to):
+            yield prefix
+        if len(prefix) < max_len:
+            for q in sorted(neighbors(spec, prefix[-1]) & allowed):
+                yield from extend(prefix + (q,))
+
+    if max_len >= 1:
+        for s in starts():
+            yield from extend((s,))
+
+
+def cycle_rewrites_oracle(
+    spec: AdjacencySpec,
+    allowed: frozenset[Point],
+    w: tuple[Point, ...],
+    bound: int,
+    max_len: int,
+) -> Iterator[tuple[Point, ...]]:
+    length = len(w)
+    for i in range(length + 1):
+        for j in range(i, length + 1):
+            k = j - i
+            nmax = bound + 2 - k
+            if nmax < 0:
+                continue
+            nmax = min(nmax, max_len - (length - k))
+            before = w[i - 1] if i > 0 else None
+            after = w[j] if j < length else None
+            # empty replacement: the kept pieces must join up directly
+            if k >= 1 and (
+                before is None
+                or after is None
+                or spec.adjacent(before, after)
+            ):
+                w2 = w[:i] + w[j:]
+                if w2 and (len(w2) == 1 or w2[0] == w2[-1]):
+                    yield w2
+            if before is not None:
+                first = ("adj", before)
+            elif after is not None:
+                # replacement includes the basepoint: pin it to keep a cycle
+                first = ("eq", w[0])
+            else:
+                first = None
+            for run in bounded_paths_oracle(spec, allowed, first, after, max(nmax, 0)):
+                if k + len(run) < 1 or k + len(run) > bound + 2:
+                    continue
+                w2 = w[:i] + run + w[j:]
+                if not w2 or len(w2) > max_len:
+                    continue
+                if len(w2) > 1 and w2[0] != w2[-1]:
+                    continue
+                yield w2
+
+
+def contract_cycle_oracle(
+    spec: AdjacencySpec,
+    allowed: frozenset[Point],
+    cycle: Sequence[Point],
+    bound: int,
+    budget: int,
+) -> bool:
+    start = tuple(cycle)
+    if len(start) <= 1:
+        return True
+    max_len = len(start) + bound + 2
+    seen = {start}
+    counter = itertools.count()
+    heap: list[tuple[int, int, tuple[Point, ...]]] = [(len(start), next(counter), start)]
+    pushes = 0
+    while heap:
+        _, _, w = heapq.heappop(heap)
+        for w2 in cycle_rewrites_oracle(spec, allowed, w, bound, max_len):
+            if w2 in seen:
+                continue
+            seen.add(w2)
+            if len(w2) == 1:
+                return True
+            pushes += 1
+            if pushes > budget:
+                return False
+            heapq.heappush(heap, (len(w2), next(counter), w2))
+    return False
+
+
+def generator_cycles_oracle(spec, s):
+    """The fundamental cycles, on points, in the order the search takes them."""
+    pts = frozenset(s)
+    root = min(pts)
+    parent: dict[Point, Point | None] = {root: None}
+    queue = [root]
+    while queue:
+        p = queue.pop(0)
+        for v in spec.sorted_offsets:
+            q = vec_add(p, v)
+            if q in pts and q not in parent:
+                parent[q] = p
+                queue.append(q)
+    if len(parent) != len(pts):
+        raise ValueError("the set must be connected under the given adjacency")
+
+    def root_path(p: Point) -> list[Point]:
+        out = [p]
+        while parent[out[-1]] is not None:
+            out.append(parent[out[-1]])  # type: ignore[arg-type]
+        out.reverse()
+        return out
+
+    tree_edges = {frozenset((p, q)) for p, q in parent.items() if q is not None}
+    non_tree = sorted(
+        (p, q)
+        for p in pts
+        for q in neighbors(spec, p) & pts
+        if p < q and frozenset((p, q)) not in tree_edges
+    )
+    for p, q in non_tree:
+        yield root_path(p) + list(reversed(root_path(q)))
+
+
+@st.composite
+def search_cases(draw):
+    """The largest component of a random subset of a 3x3 or 3x3x3 box,
+    translated, under the axis, the full or a random symmetric relation, with
+    a bound of 1 to 3."""
+    sides = draw(st.sampled_from([(3, 3), (3, 3, 3)]))
+    n = len(sides)
+    kind = draw(st.sampled_from(("axis", "full", "custom")))
+    if kind == "custom":
+        diagonals = sorted(v for v in full_adjacency(n).offsets - axis_adjacency(n).offsets if v > (0,) * n)
+        chosen = draw(st.lists(st.sampled_from(diagonals), unique=True))
+        symmetric = {u for v in chosen for u in (v, tuple(-c for c in v))}
+        spec = custom_adjacency(n, axis_adjacency(n).offsets | symmetric)
+    else:
+        spec = (axis_adjacency if kind == "axis" else full_adjacency)(n)
+    cells = sorted(itertools.product(*(range(s) for s in sides)))
+    chosen = draw(st.frozensets(st.sampled_from(cells), min_size=1, max_size=8))
+    shift = draw(st.tuples(*[st.integers(-30, 30)] * n))
+    m = {tuple(a + b for a, b in zip(p, shift)) for p in chosen}
+    pieces = components(spec, m).components().values()
+    return spec, max(pieces, key=len), draw(st.integers(1, 3))
+
+
+def smallest_budget(contracts, cap):
+    """The least budget under which ``contracts(budget)`` succeeds, or None
+    past ``cap``; success is monotone in the budget.  That budget is the
+    number of pushes before the search reaches one point, so equal budgets
+    pin the push count."""
+    if not contracts(cap):
+        return None
+    lo, hi = 0, cap
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if contracts(mid) else (mid + 1, hi)
+    return lo
+
+
+@given(search_cases())
+@settings(max_examples=50, deadline=None)
+def test_indexed_search_matches_the_point_oracle(case):
+    spec, s, bound = case
+    graph = _CycleGraph(spec, s)
+    cycles = list(graph.generator_cycles())
+    assume(cycles)
+    as_points = [[graph.points[i] for i in cycle] for cycle in cycles]
+    assert as_points == list(generator_cycles_oracle(spec, s))
+    # one graph for every cycle and budget, as in one search, so the memoized
+    # runs are shared the way the search shares them
+    for cycle, points in zip(cycles, as_points):
+        max_len = len(cycle) + bound + 2
+        got = [tuple(graph.points[i] for i in w) for w in _cycle_rewrites(graph, cycle, bound, max_len)]
+        assert got == list(cycle_rewrites_oracle(spec, s, tuple(points), bound, max_len))
+        new = smallest_budget(lambda b: _contract_cycle(graph, cycle, bound, b), 300)
+        old = smallest_budget(lambda b: contract_cycle_oracle(spec, s, points, bound, b), 300)
+        assert new == old

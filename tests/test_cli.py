@@ -137,6 +137,39 @@ def test_build_json_and_euler(ring_file, capsys):
     assert payload["result"] == {"chi_K": 0, "chi_K_prime": 0}
 
 
+@pytest.mark.parametrize("points", ["ring_file", "box_file"])
+def test_build_text_counts_equal_the_json_report(points, request, capsys):
+    argv = ["build", "--points", str(request.getfixturevalue(points)), "--alpha", "axis", "--beta", "full"]
+    assert main([*argv, "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert main([*argv, "--format", "text"]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"{name}: {len(result[key]['simplices'])} simplices on {len(result[key]['vertices'])} vertices\n"
+        for name, key in (("K", "K"), ("K'", "K_prime"))
+    )
+
+
+def test_an_internal_inconsistency_exits_4_without_a_traceback(ring_file, monkeypatch, capsys):
+    message = "certified set has 3 shell components; certification inconsistent"
+
+    def inconsistent(*args, **kwargs):
+        raise RuntimeError(message)
+
+    # no command splits a set into its global sides, so verify-manifold is
+    # made to do it after its check
+    def check_then_split(mset, pair, region=None):
+        report = manifold.check_manifold(mset, pair, region)
+        manifold.global_sides(mset, pair, report)
+        return report
+
+    monkeypatch.setattr(manifold, "global_sides", inconsistent)
+    monkeypatch.setattr(cli, "check_manifold", check_then_split)
+    assert main(["verify-manifold", "--points", str(ring_file), "--alpha", "axis", "--beta", "full"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"error: internal: {message}\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_check_pseudomanifold_command(ring_file, box_file):
     assert main(["check-pseudomanifold", "--points", str(ring_file), "--alpha", "axis", "--beta", "full"]) == 0
     assert main(["check-pseudomanifold", "--points", str(box_file), "--alpha", "axis", "--beta", "full"]) == 0

@@ -44,6 +44,7 @@ GROUPS = [
     ("complex", ["check-pseudomanifold sphere_shell(3,3) axis/full"]),
     ("witness", ["good-pair n=2 full/axis"]),
     ("witness", ["good-pair n=2 axis/full"]),
+    ("witness", ["good-pair n=3 axis/full"]),
     (
         "witness",
         [
@@ -106,4 +107,23 @@ def test_report_bytes_the_golden_file_does_not_cover(command, points, alpha, bet
         got = main(argv)
     n = len(points.split("\n", 1)[0].split())
     text = RUN.canonical(out.getvalue(), (0,) * n)
+    assert (got, hashlib.sha256(text.encode("utf-8")).hexdigest()) == (code, sha)
+
+
+# good-pair runs the golden file holds only with the default --N and --budget;
+# these (exit, sha256) pairs were recorded from the point-based search
+GOOD_PAIR = [
+    (["--n", "2", "--alpha", "axis", "--beta", "full", "--N", "4"], 0,
+     "67cf1587d1fd5ec3fc4882ffcbf25aea3d438765dd97f47b7da43526036ba83a"),
+    (["--n", "3", "--alpha", "axis", "--beta", "full", "--budget", "1000"], 3,
+     "29d515419898786d58b97fabe106d095cd9e17029b7d7eb532d6ba9eeb0fff52"),
+]
+
+
+@pytest.mark.parametrize("args,code,sha", GOOD_PAIR, ids=[" ".join(c[0]) for c in GOOD_PAIR])
+def test_good_pair_bytes_under_other_bounds_and_budgets(args, code, sha):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        got = main(["good-pair", *args, "--format", "json"])
+    text = RUN.canonical(out.getvalue(), ())
     assert (got, hashlib.sha256(text.encode("utf-8")).hexdigest()) == (code, sha)

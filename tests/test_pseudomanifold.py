@@ -16,6 +16,7 @@ from digitop.pseudomanifold import (
     is_strongly_connected,
 )
 from digitop.simplicial import SimplicialComplex, build_complex, reduce_complex
+from test_simplicial import complexes_with_an_extra_simplex
 
 AXIS_FULL_2 = AdjacencyPair(axis_adjacency(2), full_adjacency(2))
 FULL_AXIS_2 = AdjacencyPair(full_adjacency(2), axis_adjacency(2))
@@ -129,6 +130,32 @@ def test_single_top_simplex_is_strongly_connected():
 def test_circle_dual_graph_is_two_regular():
     k = reduced(rect_boundary(4, 4), AXIS_FULL_2)
     assert is_nondegenerate(k, 1).holds  # every vertex on exactly two edges
+
+
+def is_homogeneous_oracle(k, d):
+    """Reference: each simplex in sorted order against every top simplex at
+    its first vertex; the first one outside them all is the witness."""
+    top = [s for s in k.simplices if len(s) == d + 1]
+    by_vertex: dict = {}
+    for t in top:
+        for v in t:
+            by_vertex.setdefault(v, []).append(t)
+    for s in sorted(k.simplices):
+        if len(s) - 1 > d:
+            return False, {"kind": "homogeneity", "simplex": [list(v) for v in s]}
+        vset = set(s)
+        candidates = by_vertex.get(s[0], [])
+        if not any(vset <= set(t) for t in candidates):
+            return False, {"kind": "homogeneity", "simplex": [list(v) for v in s]}
+    return True, None
+
+
+@given(complexes_with_an_extra_simplex())
+@settings(max_examples=40, deadline=None)
+def test_homogeneity_matches_the_oracle_with_an_extra_simplex(k):
+    for d in range(1, k.n + 1):
+        verdict = is_homogeneous(k, d)
+        assert (verdict.holds, verdict.witness) == is_homogeneous_oracle(k, d)
 
 
 def is_strongly_connected_oracle(k, d):
