@@ -359,11 +359,11 @@ def _cycle_rewrites(
             else:
                 first = None
             head, tail = w[:i], w[j:]
+            # runs have 1 to nmax vertices, so w2 keeps to both length bounds
             for run in graph.runs(first, after, max(nmax, 0)):
                 w2 = head + run + tail
-                if 1 <= k + len(run) <= bound + 2 and 0 < len(w2) <= max_len:
-                    if len(w2) == 1 or w2[0] == w2[-1]:
-                        yield w2
+                if len(w2) == 1 or w2[0] == w2[-1]:
+                    yield w2
 
 
 def _contract_cycle(graph: _CycleGraph, cycle: Sequence[int], bound: int, budget: int) -> bool:

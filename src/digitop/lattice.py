@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, Iterator
 
 Point = tuple[int, ...]
 HalfPoint = tuple[int, ...]  # doubled coordinates
@@ -192,11 +192,11 @@ def cubes_meeting_box(lo: Point, hi: Point, k: int, n: int) -> list[Cube]:
     return sorted(out)
 
 
-def occupancy(c: Cube, m: AbstractSet[Point]) -> tuple[tuple[Point, ...], int]:
-    """The cube's vertices and occupancy mask (bit i set iff vertex i is in m).
-    Every cube-local test depends only on the shape ``(c.axes, mask)``."""
-    verts = cube_vertices(c)
-    return verts, sum(1 << i for i, v in enumerate(verts) if v in m)
+def occupancy(c: Cube, m: AbstractSet[Point]) -> int:
+    """The cube's occupancy mask: bit i is set iff vertex i of
+    ``cube_vertices(c)`` is in m.  Every cube-local test depends only on the
+    shape ``(c.axes, mask)``."""
+    return sum(1 << i for i, v in enumerate(cube_vertices(c)) if v in m)
 
 
 def at_origin(n: int, axes: tuple[int, ...], mask: int) -> tuple[Cube, frozenset[Point]]:
@@ -205,12 +205,31 @@ def at_origin(n: int, axes: tuple[int, ...], mask: int) -> tuple[Cube, frozenset
     return c, frozenset(v for i, v in enumerate(cube_vertices(c)) if mask >> i & 1)
 
 
-def cubes_meeting(m: AbstractSet[Point], k: int, n: int) -> list[Cube]:
-    """All k-cubes of Z^n with a vertex in m, in sorted order."""
-    found = {
-        (vec_sub(p, d), axes)
-        for axes in itertools.combinations(range(n), k)
-        for d in _corners(n, axes)
-        for p in m
-    }
-    return [Cube(base, axes) for base, axes in sorted(found)]
+@lru_cache(maxsize=None)
+def half_corners(n: int, axes: tuple[int, ...]) -> tuple[HalfPoint, ...]:
+    """Doubled offsets from a cube's barycenter to its vertices, in the order
+    of ``cube_vertices``: the offset of mask bit i."""
+    return tuple(tuple(2 * d - (i in axes) for i, d in enumerate(v)) for v in _corners(n, axes))
+
+
+Shape = tuple[HalfPoint, tuple[int, ...], int]  # doubled barycenter, axes, occupancy mask
+
+
+def shapes_meeting(m: AbstractSet[Point], k: int, n: int) -> Iterator[Shape]:
+    """Every k-cube of Z^n with a vertex in m, in no particular order.  A
+    point is vertex i of the cube whose doubled barycenter is its own minus
+    ``half_corners(n, axes)[i]``, so masks are gathered point by point."""
+    doubled = [double(p) for p in m]
+    for axes in itertools.combinations(range(n), k):
+        masks: dict[HalfPoint, int] = {}
+        for i, corner in enumerate(half_corners(n, axes)):
+            for p in doubled:
+                h = tuple(map(sub, p, corner))
+                masks[h] = masks.get(h, 0) | 1 << i
+        yield from ((h, axes, mask) for h, mask in masks.items())
+
+
+def cubes_meeting(m: AbstractSet[Point], k: int, n: int) -> list[tuple[Point, tuple[int, ...], int]]:
+    """Every k-cube of Z^n with a vertex in m as ``(base, axes, mask)``, in
+    cube order.  ``>>`` floors, so odd negative coordinates halve right."""
+    return sorted((tuple(c >> 1 for c in h), axes, mask) for h, axes, mask in shapes_meeting(m, k, n))

@@ -172,13 +172,13 @@ def check_manifold(
         )
 
     cube_connectivity = Verdict(True)
-    for c in cubes_meeting(mset, n, n):
-        if not _cut_connected(pair.alpha, c.axes, occupancy(c, mset)[1]):
+    for base, axes, mask in cubes_meeting(mset, n, n):
+        if not _cut_connected(pair.alpha, axes, mask):
             cube_connectivity = Verdict(
                 False,
                 {
                     "kind": "cube-intersection-disconnected",
-                    "cube": c.to_json(),
+                    "cube": Cube(base, axes).to_json(),
                 },
             )
             break
@@ -420,7 +420,7 @@ def _replay_alpha_disconnected(w: dict, mset, pair: AdjacencyPair, region) -> bo
 
 def _replay_cube_disconnected(w: dict, mset, pair: AdjacencyPair, region) -> bool:
     c = Cube.from_json(w["cube"])
-    return not _cut_connected(pair.alpha, c.axes, occupancy(c, mset)[1])
+    return not _cut_connected(pair.alpha, c.axes, occupancy(c, mset))
 
 
 def _replay_local_count(w: dict, mset, pair: AdjacencyPair, region) -> bool:

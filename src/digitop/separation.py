@@ -29,13 +29,12 @@ from .verdict import Verdict
 
 @lru_cache(maxsize=None)
 def _candidates(alpha: AdjacencySpec, axes: tuple[int, ...], mask: int) -> tuple:
-    """Scan-order (free-vertex indices, cstar, tau1, tau2, point) of a cube
+    """Scan-order (free-vertex offsets, cstar, tau1, tau2, point) of a cube
     shape at the origin, kept where the diagonal test fails.  All but the
     global-label test lies inside the cube, so it is decided once per shape;
     a cube violates at the first candidate whose free vertices share a label.
     """
     c, cut = at_origin(alpha.n, axes, mask)
-    index = {v: i for i, v in enumerate(cube_vertices(c))}
     slices = [(cstar, cube_vertices(cstar)) for cstar in subcubes(c, c.dim - 2)]
     out = []
     for comp in sorted(components(alpha, cut).components().values(), key=min):
@@ -46,8 +45,8 @@ def _candidates(alpha: AdjacencySpec, axes: tuple[int, ...], mask: int) -> tuple
             if sum(1 for v in star_verts if v in comp) != best:
                 continue
             for tau1, tau2 in completing_translations(cstar, c):
-                free1 = [index[q] for q in (vec_add(v, tau1) for v in star_verts) if q not in cut]
-                free2 = [index[q] for q in (vec_add(v, tau2) for v in star_verts) if q not in cut]
+                free1 = [q for q in (vec_add(v, tau1) for v in star_verts) if q not in cut]
+                free2 = [q for q in (vec_add(v, tau2) for v in star_verts) if q not in cut]
                 if not free1 or not free2:
                     continue
                 diag = vec_add(tau1, tau2)
@@ -61,23 +60,20 @@ def _candidates(alpha: AdjacencySpec, axes: tuple[int, ...], mask: int) -> tuple
 
 
 def _violation_in_cube(
-    mset: frozenset[Point],
-    c: Cube,
-    pair: AdjacencyPair,
-    labels: ComponentLabeling,
+    base: Point, axes: tuple[int, ...], mask: int, pair: AdjacencyPair, labels: ComponentLabeling
 ) -> Optional[dict]:
-    """The first violation in the cube: the slice, both translations and
-    the point whose diagonal image is foreground while a side image is not."""
-    verts, mask = occupancy(c, mset)
-    for free, cstar, tau1, tau2, x in _candidates(pair.alpha, c.axes, mask):
-        if len({labels.id_of(verts[i]) for i in free}) == 1:
+    """The first violation in the cube of this base and shape: the slice, both
+    translations and the point whose diagonal image is foreground while a
+    side image is not."""
+    for free, cstar, tau1, tau2, x in _candidates(pair.alpha, axes, mask):
+        if len({labels.id_of(vec_add(base, d)) for d in free}) == 1:
             return {
                 "kind": "separation",
-                "cube": c.to_json(),
-                "cstar": Cube(vec_add(c.base, cstar.base), cstar.axes).to_json(),
+                "cube": Cube(base, axes).to_json(),
+                "cstar": Cube(vec_add(base, cstar.base), cstar.axes).to_json(),
                 "tau1": list(tau1),
                 "tau2": list(tau2),
-                "point": list(vec_add(c.base, x)),
+                "point": list(vec_add(base, x)),
             }
     return None
 
@@ -94,7 +90,8 @@ def not_separated_in_cube(
     mset = frozenset(m)
     if region is None:
         region = Region.around(mset | set(cube_vertices(c)), margin=2)
-    witness = _violation_in_cube(mset, c, pair, region.complement(pair.beta, mset))
+    labels = region.complement(pair.beta, mset)
+    witness = _violation_in_cube(c.base, c.axes, occupancy(c, mset), pair, labels)
     return Verdict(witness is None, witness)
 
 
@@ -117,8 +114,8 @@ def has_separation_property(
         region = Region.around(mset, margin=2)
     labels = region.complement(pair.beta, mset)
     for k in range(2, n + 1):
-        for c in cubes_meeting(mset, k, n):
-            witness = _violation_in_cube(mset, c, pair, labels)
+        for base, axes, mask in cubes_meeting(mset, k, n):
+            witness = _violation_in_cube(base, axes, mask, pair, labels)
             if witness is not None:
                 return Verdict(False, witness)
     return Verdict(True)

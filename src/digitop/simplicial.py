@@ -27,13 +27,16 @@ from .lattice import (
     Cube,
     HalfPoint,
     Point,
+    Shape,
     at_origin,
     barycenter,
     cube_of_barycenter,
     cube_vertices,
     double,
+    half_corners,
     is_lattice2,
     occupancy,
+    shapes_meeting,
     subcubes,
 )
 
@@ -101,45 +104,21 @@ def barycenter_test(c: Cube, m: Iterable[Point], pair: AdjacencyPair) -> bool:
     """
     if c.dim < 1:
         raise ValueError("the barycenter test needs a cube of dimension >= 1")
-    return _shape_verdict(pair, c.axes, occupancy(c, frozenset(m))[1])[0]
+    return _shape_verdict(pair, c.axes, occupancy(c, frozenset(m)))[0]
 
 
 @lru_cache(maxsize=None)
-def _offsets(n: int, axes: tuple[int, ...]) -> tuple[tuple[HalfPoint, ...], tuple[HalfPoint, ...]]:
-    """Doubled offsets from a cube's barycenter to its vertices, in the order
-    of ``cube_vertices``, and to the barycenters of its proper faces of
-    dimension >= 1."""
+def _face_offsets(n: int, axes: tuple[int, ...]) -> tuple[HalfPoint, ...]:
+    """Doubled offsets from a cube's barycenter to the barycenters of its
+    proper faces of dimension >= 1."""
     c = Cube((0,) * n, axes)
     center = barycenter(c)
-    corners = tuple(tuple(map(sub, double(v), center)) for v in cube_vertices(c))
     faces = (f for k in range(1, c.dim) for f in subcubes(c, k))
-    return corners, tuple(tuple(map(sub, barycenter(f), center)) for f in faces)
-
-
-Shape = tuple[HalfPoint, tuple[int, ...], int]  # barycenter, axes, occupancy mask
+    return tuple(tuple(map(sub, barycenter(f), center)) for f in faces)
 
 
 def _shape(c: Cube, mset: frozenset[Point]) -> Shape:
-    return barycenter(c), c.axes, occupancy(c, mset)[1]
-
-
-def _shapes_meeting(mset: frozenset[Point], n: int) -> Iterator[Shape]:
-    """Every cube of dimension >= 1 with a vertex in the set, by dimension.
-
-    The vertices of any other cube are background, connected along its
-    edges, so it fails the barycenter test.  A point is vertex i of the
-    cube whose doubled barycenter is its own minus ``corners[i]``, so the
-    masks are gathered point by point, with no membership test.
-    """
-    doubled = [double(p) for p in mset]
-    for k in range(1, n + 1):
-        for axes in itertools.combinations(range(n), k):
-            masks: dict[HalfPoint, int] = {}
-            for i, corner in enumerate(_offsets(n, axes)[0]):
-                for p in doubled:
-                    h = tuple(map(sub, p, corner))
-                    masks[h] = masks.get(h, 0) | 1 << i
-            yield from ((h, axes, mask) for h, mask in masks.items())
+    return barycenter(c), c.axes, occupancy(c, mset)
 
 
 def _order_complex(
@@ -162,9 +141,10 @@ def _order_complex(
         if not passed or (count == 1 and not full):
             continue
         provenance[center] = cube_of_barycenter(center)
-        corners, face_offsets = _offsets(n, axes)
-        faces = [tuple(map(add, center, d)) for d in face_offsets]
-        below = [(tuple(map(add, center, e)),) for i, e in enumerate(corners) if mask >> i & 1]
+        faces = [tuple(map(add, center, d)) for d in _face_offsets(n, axes)]
+        below = [
+            (tuple(map(add, center, e)),) for i, e in enumerate(half_corners(n, axes)) if mask >> i & 1
+        ]
         for f in faces:
             below += kept.get(f, ())
         through = [ch for f in faces for ch in lost.get(f, ())]
@@ -201,14 +181,18 @@ def build_complexes(
 ) -> tuple[SimplicialComplex, SimplicialComplex]:
     """K(M) and K'(M) from one enumeration of the chains."""
     mset = frozenset(m)
-    reduced, full = _order_complex(pair.n, mset, _shapes_meeting(mset, pair.n), pair, full=True)
+    # a cube missing the set has its background connected along its edges,
+    # so it fails the barycenter test
+    shapes = itertools.chain.from_iterable(shapes_meeting(mset, k, pair.n) for k in range(1, pair.n + 1))
+    reduced, full = _order_complex(pair.n, mset, shapes, pair, full=True)
     return full, reduced
 
 
 def build_reduced_complex(m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
     """K'(M) alone: the chains of the passing cubes that keep their barycenters."""
     mset = frozenset(m)
-    return _order_complex(pair.n, mset, _shapes_meeting(mset, pair.n), pair, full=False)[0]
+    shapes = itertools.chain.from_iterable(shapes_meeting(mset, k, pair.n) for k in range(1, pair.n + 1))
+    return _order_complex(pair.n, mset, shapes, pair, full=False)[0]
 
 
 def reduce_complex(
@@ -237,7 +221,7 @@ def reduction_trace(
     mset = frozenset(m)
     out = []
     for center, cube in sorted(k.provenance.items()):
-        count = _shape_verdict(pair, cube.axes, occupancy(cube, mset)[1])[1]
+        count = _shape_verdict(pair, cube.axes, occupancy(cube, mset))[1]
         out.append(CubeTrace(cube, True, count, count != 1))
     return tuple(out)
 

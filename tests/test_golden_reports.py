@@ -82,16 +82,24 @@ def test_report_bytes_match_the_golden_file(workload, keys, tmp_path):
 
 # check-separation and simple-points have no job in the golden file.  These
 # (exit, sha256) pairs were recorded from the reports of the scan that decided
-# every cube on its own, before cube shapes were decided once.
+# every cube on its own, before cube shapes were decided once; the two inputs
+# at negative coordinates were recorded from the scan that built each cube's
+# vertex list, before cubes were found from doubled barycenters.
 PLATE = "0 0 0\n1 0 0\n0 1 1\n1 1 1\n"
 SCATTER = "0 0 2\n0 2 0\n0 2 1\n0 2 2\n1 2 1\n2 1 0\n"  # fails in a 3-cube
 RING_5_5 = "".join(f"{x} {y}\n" for x in range(5) for y in range(5) if x in (0, 4) or y in (0, 4))
 ARC = "0 0\n1 0\n2 0\n2 1\n2 2\n"
+SCATTER_SHIFTED = "".join(
+    " ".join(str(int(c) + d) for c, d in zip(line.split(), (-7, -3, -5))) + "\n" for line in SCATTER.splitlines()
+)
 UNCOVERED = [
     ("check-separation", PLATE, "full", "axis", 1, "9cdea29ddfe803e846ccf9fdf3ab8fb180a20adf7771d5d87c69d6510cfc35d3"),
     ("check-separation", SCATTER, "full", "axis", 1, "5a6844d149262f5eef7d3751c6b57d4130a0ab0323643c72dbd1b898dfa51cf6"),
     ("check-separation", RING_5_5, "axis", "full", 0, "a6f8bf5055c5a60e4417974d814fdb1d167b7afae8753917d9aaafdae8cebbdb"),
     ("simple-points", ARC, "full", "axis", 1, "cb81f53b29690e6a103a3345371e7d884a3b5eb18aae636efddab24e74aa785f"),
+    # odd negative coordinates: a cube's base is its halved barycenter, floored
+    ("check-separation", SCATTER_SHIFTED, "full", "axis", 1, "84c43e00e38293dea4db54352a9a1aa0e1aff36e38b9f8fceecae049c956cef7"),
+    ("verify-manifold", "-3 -3\n-2 -2\n-3 -1\n", "axis", "full", 1, "61777fa875b4031609579561a8bfe1dad8821fa544d5e267855061570149c172"),
 ]
 
 

@@ -6,13 +6,13 @@ from digitop.lattice import (
     Cube,
     at_origin,
     barycenter,
-    bounding_box,
     completing_translations,
     cube_of_barycenter,
     cube_vertices,
     cubes_meeting,
     cubes_meeting_box,
     occupancy,
+    shapes_meeting,
     subcubes,
     supercubes,
     vec_add,
@@ -151,23 +151,26 @@ def test_union_of_completing_translates_covers_cube():
 
 
 @given(
-    st.integers(2, 3).flatmap(
+    st.integers(2, 4).flatmap(
         lambda n: st.frozensets(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=6)
     )
 )
 @settings(max_examples=40)
 def test_cubes_meeting_and_shapes_match_the_box_scan(m):
     n = len(next(iter(m)))
-    lo, hi = bounding_box(m)
-    lo, hi = tuple(c - 1 for c in lo), tuple(c + 1 for c in hi)
     for k in range(n + 1):
-        expected = [c for c in cubes_meeting_box(lo, hi, k, n) if any(v in m for v in cube_vertices(c))]
+        # the k-cubes whose closed box meets p are the k-cubes with vertex p
+        cubes = sorted({c for p in m for c in cubes_meeting_box(p, p, k, n)})
+        expected = [(c.base, c.axes, occupancy(c, m)) for c in cubes]
         assert cubes_meeting(m, k, n) == expected
-        for c in expected:
-            verts, mask = occupancy(c, m)
-            origin, occupied = at_origin(n, c.axes, mask)
-            assert verts == cube_vertices(c) and origin == Cube((0,) * n, c.axes)
-            assert {vec_add(v, c.base) for v in occupied} == {v for v in verts if v in m}
+        shapes = list(shapes_meeting(m, k, n))
+        assert len(shapes) == len(expected)
+        for h, axes, mask in shapes:
+            c = cube_of_barycenter(h)
+            assert c.axes == axes and occupancy(c, m) == mask
+            origin, occupied = at_origin(n, axes, mask)
+            assert origin == Cube((0,) * n, axes)
+            assert {vec_add(v, c.base) for v in occupied} == {v for v in cube_vertices(c) if v in m}
 
 
 def test_cubes_meeting_an_empty_set():
