@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence, TypeVar
@@ -192,13 +193,15 @@ def label(points: Iterable[T], step: Callable[[T], Iterable[T]]) -> dict[T, T]:
     todo = set(order)
     labels: dict[T, T] = {}
     for start in order:
-        if start in labels:
+        if start not in todo:
             continue
+        todo.remove(start)
         labels[start] = start
         stack = [start]
         while stack:
             for q in step(stack.pop()):
-                if q in todo and q not in labels:
+                if q in todo:
+                    todo.remove(q)
                     labels[q] = start
                     stack.append(q)
     return labels
@@ -220,13 +223,24 @@ def complement_components(
     spec contains the axis offsets, so exactly one component touches the
     boundary: the one of ``region.lo``, which is also its id.  It stands in
     for the one infinite component of the full complement.
+
+    The flood runs on the cells of the region and a blocked one-cell rim,
+    indexed row-major (index order is lexicographic order), so a step adds
+    one integer stride and never leaves the grid.
     """
     mset = set(m)
     for p in mset:
         if not region.strictly_contains(p, 1):
             raise ValueError(f"region too small: {p} touches the margin zone")
-    free = [p for p in region.points() if p not in mset]
-    return ComponentLabeling(components(spec, free).labels, frozenset({region.lo}))
+    sizes = [b - a + 3 for a, b in zip(region.lo, region.hi)]
+    strides = [math.prod(sizes[i + 1 :]) for i in range(region.n)]
+    cells = [0]
+    for a, b, stride in zip(region.lo, region.hi, strides):
+        cells = [c + k * stride for c in cells for k in range(1, b - a + 2)]
+    free = {c: p for c, p in zip(cells, region.points()) if p not in mset}
+    deltas = [sum(c * s for c, s in zip(v, strides)) for v in spec.sorted_offsets]
+    labels = label(free, lambda c: [c + d for d in deltas])
+    return ComponentLabeling({p: free[labels[c]] for c, p in free.items()}, frozenset({region.lo}))
 
 
 def is_path(spec: AdjacencySpec, seq: Path) -> bool:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -46,7 +48,9 @@ def _add_common(p: argparse.ArgumentParser, points: bool, formats: tuple[str, ..
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
     if replay:
+        # every command that can replay a witness may label the analysis window
         p.add_argument("--replay", default=None, help="re-verify the witnesses of a saved JSON report")
+        p.add_argument("--max-cells", type=int, default=1_000_000, help="largest analysis window, in cells")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,6 +83,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = lru_cache(maxsize=1)(build_parser)  # main reuses one parser: parsing leaves it unchanged
+
+
+def _window(args: argparse.Namespace, points, margin: int) -> Region:
+    """The analysis window; one of more than ``--max-cells`` cells is refused before anything labels it."""
+    region = Region.around(points, margin)
+    cells = math.prod(b - a + 1 for a, b in zip(region.lo, region.hi))
+    if cells > getattr(args, "max_cells", cells):
+        raise InputFormatError(f"the analysis window has {cells} cells, more than --max-cells {args.max_cells}")
+    return region
+
+
 def _load_context(args: argparse.Namespace):
     points = None
     n = args.n
@@ -98,7 +114,7 @@ def _load_context(args: argparse.Namespace):
     if args.budget < 0:
         raise InputFormatError("--budget must be nonnegative")
     pair = AdjacencyPair(parse_adjacency_arg(args.alpha, n), parse_adjacency_arg(args.beta, n))
-    region = Region.around(points, args.margin) if points else None
+    region = _window(args, points, args.margin) if points else None
     return points, n, pair, region
 
 
@@ -187,7 +203,7 @@ def _maybe_replay(args: argparse.Namespace, mset, pair: AdjacencyPair) -> int | 
         raise InputFormatError(f"{args.replay}: config.margin must be an integer >= 2, got {margin!r}")
     if not witnesses:
         return None  # passing report: fall through to a fresh run
-    region = Region.around(mset, margin)
+    region = _window(args, mset, margin)
     try:
         for w in witnesses:
             kind = w.get("kind")
@@ -380,9 +396,8 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -199,6 +199,24 @@ def occupancy(c: Cube, m: AbstractSet[Point]) -> int:
     return sum(1 << i for i, v in enumerate(cube_vertices(c)) if v in m)
 
 
+@lru_cache(maxsize=None)
+def shell_offsets(n: int) -> tuple[Translation, ...]:
+    """The 3^n - 1 offsets from a point to its punctured full neighbourhood,
+    in lexicographic order: the offset of shell mask bit i."""
+    return tuple(v for v in itertools.product((-1, 0, 1), repeat=n) if any(v))
+
+
+def shell_mask(p: Point, m: AbstractSet[Point]) -> int:
+    """The shell mask of p: bit i is set iff ``p + shell_offsets(n)[i]`` is
+    in m.  Every test local to p's punctured neighbourhood depends only on it."""
+    return sum(1 << i for i, v in enumerate(shell_offsets(len(p))) if tuple(map(add, p, v)) in m)
+
+
+def shell_free(n: int, mask: int) -> list[int]:
+    """The indices into ``shell_offsets(n)`` of the shell points outside m."""
+    return [i for i in range(3**n - 1) if not mask >> i & 1]
+
+
 def at_origin(n: int, axes: tuple[int, ...], mask: int) -> tuple[Cube, frozenset[Point]]:
     """The cube of a shape based at the origin of Z^n, and its occupied vertices."""
     c = Cube((0,) * n, axes)

@@ -18,7 +18,7 @@ from .adjacency import (
     AdjacencySpec,
     Region,
     components,
-    full_adjacency,
+    label,
     n_simply_connected_bounded,
     neighbors,
 )
@@ -29,6 +29,9 @@ from .lattice import (
     at_origin,
     cubes_meeting,
     occupancy,
+    shell_free,
+    shell_mask,
+    shell_offsets,
     vec_add,
     vec_sub,
 )
@@ -136,14 +139,42 @@ def is_simple_translation(tau: Translation) -> bool:
     return g == 1
 
 
+@lru_cache(maxsize=None)
+def _shell_graph(beta: AdjacencySpec) -> tuple[frozenset[int], ...]:
+    """Each shell offset's beta-neighbours in the shell, as indices into ``shell_offsets``."""
+    index = {v: i for i, v in enumerate(shell_offsets(beta.n))}
+    return tuple(frozenset(index[w] for w in (vec_add(v, d) for d in beta.offsets) if w in index) for v in index)
+
+
+@lru_cache(maxsize=None)
+def _shell(pair: AdjacencyPair, mask: int) -> tuple[tuple[tuple[Translation, ...], ...], Optional[tuple[Translation, int]]]:
+    """The local sides of a shell mask, each a sorted offset tuple, in order
+    of their smallest offsets; with exactly two sides, also the first
+    alpha-neighbour offset in M that is beta-adjacent to no offset of some
+    side, with that side's index (None if there is none)."""
+    offsets = shell_offsets(pair.n)
+    graph = _shell_graph(pair.beta)
+    free = shell_free(pair.n, mask)
+    labels = label(free, graph.__getitem__)
+    sides = [[i for i in free if labels[i] == cid] for cid in sorted(set(labels.values()))]
+    as_offsets = tuple(tuple(offsets[i] for i in side) for side in sides)
+    if len(sides) == 2:
+        for a in pair.alpha.sorted_offsets:
+            j = offsets.index(a)
+            if j in labels:  # a background point
+                continue
+            for k, side in enumerate(sides):
+                if graph[j].isdisjoint(side):
+                    return as_offsets, (a, k)
+    return as_offsets, None
+
+
 def local_components(p: Point, m: Iterable[Point], pair: AdjacencyPair) -> list[frozenset[Point]]:
     """Background components of the punctured neighborhood of p, sorted."""
     mset = frozenset(m)
     if p not in mset:
         raise ValueError(f"{p} is not a foreground point")
-    shell = neighbors(full_adjacency(pair.n), p) - mset
-    comps = components(pair.beta, shell).components()
-    return [comps[cid] for cid in sorted(comps)]
+    return [frozenset(vec_add(p, v) for v in side) for side in _shell(pair, shell_mask(p, mset))[0]]
 
 
 @lru_cache(maxsize=None)
@@ -183,39 +214,31 @@ def check_manifold(
             )
             break
 
-    local_two = Verdict(True)
+    # both local tests read one table entry per shell mask; two-sidedness
+    # holds vacuously unless every point has two local sides
+    local_two = two_sided = Verdict(True)
     sides: dict[Point, tuple[frozenset[Point], frozenset[Point]]] = {}
     for p in sorted(mset):
-        comps = local_components(p, mset, pair)
+        comps, one_sided = _shell(pair, shell_mask(p, mset))
         if len(comps) != 2:
             local_two = Verdict(
                 False,
                 {"kind": "local-component-count", "point": list(p), "count": len(comps)},
             )
-            sides.clear()
+            two_sided = Verdict(True)
             break
-        sides[p] = (comps[0], comps[1])
-
-    two_sided = Verdict(True)
-    if local_two.holds:
-        for p in sorted(mset):
-            for q in sorted(neighbors(pair.alpha, p) & mset):
-                for side in sides[p]:
-                    if not any(pair.beta.adjacent(q, x) for x in side):
-                        two_sided = Verdict(
-                            False,
-                            {
-                                "kind": "one-sided-neighbor",
-                                "p": list(p),
-                                "q": list(q),
-                                "side": sorted(map(list, side)),
-                            },
-                        )
-                        break
-                if not two_sided.holds:
-                    break
-            if not two_sided.holds:
-                break
+        sides[p] = (frozenset(vec_add(p, v) for v in comps[0]), frozenset(vec_add(p, v) for v in comps[1]))
+        if one_sided is not None and two_sided.holds:
+            a, k = one_sided
+            two_sided = Verdict(
+                False,
+                {
+                    "kind": "one-sided-neighbor",
+                    "p": list(p),
+                    "q": list(vec_add(p, a)),
+                    "side": [list(vec_add(p, v)) for v in comps[k]],
+                },
+            )
 
     separation = has_separation_property(mset, pair, region)
 
@@ -249,11 +272,7 @@ def global_sides(
         report = check_manifold(mset, pair)
     if not report.certified or report.local_sides is None:
         raise NotCertifiedError("global sides are defined only for certified manifolds")
-    omega = full_adjacency(pair.n)
-    shell = set()
-    for p in mset:
-        shell |= neighbors(omega, p)
-    shell -= mset
+    shell = {vec_add(p, v) for p in mset for v in shell_offsets(pair.n)} - mset
     comps = sorted(components(pair.beta, shell).components().values(), key=min)
     if len(comps) != 2:
         raise RuntimeError(

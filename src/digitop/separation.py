@@ -28,32 +28,44 @@ from .verdict import Verdict
 
 
 @lru_cache(maxsize=None)
+def _slices(n: int, axes: tuple[int, ...]) -> tuple:
+    """Per codimension-2 slice of the cube of these axes at the origin, in
+    scan order: the slice, its vertices, and per completing pair (tau1,
+    tau2) the images of those vertices under tau1, tau2 and tau1 + tau2."""
+    c, out = Cube((0,) * n, axes), []
+    for cstar in subcubes(c, c.dim - 2):
+        verts, moves = cube_vertices(cstar), []
+        for tau1, tau2 in completing_translations(cstar, c):
+            images = (tuple(vec_add(v, t) for v in verts) for t in (tau1, tau2, vec_add(tau1, tau2)))
+            moves.append((tau1, tau2, *images))
+        out.append((cstar, verts, moves))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _candidates(alpha: AdjacencySpec, axes: tuple[int, ...], mask: int) -> tuple:
     """Scan-order (free-vertex offsets, cstar, tau1, tau2, point) of a cube
     shape at the origin, kept where the diagonal test fails.  All but the
     global-label test lies inside the cube, so it is decided once per shape;
     a cube violates at the first candidate whose free vertices share a label.
     """
-    c, cut = at_origin(alpha.n, axes, mask)
-    slices = [(cstar, cube_vertices(cstar)) for cstar in subcubes(c, c.dim - 2)]
+    _, cut = at_origin(alpha.n, axes, mask)
+    slices = _slices(alpha.n, axes)
     out = []
     for comp in sorted(components(alpha, cut).components().values(), key=min):
-        best = max(sum(1 for v in verts if v in comp) for _, verts in slices)
+        best = max(sum(1 for v in verts if v in comp) for _, verts, _ in slices)
         if best == 0:
             continue
-        for cstar, star_verts in slices:
+        for cstar, star_verts, moves in slices:
             if sum(1 for v in star_verts if v in comp) != best:
                 continue
-            for tau1, tau2 in completing_translations(cstar, c):
-                free1 = [q for q in (vec_add(v, tau1) for v in star_verts) if q not in cut]
-                free2 = [q for q in (vec_add(v, tau2) for v in star_verts) if q not in cut]
+            for tau1, tau2, side1, side2, diag in moves:
+                free1 = [q for q in side1 if q not in cut]
+                free2 = [q for q in side2 if q not in cut]
                 if not free1 or not free2:
                     continue
-                diag = vec_add(tau1, tau2)
-                for x in star_verts:
-                    if vec_add(x, diag) in comp and (
-                        vec_add(x, tau1) not in comp or vec_add(x, tau2) not in comp
-                    ):
+                for x, q1, q2, d in zip(star_verts, side1, side2, diag):
+                    if d in comp and (q1 not in comp or q2 not in comp):
                         out.append((tuple(free1 + free2), cstar, tau1, tau2, x))
                         break
     return tuple(out)

@@ -5,7 +5,7 @@ import itertools
 from typing import Iterator, Sequence
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from digitop.adjacency import (
@@ -175,21 +175,46 @@ def complement_components_oracle(spec, m, region):
 
 
 @st.composite
+def adjacency_specs(draw, n):
+    """The axis, the full or a random symmetric relation on Z^n."""
+    kind = draw(st.sampled_from(("axis", "full", "custom")))
+    if kind != "custom":
+        return (axis_adjacency if kind == "axis" else full_adjacency)(n)
+    diagonals = sorted(v for v in full_adjacency(n).offsets - axis_adjacency(n).offsets if v > (0,) * n)
+    chosen = draw(st.lists(st.sampled_from(diagonals), unique=True))
+    symmetric = {u for v in chosen for u in (v, tuple(-c for c in v))}
+    return custom_adjacency(n, axis_adjacency(n).offsets | symmetric)
+
+
+@st.composite
 def boxed_sets(draw):
-    """A nonempty random subset of a 4x4 or 3x3x3 box, translated, under one
-    of the four axis/full pairs."""
-    sides = draw(st.sampled_from([(4, 4), (3, 3, 3)]))
+    """A nonempty random subset of a 4x4, 3x3x3 or 2x2x2x2 box, translated,
+    under an axis/full foreground and an axis, full or custom background."""
+    sides = draw(st.sampled_from([(4, 4), (3, 3, 3), (2, 2, 2, 2)]))
     cells = sorted(itertools.product(*(range(s) for s in sides)))
     chosen = draw(st.frozensets(st.sampled_from(cells), min_size=1))
     shift = draw(st.tuples(*[st.integers(-30, 30)] * len(sides)))
     n = len(sides)
     alpha = draw(st.sampled_from((axis_adjacency, full_adjacency)))(n)
-    beta = draw(st.sampled_from((axis_adjacency, full_adjacency)))(n)
+    beta = draw(adjacency_specs(n))
     m = frozenset(tuple(a + b for a, b in zip(p, shift)) for p in chosen)
     return m, AdjacencyPair(alpha, beta)
 
 
+_PLUS_4 = custom_adjacency(4, axis_adjacency(4).offsets | {(1, 1, 0, 0), (-1, -1, 0, 0), (0, 1, 0, -1), (0, -1, 0, 1)})
+
+
+# an axis-enclosed L-shaped hole: its lexicographically smallest point
+# (-7, -1) is not the one that is smallest with the first axis fastest
+_L_HOLE = frozenset(
+    (x - 8, y - 3) for x in range(4) for y in range(4) if (x, y) not in {(1, 2), (2, 1), (2, 2)}
+)
+
+
 @given(boxed_sets())
+@example((_L_HOLE, AdjacencyPair(full_adjacency(2), axis_adjacency(2))))
+@example((frozenset({(-9, -4, -7, -2), (-8, -3, -7, -2), (-9, -3, -6, -1)}), AdjacencyPair(full_adjacency(4), _PLUS_4)))
+@example((frozenset({(-3, -1), (-2, -1), (-1, -2), (-3, -3), (-2, -3)}), AdjacencyPair(axis_adjacency(2), axis_adjacency(2))))
 @settings(max_examples=60, deadline=None)
 def test_complement_components_match_the_oracle(case):
     m, pair = case
@@ -419,14 +444,7 @@ def search_cases(draw):
     a bound of 1 to 3."""
     sides = draw(st.sampled_from([(3, 3), (3, 3, 3)]))
     n = len(sides)
-    kind = draw(st.sampled_from(("axis", "full", "custom")))
-    if kind == "custom":
-        diagonals = sorted(v for v in full_adjacency(n).offsets - axis_adjacency(n).offsets if v > (0,) * n)
-        chosen = draw(st.lists(st.sampled_from(diagonals), unique=True))
-        symmetric = {u for v in chosen for u in (v, tuple(-c for c in v))}
-        spec = custom_adjacency(n, axis_adjacency(n).offsets | symmetric)
-    else:
-        spec = (axis_adjacency if kind == "axis" else full_adjacency)(n)
+    spec = draw(adjacency_specs(n))
     cells = sorted(itertools.product(*(range(s) for s in sides)))
     chosen = draw(st.frozensets(st.sampled_from(cells), min_size=1, max_size=8))
     shift = draw(st.tuples(*[st.integers(-30, 30)] * n))

@@ -5,6 +5,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -204,6 +205,8 @@ def test_off_export(box_file, tmp_path, capsys):
         ("jordan", ["--format", "off"]),
         ("build", ["--replay", "report.json"]),
         ("euler", ["--replay", "report.json"]),
+        ("build", ["--max-cells", "5"]),
+        ("euler", ["--max-cells", "5"]),
     ],
 )
 def test_options_are_offered_only_where_they_act(ring_file, command, option, capsys):
@@ -626,3 +629,74 @@ _JSON = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_report_writer_matches_the_stdlib_encoder(envelope):
     assert cli._json(envelope) == json.dumps(envelope, sort_keys=True, indent=2)
+
+
+def _run_all(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_window_over_max_cells_exits_2_before_labeling(tmp_path):
+    far = tmp_path / "far.txt"
+    far.write_text("0 0\n3000 3000\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = _run_all(["check-separation", "--points", str(far), "--alpha", "full", "--beta", "axis"])
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and "9030025 cells" in err and "--max-cells 1000000" in err
+
+
+def test_a_window_at_max_cells_still_runs(tmp_path):
+    pair = tmp_path / "pair.txt"
+    pair.write_text("0 0\n3 3\n", encoding="utf-8")  # margin 2: an 8 x 8 window
+    argv = ["check-separation", "--points", str(pair), "--alpha", "full", "--beta", "axis"]
+    assert _run_all(argv)[0] == 0
+    assert _run_all([*argv, "--max-cells", "64"])[0] == 0
+    code, _, err = _run_all([*argv, "--max-cells", "63"])
+    assert code == 2 and "64 cells" in err and "--max-cells 63" in err
+
+
+def test_replay_bounds_the_window_of_the_recorded_margin(tmp_path):
+    arc, report = tmp_path / "arc.txt", tmp_path / "sp.json"
+    arc.write_text("0 0 0\n1 1 1\n2 2 2\n", encoding="utf-8")
+    argv = ["simple-points", "--points", str(arc), "--alpha", "full", "--beta", "axis"]
+    assert _run_all([*argv, "--format", "json", "-o", str(report)])[0] == 1
+    saved = json.loads(report.read_text(encoding="utf-8"))
+    assert saved["witnesses"]
+    saved["config"]["margin"] = 300  # a 603^3-cell window
+    report.write_text(json.dumps(saved), encoding="utf-8")
+    code, out, err = _run_all([*argv, "--replay", str(report)])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and f"{603**3} cells" in err and "--max-cells" in err
+    # the same report at a margin whose window is exactly the cap replays
+    saved["config"]["margin"] = 3  # a 9^3-cell window
+    report.write_text(json.dumps(saved), encoding="utf-8")
+    assert _run_all([*argv, "--replay", str(report), "--max-cells", "729"])[0] == 1
+    code, _, err = _run_all([*argv, "--replay", str(report), "--max-cells", "728"])
+    assert code == 2 and "729 cells" in err
+
+
+def test_main_reuses_one_parser_with_the_bytes_of_a_fresh_one(ring_file, tmp_path, monkeypatch):
+    arc = tmp_path / "arc.txt"
+    arc.write_text("0 0\n1 1\n2 2\n", encoding="utf-8")
+    ring = ["--points", str(ring_file), "--alpha", "axis", "--beta", "full"]
+    calls = [
+        ["jordan", *ring, "--format", "json"],
+        ["jordan", *ring],
+        ["simple-points", "--points", str(arc), "--alpha", "full", "--beta", "axis", "--format", "json"],
+        ["simple-points", "--points", str(arc), "--alpha", "full", "--beta", "axis", "--margin", "4"],
+        ["good-pair", "--n", "2", "--alpha", "full", "--beta", "full", "--format", "json"],
+        ["good-pair", "--n", "2", "--alpha", "full", "--beta", "axis"],
+        ["verify-manifold", *ring, "--format", "json", "--max-cells", "10"],
+        ["verify-manifold", *ring],
+        ["build", *ring, "--format", "off"],  # 2: OFF needs n = 3
+        ["euler", *ring, "--bogus"],
+        ["euler", *ring],
+    ]
+    assert cli._parser() is cli._parser() and cli.build_parser() is not cli.build_parser()
+    reused = [_run_all(argv) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert [_run_all(argv) for argv in calls] == reused
+    assert [code for code, _, _ in reused] == [0, 0, 1, 1, 1, 0, 2, 0, 2, 2, 0]

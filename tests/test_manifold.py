@@ -13,10 +13,12 @@ from digitop.adjacency import (
     custom_adjacency,
     full_adjacency,
 )
+from digitop.adjacency import neighbors
 from digitop.jordan import box_surface, jordan_check, rect_boundary
-from digitop.lattice import vec_add
+from digitop.lattice import shell_mask, vec_add, vec_sub
 from digitop.manifold import (
     NotCertifiedError,
+    _shell,
     check_manifold,
     double_points,
     global_sides,
@@ -26,6 +28,8 @@ from digitop.manifold import (
     is_simple_point,
     local_components,
 )
+from digitop.verdict import Verdict
+from test_adjacency import adjacency_specs
 
 AXIS_FULL_2 = AdjacencyPair(axis_adjacency(2), full_adjacency(2))
 AXIS_FULL_3 = AdjacencyPair(axis_adjacency(3), full_adjacency(3))
@@ -323,3 +327,87 @@ def test_verdicts_are_invariant_under_signed_axis_permutations(case):
     assert is_regular_rotation(pair.alpha) and is_regular_rotation(pair.beta)
     moved = frozenset(vec_add(tuple(s * p[i] for s, i in zip(signs, perm)), shift) for p in m)
     assert _verdicts(moved, pair) == _verdicts(m, pair)
+
+
+def local_components_oracle(p, m, pair):
+    """Reference: flood the background of p's punctured full neighbourhood."""
+    shell = neighbors(full_adjacency(pair.n), p) - frozenset(m)
+    comps = components(pair.beta, shell).components()
+    return [comps[cid] for cid in sorted(comps)]
+
+
+def one_sided_oracle(p, m, pair, sides):
+    """Reference: the first alpha-neighbour q of p in m, in sorted order, with
+    the index of the first of p's sides that has no beta-neighbour of q."""
+    for q in sorted(neighbors(pair.alpha, p) & m):
+        for k, side in enumerate(sides):
+            if not any(pair.beta.adjacent(q, x) for x in side):
+                return q, k
+    return None
+
+
+def local_verdicts_oracle(m, pair):
+    """Reference: the local two-component and two-sidedness verdicts and the
+    local sides of ``check_manifold``, point by point."""
+    sides = {}
+    for p in sorted(m):
+        comps = local_components_oracle(p, m, pair)
+        if len(comps) != 2:
+            witness = {"kind": "local-component-count", "point": list(p), "count": len(comps)}
+            return Verdict(False, witness), Verdict(True), None
+        sides[p] = (comps[0], comps[1])
+    for p in sorted(m):
+        found = one_sided_oracle(p, m, pair, sides[p])
+        if found is not None:
+            q, k = found
+            side = sorted(map(list, sides[p][k]))
+            return Verdict(True), Verdict(False, {"kind": "one-sided-neighbor", "p": list(p), "q": list(q), "side": side}), sides
+    return Verdict(True), Verdict(True), sides
+
+
+@st.composite
+def local_cases(draw):
+    """A random subset of a 4x4 or 3x3x3 box under one of the four axis/full
+    pairs or a pair of random symmetric relations, moved by a random signed
+    axis permutation and translation."""
+    sides = draw(st.sampled_from([(4, 4), (3, 3, 3)]))
+    n = len(sides)
+    cells = sorted(itertools.product(*(range(s) for s in sides)))
+    m = draw(st.frozensets(st.sampled_from(cells), min_size=1))
+    if draw(st.booleans()):
+        alpha = draw(st.sampled_from((axis_adjacency, full_adjacency)))(n)
+        beta = draw(st.sampled_from((axis_adjacency, full_adjacency)))(n)
+    else:
+        alpha, beta = draw(adjacency_specs(n)), draw(adjacency_specs(n))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.tuples(*[st.sampled_from((1, -1))] * n))
+    shift = draw(st.tuples(*[st.integers(-30, 30)] * n))
+    moved = frozenset(vec_add(tuple(s * p[i] for s, i in zip(signs, perm)), shift) for p in m)
+    return moved, AdjacencyPair(alpha, beta)
+
+
+_RING_KINK = frozenset(rect_boundary(5, 5) - {(0, 0)} | {(1, 1)})
+
+
+@given(local_cases())
+@example((rect_boundary(4, 4), AXIS_FULL_2))
+@example((rect_boundary(5, 5), FULL_AXIS_2))  # one-sided
+@example((_RING_KINK, AXIS_FULL_2))
+@example((frozenset(vec_add(p, (-6, 2, -9)) for p in box_surface(3, 4, 3)), AXIS_FULL_3))
+@example((box_surface(3, 3, 3), FULL_AXIS_3))
+@settings(max_examples=80, deadline=None)
+def test_local_shell_table_matches_the_point_oracle(case):
+    m, pair = case
+    report = check_manifold(m, pair)
+    local_two, two_sided, sides = local_verdicts_oracle(m, pair)
+    assert report.local_two_components == local_two
+    assert report.two_sidedness == two_sided
+    assert report.local_sides == sides
+    # every point's table entry, also where an earlier point ended the scan
+    for p in m:
+        expected = local_components_oracle(p, m, pair)
+        assert local_components(p, m, pair) == expected
+        table_sides, found = _shell(pair, shell_mask(p, m))
+        assert table_sides == tuple(tuple(sorted(vec_sub(x, p) for x in side)) for side in expected)
+        got = None if found is None else (vec_add(p, found[0]), found[1])
+        assert got == (one_sided_oracle(p, m, pair, expected) if len(expected) == 2 else None)
