@@ -64,16 +64,15 @@ from .separation import (
 from .simplicial import (
     SimplicialComplex,
     build_complex,
-    build_complex_in_cube,
     build_complexes,
     build_reduced_complex,
     complex_to_json,
     complex_to_off,
     euler_characteristic,
+    euler_characteristics,
     lattice_correspondence,
     realization_chambers,
     reduce_complex,
-    reduction_trace,
     skeleton_components,
     barycenter_test,
     verify_complex_axioms,

@@ -29,7 +29,7 @@ from .simplicial import (
     build_reduced_complex,
     complex_to_json,
     complex_to_off,
-    euler_characteristic,
+    euler_characteristics,
 )
 from .verdict import wrong_dimension
 
@@ -146,7 +146,8 @@ def _json(value, indent: str = "") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` for str-keyed values.
 
     The stdlib's indented encoder is pure Python; this writer joins lists of
-    ints directly and hands every key and scalar to ``json.dumps``.
+    ints directly, rows of ints in one join, and hands every key and scalar
+    to ``json.dumps``.
     """
     inner = indent + "  "
     sep = ",\n" + inner
@@ -163,8 +164,9 @@ def _json(value, indent: str = "") -> str:
         if types == {int}:
             items = map(str, value)
         elif rows and set(map(type, itertools.chain.from_iterable(value))) == {int}:
-            row, deeper = "[\n" + inner + "  %s\n" + inner + "]", sep + "  "
-            items = (row % deeper.join(map(str, x)) for x in value)
+            text = {v: str(v) for v in set(itertools.chain.from_iterable(value))}.__getitem__
+            head, tail = "[\n" + inner + "  ", "\n" + inner + "]"
+            items = [head + (tail + sep + head).join([(sep + "  ").join(map(text, x)) for x in value]) + tail]
         else:
             items = (_json(x, inner) for x in value)
         return "[\n" + inner + sep.join(items) + "\n" + indent + "]"
@@ -270,7 +272,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         return 0
     full, reduced = build_complexes(mset, pair)
     lines = [
-        f"{name}: {len(k)} simplices on {len(set().union(*k.simplices))} vertices"
+        f"{name}: {len(k)} simplices on {len(k.table)} vertices"
         for name, k in (("K", full), ("K'", reduced))
     ]
     # text reports only the counts, so the JSON form is built for JSON alone
@@ -285,7 +287,7 @@ def _cmd_check_pseudomanifold(args: argparse.Namespace) -> int:
     if code is not None:
         return code
     reduced = build_reduced_complex(mset, pair)
-    if not reduced.simplices:
+    if not reduced.rows:
         print("warning: empty complex is vacuously a pseudomanifold", file=sys.stderr)
     report = is_pseudomanifold(reduced, pair.n - 1)
     lines = [
@@ -302,11 +304,8 @@ def _cmd_check_pseudomanifold(args: argparse.Namespace) -> int:
 
 def _cmd_euler(args: argparse.Namespace) -> int:
     mset, n, pair, _ = _load_context(args)
-    full, reduced = build_complexes(mset, pair)
-    result = {
-        "chi_K": euler_characteristic(full),
-        "chi_K_prime": euler_characteristic(reduced),
-    }
+    chi, chi_prime = euler_characteristics(mset, pair)
+    result = {"chi_K": chi, "chi_K_prime": chi_prime}
     lines = [f"chi(K) = {result['chi_K']}", f"chi(K') = {result['chi_K_prime']}"]
     _report(args, _config(args, n), result, [], lines)
     return 0

@@ -1,5 +1,6 @@
 """Combinatorial pseudomanifold validation: homogeneity, exactly-two
-cofaces, strong connectivity of the dual graph."""
+cofaces, strong connectivity of the dual graph.  The checks read id rows,
+which sort as the simplices they name, so witnesses are as on points."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .adjacency import AdjacencyPair, label
-from .simplicial import Simplex, SimplicialComplex, build_reduced_complex
+from .simplicial import Row, SimplicialComplex, build_reduced_complex
 from .verdict import Verdict
 
 
@@ -21,11 +22,7 @@ class PseudomanifoldReport:
 
     @property
     def all_hold(self) -> bool:
-        return (
-            self.homogeneous.holds
-            and self.nondegenerate.holds
-            and self.strongly_connected.holds
-        )
+        return self.homogeneous.holds and self.nondegenerate.holds and self.strongly_connected.holds
 
     def witnesses(self) -> list[dict]:
         return [
@@ -44,49 +41,42 @@ class PseudomanifoldReport:
         }
 
 
-def _simplex_json(s: Simplex) -> list[list[int]]:
-    return [list(v) for v in s]
+def _simplex_json(k: SimplicialComplex, row: Row) -> list[list[int]]:
+    return [list(v) for v in k.points(row)]
 
 
 def is_homogeneous(k: SimplicialComplex, d: int) -> Verdict:
     """Every simplex must be a face of some d-simplex."""
-    # simplices are sorted tuples, so the faces of t are its combinations
-    top = (t for t in k.simplices if len(t) == d + 1)
+    # rows are sorted tuples, so the faces of t are its combinations
+    top = (t for t in k.rows if len(t) == d + 1)
     faces = {f for t in top for r in range(1, d + 2) for f in itertools.combinations(t, r)}
-    stray = [s for s in k.simplices if s not in faces]
-    if not stray:
+    stray = next((s for s in k.rows if s not in faces), None)
+    if stray is None:
         return Verdict(True)
-    return Verdict(False, {"kind": "homogeneity", "simplex": _simplex_json(min(stray))})
+    return Verdict(False, {"kind": "homogeneity", "simplex": _simplex_json(k, stray)})
 
 
 def is_nondegenerate(k: SimplicialComplex, d: int) -> Verdict:
     """Every (d-1)-simplex must have exactly two d-dimensional cofaces."""
-    cofaces: dict[Simplex, int] = {s: 0 for s in k.simplices if len(s) == d}
-    for t in k.simplices:
+    cofaces: dict[Row, int] = {s: 0 for s in k.rows if len(s) == d}
+    for t in k.rows:
         if len(t) != d + 1:
             continue
         for face in itertools.combinations(t, d):
             if face in cofaces:
                 cofaces[face] += 1
-    for s in sorted(cofaces):
-        if cofaces[s] != 2:
-            return Verdict(
-                False,
-                {
-                    "kind": "nondegeneracy",
-                    "simplex": _simplex_json(s),
-                    "cofaces": cofaces[s],
-                },
-            )
+    for s, count in cofaces.items():
+        if count != 2:
+            return Verdict(False, {"kind": "nondegeneracy", "simplex": _simplex_json(k, s), "cofaces": count})
     return Verdict(True)
 
 
 def is_strongly_connected(k: SimplicialComplex, d: int) -> Verdict:
     """The dual graph on d-simplices (edges: shared (d-1)-faces) is connected."""
-    top = sorted(s for s in k.simplices if len(s) == d + 1)
+    top = [s for s in k.rows if len(s) == d + 1]
     if len(top) <= 1:
         return Verdict(True)
-    by_face: dict[Simplex, list[Simplex]] = {}
+    by_face: dict[Row, list[Row]] = {}
     for t in top:
         for face in itertools.combinations(t, d):
             by_face.setdefault(face, []).append(t)
@@ -96,14 +86,8 @@ def is_strongly_connected(k: SimplicialComplex, d: int) -> Verdict:
     stranded = next((t for t in top if labels[t] != top[0]), None)
     if stranded is None:
         return Verdict(True)
-    return Verdict(
-        False,
-        {
-            "kind": "strong-connectivity",
-            "simplex": _simplex_json(top[0]),
-            "other": _simplex_json(stranded),
-        },
-    )
+    witness = {"kind": "strong-connectivity", "simplex": _simplex_json(k, top[0]), "other": _simplex_json(k, stranded)}
+    return Verdict(False, witness)
 
 
 def is_pseudomanifold(k: SimplicialComplex, d: int) -> PseudomanifoldReport:

@@ -15,11 +15,11 @@ triangulates a strong deformation retract of the full complex.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Optional
 
 from ._exact import integer_rank, open_simplices_intersect, point_in_closed_simplex
 from .adjacency import AdjacencyPair, ComponentLabeling, Region, axis_adjacency, components, label
@@ -41,36 +41,49 @@ from .lattice import (
 )
 
 Simplex = tuple[HalfPoint, ...]  # canonical: vertices sorted, distinct
+Row = tuple[int, ...]  # a simplex as sorted ids into a vertex table
 Box = tuple[HalfPoint, HalfPoint]
 
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A face-closed set of canonical simplices on the half-integer grid."""
+    """A face-closed set of simplices on the half-integer grid: the sorted
+    ``rows`` of ids into the sorted vertex ``table``.  Ids are monotone in
+    the points, so rows sort as the simplices they name."""
 
     n: int
-    simplices: frozenset[Simplex]
-    provenance: Mapping[HalfPoint, Cube] = field(default_factory=dict)
+    table: tuple[HalfPoint, ...]
+    rows: tuple[Row, ...]
+
+    @classmethod
+    def of(cls, n: int, simplices: Iterable[Simplex]) -> "SimplicialComplex":
+        simplices = set(simplices)
+        table = tuple(sorted({v for s in simplices for v in s}))
+        index = {v: i for i, v in enumerate(table)}
+        return cls(n, table, tuple(sorted(tuple(map(index.__getitem__, s)) for s in simplices)))
+
+    @cached_property
+    def simplices(self) -> frozenset[Simplex]:
+        return frozenset(self.points(r) for r in self.rows)
+
+    @cached_property
+    def provenance(self) -> dict[HalfPoint, Cube]:
+        return {v: cube_of_barycenter(v) for v in self.table if not is_lattice2(v)}
+
+    def points(self, row: Row) -> Simplex:
+        return tuple(map(self.table.__getitem__, row))
 
     def vertices(self) -> tuple[HalfPoint, ...]:
-        return tuple(sorted({v for s in self.simplices for v in s}))
-
-    def by_dim(self) -> dict[int, list[Simplex]]:
-        out: dict[int, list[Simplex]] = {}
-        for s in self.simplices:
-            out.setdefault(len(s) - 1, []).append(s)
-        return {d: sorted(ss) for d, ss in sorted(out.items())}
+        return self.table
 
     def dim(self) -> int:
-        return max((len(s) - 1 for s in self.simplices), default=-1)
+        return max(map(len, self.rows), default=0) - 1
 
     def lattice_vertices(self) -> tuple[Point, ...]:
-        return tuple(
-            sorted(tuple(c // 2 for c in v) for v in self.vertices() if is_lattice2(v))
-        )
+        return tuple(tuple(c // 2 for c in v) for v in self.table if is_lattice2(v))
 
     def __len__(self) -> int:
-        return len(self.simplices)
+        return len(self.rows)
 
 
 @lru_cache(maxsize=None)
@@ -117,8 +130,18 @@ def _face_offsets(n: int, axes: tuple[int, ...]) -> tuple[HalfPoint, ...]:
     return tuple(tuple(map(sub, barycenter(f), center)) for f in faces)
 
 
-def _shape(c: Cube, mset: frozenset[Point]) -> Shape:
-    return barycenter(c), c.axes, occupancy(c, mset)
+def _shapes(mset: frozenset[Point], n: int) -> Iterator[Shape]:
+    """The cubes that meet the set, by dimension: any other fails the test."""
+    return itertools.chain.from_iterable(shapes_meeting(mset, k, n) for k in range(1, n + 1))
+
+
+def _passing(n: int, shapes: Iterable[Shape], pair: AdjacencyPair, full: bool) -> Iterator[tuple]:
+    """(barycenter, axes, mask, kept, face barycenters) of the passing cubes,
+    or, unless ``full``, of those that keep their barycenters."""
+    for center, axes, mask in shapes:
+        passed, count = _shape_verdict(pair, axes, mask)
+        if passed and (full or count != 1):
+            yield center, axes, mask, count != 1, [tuple(map(add, center, d)) for d in _face_offsets(n, axes)]
 
 
 def _order_complex(
@@ -130,45 +153,38 @@ def _order_complex(
     A chain is in K' iff each of its cubes keeps its barycenter, i.e. its
     in-cube background is not one piece.  ``shapes`` comes in order of
     dimension and holds every passing face of dimension >= 1 of its passing
-    cubes; each cube is tested once.  Chains are kept sorted, keyed by the
-    barycenter of their top cube.
+    cubes; each cube is tested once.  Vertices are numbered before any chain
+    grows; a chain is sorted ids, keyed by the barycenter of its top cube.
     """
-    kept: dict[HalfPoint, list[Simplex]] = {}  # chains of kept cubes only
-    lost: dict[HalfPoint, list[Simplex]] = {}  # chains through a dropped cube
-    provenance: dict[HalfPoint, Cube] = {}
-    for center, axes, mask in shapes:
-        passed, count = _shape_verdict(pair, axes, mask)
-        if not passed or (count == 1 and not full):
-            continue
-        provenance[center] = cube_of_barycenter(center)
-        faces = [tuple(map(add, center, d)) for d in _face_offsets(n, axes)]
+    cubes = list(_passing(n, shapes, pair, full))
+    points = [double(p) for p in mset]
+    table = tuple(sorted(points + [c[0] for c in cubes]))
+    ids = {v: i for i, v in enumerate(table)}
+    kept: dict[HalfPoint, list[Row]] = {}  # chains of kept cubes only
+    lost: dict[HalfPoint, list[Row]] = {}  # chains through a dropped cube
+    for center, axes, mask, keep, faces in cubes:
+        top = ids[center]
         below = [
-            (tuple(map(add, center, e)),) for i, e in enumerate(half_corners(n, axes)) if mask >> i & 1
+            (ids[tuple(map(add, center, e))],) for i, e in enumerate(half_corners(n, axes)) if mask >> i & 1
         ]
         for f in faces:
             below += kept.get(f, ())
         through = [ch for f in faces for ch in lost.get(f, ())]
-        if count == 1:  # the empty chain grows into the lone barycenter
+        if not keep:  # the empty chain grows into the lone barycenter
             through = [()] + below + through
         else:
-            kept[center] = [(center,)] + [tuple(sorted((*ch, center))) for ch in below]
+            kept[center] = [(top,)] + [tuple(sorted((*ch, top))) for ch in below]
         if through:
-            lost[center] = [tuple(sorted((*ch, center))) for ch in through]
-    reduced = SimplicialComplex(
-        n,
-        frozenset(itertools.chain(((double(p),) for p in mset), *kept.values())),
-        {h: c for h, c in provenance.items() if h in kept},
-    )
-    if not full:
-        return reduced, None
-    return reduced, SimplicialComplex(n, reduced.simplices.union(*lost.values()), provenance)
-
-
-def build_complex_in_cube(cn: Cube, m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
-    """Complex of the foreground restricted to one cube: chains of its passing faces."""
-    mset = frozenset(m) & frozenset(cube_vertices(cn))
-    faces = (_shape(f, mset) for k in range(1, cn.dim + 1) for f in subcubes(cn, k))
-    return _order_complex(cn.n, mset, faces, pair, full=True)[1]
+            lost[center] = [tuple(sorted((*ch, top))) for ch in through]
+    rows = sorted(itertools.chain(((ids[h],) for h in points), *kept.values()))
+    if not lost:  # nothing dropped: K' is K
+        reduced = SimplicialComplex(n, table, tuple(rows))
+        return reduced, reduced if full else None
+    dropped = {c[0] for c in cubes if not c[3]}
+    # K' keeps the order of the ids it keeps, so its rows stay sorted
+    remap = {i: j for j, i in enumerate(i for i, v in enumerate(table) if v not in dropped)}.__getitem__
+    reduced = SimplicialComplex(n, tuple(v for v in table if v not in dropped), tuple(tuple(map(remap, r)) for r in rows))
+    return reduced, SimplicialComplex(n, table, tuple(sorted(rows + [ch for chs in lost.values() for ch in chs])))
 
 
 def build_complex(m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
@@ -176,80 +192,56 @@ def build_complex(m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
     return build_complexes(m, pair)[0]
 
 
-def build_complexes(
-    m: Iterable[Point], pair: AdjacencyPair
-) -> tuple[SimplicialComplex, SimplicialComplex]:
+def build_complexes(m: Iterable[Point], pair: AdjacencyPair) -> tuple[SimplicialComplex, SimplicialComplex]:
     """K(M) and K'(M) from one enumeration of the chains."""
     mset = frozenset(m)
-    # a cube missing the set has its background connected along its edges,
-    # so it fails the barycenter test
-    shapes = itertools.chain.from_iterable(shapes_meeting(mset, k, pair.n) for k in range(1, pair.n + 1))
-    reduced, full = _order_complex(pair.n, mset, shapes, pair, full=True)
+    reduced, full = _order_complex(pair.n, mset, _shapes(mset, pair.n), pair, full=True)
     return full, reduced
 
 
 def build_reduced_complex(m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
     """K'(M) alone: the chains of the passing cubes that keep their barycenters."""
     mset = frozenset(m)
-    shapes = itertools.chain.from_iterable(shapes_meeting(mset, k, pair.n) for k in range(1, pair.n + 1))
-    return _order_complex(pair.n, mset, shapes, pair, full=False)[0]
+    return _order_complex(pair.n, mset, _shapes(mset, pair.n), pair, full=False)[0]
 
 
-def reduce_complex(
-    k: SimplicialComplex, m: Iterable[Point], pair: AdjacencyPair
-) -> SimplicialComplex:
+def reduce_complex(k: SimplicialComplex, m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
     """Drop barycenters of cubes whose in-cube background is one piece:
     the chains of the cubes of ``k`` that keep their barycenters."""
     mset = frozenset(m)
-    shapes = sorted((_shape(c, mset) for c in k.provenance.values()), key=lambda s: len(s[1]))
+    shapes = sorted(((h, c.axes, occupancy(c, mset)) for h, c in k.provenance.items()), key=lambda s: len(s[1]))
     return _order_complex(k.n, mset, shapes, pair, full=False)[0]
 
 
-@dataclass(frozen=True)
-class CubeTrace:
-    """Per-cube record of the test verdict and the reduction decision."""
-
-    cube: Cube
-    test_passed: bool
-    background_components: int
-    barycenter_kept: Optional[bool]  # None when the test failed
-
-
-def reduction_trace(
-    k: SimplicialComplex, m: Iterable[Point], pair: AdjacencyPair
-) -> tuple[CubeTrace, ...]:
+def euler_characteristics(m: Iterable[Point], pair: AdjacencyPair) -> tuple[int, int]:
+    """chi(K(M)) and chi(K'(M)), no chain built: each point of M is a chain,
+    and the chains topped by a passing cube c add up to g(c) = 1 - |M in c|
+    minus the g of its passing faces of dimension >= 1."""
     mset = frozenset(m)
-    out = []
-    for center, cube in sorted(k.provenance.items()):
-        count = _shape_verdict(pair, cube.axes, occupancy(cube, mset))[1]
-        out.append(CubeTrace(cube, True, count, count != 1))
-    return tuple(out)
+    g: list[dict[HalfPoint, int]] = [{}, {}]  # K, K'
+    for center, _, mask, keep, faces in _passing(pair.n, _shapes(mset, pair.n), pair, True):
+        for chi in g[: 1 + keep]:
+            chi[center] = 1 - mask.bit_count() - sum(chi.get(f, 0) for f in faces)
+    return len(mset) + sum(g[0].values()), len(mset) + sum(g[1].values())
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:
     """Alternating sum of simplex counts by dimension."""
-    chi = 0
-    for s in k.simplices:
-        chi += 1 if (len(s) - 1) % 2 == 0 else -1
-    return chi
+    return sum(1 if len(r) % 2 else -1 for r in k.rows)
 
 
 def skeleton_components(k: SimplicialComplex) -> ComponentLabeling:
     """Components of the vertex-edge graph of the complex."""
-    vertices = set(k.vertices())
-    edges: dict[HalfPoint, set[HalfPoint]] = {v: set() for v in vertices}
-    for s in k.simplices:
-        if len(s) == 2:
-            edges[s[0]].add(s[1])
-            edges[s[1]].add(s[0])
-    return ComponentLabeling(label(vertices, edges.__getitem__))
+    edges: list[list[int]] = [[] for _ in k.table]
+    for a, b in (r for r in k.rows if len(r) == 2):
+        edges[a].append(b)
+        edges[b].append(a)
+    ids = label(range(len(k.table)), edges.__getitem__)
+    return ComponentLabeling({k.table[i]: k.table[c] for i, c in ids.items()})
 
 
 def _bbox2(s: Simplex) -> Box:
-    n = len(s[0])
-    lo = tuple(min(v[i] for v in s) for i in range(n))
-    hi = tuple(max(v[i] for v in s) for i in range(n))
-    return lo, hi
+    return tuple(map(min, zip(*s))), tuple(map(max, zip(*s)))
 
 
 def _bboxes_overlap(a: Box, b: Box) -> bool:
@@ -264,10 +256,7 @@ def _open_box(box: Box) -> Box:
     the ends are integers, (lo, hi) doubled is exactly [2 lo + 1, 2 hi - 1].
     """
     lo, hi = box
-    return (
-        tuple(2 * a + (a < b) for a, b in zip(lo, hi)),
-        tuple(2 * b - (a < b) for a, b in zip(lo, hi)),
-    )
+    return tuple(2 * a + (a < b) for a, b in zip(lo, hi)), tuple(2 * b - (a < b) for a, b in zip(lo, hi))
 
 
 def _cells(box: Box) -> Iterator[Point]:
@@ -301,62 +290,46 @@ def _is_chain(s: Simplex) -> bool:
     )
 
 
-def verify_complex_axioms(
-    k: SimplicialComplex,
-) -> tuple[bool, Optional[dict]]:
+def verify_complex_axioms(k: SimplicialComplex) -> tuple[bool, Optional[dict]]:
     """Check affine independence, face closure and open disjointness.
 
     Returns (True, None) or (False, witness).  The barycentric subdivision
-    of the lattice's cube complex is a triangulation, so the open simplices
-    of two distinct strict cube chains never meet (Rourke and Sanderson,
-    *Introduction to Piecewise-Linear Topology*, ch. 2).  Every other pair
-    that shares a lattice cell, and whose open projections meet on every
-    axis, gets the exact rational intersection test; both filters are
-    necessary conditions, and pairs are visited in sorted order, so the
-    witness is the first intersecting pair in that order.
+    of the lattice's cube complex is a triangulation, so a strict cube
+    chain is affinely independent, and the open simplices of two distinct
+    chains never meet (Rourke and Sanderson, *Introduction to
+    Piecewise-Linear Topology*, ch. 2).  Every other pair that shares a
+    lattice cell, and whose open projections meet on every axis, gets the
+    exact rational intersection test; both filters are necessary
+    conditions, and pairs are visited in sorted order, so the witness is
+    the first intersecting pair in that order.
     """
-    simplices = sorted(k.simplices)
-    sset = k.simplices
-    for s in simplices:
+    simplices = list(map(k.points, k.rows))  # sorted, as the rows are
+    chains = list(map(_is_chain, simplices))
+    for s, chain in zip(simplices, chains):
         if len(set(s)) != len(s):
             return False, {"kind": "repeated-vertex", "simplex": [list(v) for v in s]}
-        if len(s) > 1:
+        if not chain:  # a lone vertex is a chain
             rows = [[v[i] - s[0][i] for i in range(len(s[0]))] for v in s[1:]]
             if integer_rank(rows) != len(s) - 1:
-                return False, {
-                    "kind": "affinely-dependent",
-                    "simplex": [list(v) for v in s],
-                }
-    for s in simplices:
-        for size in range(1, len(s)):
-            for face in itertools.combinations(s, size):
-                if face not in sset:
-                    return False, {
-                        "kind": "missing-face",
-                        "simplex": [list(v) for v in s],
-                        "face": [list(v) for v in face],
-                    }
-    others = [i for i, s in enumerate(simplices) if not _is_chain(s)]
+                return False, {"kind": "affinely-dependent", "simplex": [list(v) for v in s]}
+    rset = set(k.rows)
+    for r, s in zip(k.rows, simplices):
+        for size in range(1, len(r)):
+            for face in itertools.combinations(r, size):
+                if face not in rset:
+                    face = [list(v) for v in k.points(face)]
+                    return False, {"kind": "missing-face", "simplex": [list(v) for v in s], "face": face}
+    others = [i for i, chain in enumerate(chains) if not chain]
     if not others:
         return True, None
     boxes = [_bbox2(s) for s in simplices]
     open_boxes = [_open_box(box) for box in boxes]
     buckets = _buckets(boxes)
-    pairs = {
-        (min(i, j), max(i, j))
-        for i in others
-        for cell in _cells(boxes[i])
-        for j in buckets[cell]
-        if j != i
-    }
+    pairs = {(min(i, j), max(i, j)) for i in others for cell in _cells(boxes[i]) for j in buckets[cell] if j != i}
     for i, j in sorted(pairs):
         s, t = simplices[i], simplices[j]
         if _bboxes_overlap(open_boxes[i], open_boxes[j]) and open_simplices_intersect(s, t):
-            return False, {
-                "kind": "open-intersection",
-                "simplex": [list(v) for v in s],
-                "other": [list(v) for v in t],
-            }
+            return False, {"kind": "open-intersection", "simplex": [list(v) for v in s], "other": [list(v) for v in t]}
     return True, None
 
 
@@ -364,31 +337,21 @@ def lattice_correspondence(k: SimplicialComplex, m: Iterable[Point]) -> tuple[bo
     """The lattice points of the realization are exactly the foreground.
 
     Checks that lattice vertices equal the set and that no simplex of
-    dimension >= 1 passes through any other lattice point.
+    dimension >= 1 passes through any other lattice point.  A strict cube
+    chain, a simplex of the barycentric subdivision, meets the lattice in
+    its vertices only.
     """
     mset = frozenset(m)
     if set(k.lattice_vertices()) != mset:
-        return False, {
-            "kind": "lattice-vertex-mismatch",
-            "vertices": [list(v) for v in k.lattice_vertices()],
-        }
-    for s in sorted(k.simplices):
-        if len(s) < 2:
+        return False, {"kind": "lattice-vertex-mismatch", "vertices": [list(v) for v in k.lattice_vertices()]}
+    for s in map(k.points, k.rows):
+        if _is_chain(s):
             continue
-        lo, hi = _bbox2(s)
-        ranges = [
-            range((l + 1) // 2, h // 2 + 1) for l, h in zip(lo, hi)
-        ]  # lattice points inside the doubled box
-        for p in itertools.product(*ranges):
+        # the lattice points inside the doubled box
+        for p in itertools.product(*(range((l + 1) // 2, h // 2 + 1) for l, h in zip(*_bbox2(s)))):
             h = double(p)
-            if h in s:
-                continue
-            if point_in_closed_simplex(s, [Fraction(c) for c in h]):
-                return False, {
-                    "kind": "lattice-point-inside-simplex",
-                    "simplex": [list(v) for v in s],
-                    "point": list(p),
-                }
+            if h not in s and point_in_closed_simplex(s, [Fraction(c) for c in h]):
+                return False, {"kind": "lattice-point-inside-simplex", "simplex": [list(v) for v in s], "point": list(p)}
     return True, None
 
 
@@ -401,14 +364,11 @@ def realization_chambers(k: SimplicialComplex, region: Region) -> int:
     through a blocked point, so the count matches the complement's
     chambers.  Exact arithmetic throughout.
     """
-    simplices = sorted(k.simplices)
+    simplices = list(map(k.points, k.rows))
     boxes = [_bbox2(s) for s in simplices]
     buckets = _buckets(boxes)
-    lo2 = [2 * c for c in region.lo]
-    hi2 = [2 * c for c in region.hi]
-
     free: set[tuple[int, ...]] = set()
-    for x2 in itertools.product(*(range(a, b + 1) for a, b in zip(lo2, hi2))):
+    for x2 in itertools.product(*(range(2 * a, 2 * b + 1) for a, b in zip(region.lo, region.hi))):
         cell = tuple(c // 2 for c in x2)
         if not any(
             _bboxes_overlap(boxes[i], (x2, x2))
@@ -421,20 +381,13 @@ def realization_chambers(k: SimplicialComplex, region: Region) -> int:
 
 def complex_to_json(k: SimplicialComplex) -> dict:
     """Stable JSON form: doubled-integer vertices, index lists, provenance."""
-    vertices = k.vertices()
-    index = {v: i for i, v in enumerate(vertices)}
-    # simplices are sorted and the index is increasing, so rows come out sorted
-    simplices = sorted([index[v] for v in s] for s in k.simplices)
-    provenance = {
-        str(index[c]): cube.to_json()
-        for c, cube in sorted(k.provenance.items())
-        if c in index
-    }
     return {
         "n": k.n,
-        "vertices": [list(v) for v in vertices],
-        "simplices": simplices,
-        "provenance": provenance,
+        "vertices": list(map(list, k.table)),
+        "simplices": list(map(list, k.rows)),
+        "provenance": {
+            str(i): cube_of_barycenter(v).to_json() for i, v in enumerate(k.table) if not is_lattice2(v)
+        },
     }
 
 
@@ -445,15 +398,8 @@ def complex_to_off(k: SimplicialComplex) -> tuple[str, int]:
     """
     if k.n != 3:
         raise ValueError("OFF export is defined for three-dimensional complexes only")
-    vertices = k.vertices()
-    index = {v: i for i, v in enumerate(vertices)}
-    triangles = sorted(
-        tuple(sorted(index[v] for v in s)) for s in k.simplices if len(s) == 3
-    )
-    skipped = sum(1 for s in k.simplices if len(s) < 3)
-    lines = ["OFF", f"{len(vertices)} {len(triangles)} 0"]
-    for v in vertices:
-        lines.append(" ".join(f"{c / 2:.1f}" for c in v))
-    for t in triangles:
-        lines.append("3 " + " ".join(str(i) for i in t))
-    return "\n".join(lines) + "\n", skipped
+    triangles = [r for r in k.rows if len(r) == 3]
+    lines = ["OFF", f"{len(k.table)} {len(triangles)} 0"]
+    lines += (" ".join(f"{c / 2:.1f}" for c in v) for v in k.table)
+    lines += ("3 " + " ".join(map(str, t)) for t in triangles)
+    return "\n".join(lines) + "\n", sum(1 for r in k.rows if len(r) < 3)

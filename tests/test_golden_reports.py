@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -42,6 +43,10 @@ GROUPS = [
     ("complex", ["build sphere_shell(3,3) axis/full"]),
     ("complex", ["euler sphere_shell(3,3) axis/full"]),
     ("complex", ["check-pseudomanifold sphere_shell(3,3) axis/full"]),
+    # full/axis drops barycenters, so K' differs from K
+    ("complex", ["build box_surface(4,4,4) full/axis"]),
+    ("complex", ["euler box_surface(4,4,4) full/axis"]),
+    ("complex", ["check-pseudomanifold box_surface(4,4,4) full/axis"]),
     ("witness", ["good-pair n=2 full/axis"]),
     ("witness", ["good-pair n=2 axis/full"]),
     ("witness", ["good-pair n=3 axis/full"]),
@@ -84,11 +89,16 @@ def test_report_bytes_match_the_golden_file(workload, keys, tmp_path):
 # (exit, sha256) pairs were recorded from the reports of the scan that decided
 # every cube on its own, before cube shapes were decided once; the two inputs
 # at negative coordinates were recorded from the scan that built each cube's
-# vertex list, before cubes were found from doubled barycenters.
+# vertex list, before cubes were found from doubled barycenters.  The golden
+# file has no 4-D complex and no failing pseudomanifold check; those pairs
+# were recorded from complexes whose chains were tuples of points.
 PLATE = "0 0 0\n1 0 0\n0 1 1\n1 1 1\n"
 SCATTER = "0 0 2\n0 2 0\n0 2 1\n0 2 2\n1 2 1\n2 1 0\n"  # fails in a 3-cube
 RING_5_5 = "".join(f"{x} {y}\n" for x in range(5) for y in range(5) if x in (0, 4) or y in (0, 4))
 ARC = "0 0\n1 0\n2 0\n2 1\n2 2\n"
+BOX_SURFACE_3333 = "".join(
+    " ".join(map(str, p)) + "\n" for p in itertools.product(range(3), repeat=4) if {0, 2} & set(p)
+)
 SCATTER_SHIFTED = "".join(
     " ".join(str(int(c) + d) for c, d in zip(line.split(), (-7, -3, -5))) + "\n" for line in SCATTER.splitlines()
 )
@@ -100,6 +110,11 @@ UNCOVERED = [
     # odd negative coordinates: a cube's base is its halved barycenter, floored
     ("check-separation", SCATTER_SHIFTED, "full", "axis", 1, "84c43e00e38293dea4db54352a9a1aa0e1aff36e38b9f8fceecae049c956cef7"),
     ("verify-manifold", "-3 -3\n-2 -2\n-3 -1\n", "axis", "full", 1, "61777fa875b4031609579561a8bfe1dad8821fa544d5e267855061570149c172"),
+    ("build", BOX_SURFACE_3333, "axis", "full", 0, "d580b6d9e50a90125af51136668eeb3cae7bae4882a6855786479589dfc6259a"),
+    ("euler", BOX_SURFACE_3333, "axis", "full", 0, "9f8abc22d8d5a25f5672800336ac12e0131b7f1a26d54c7d5eb9d6e6cbbe40ed"),
+    ("check-pseudomanifold", BOX_SURFACE_3333, "axis", "full", 0, "207989e462cc51fdc879a8d800a7eff2688a68ba578fecbe5ca0bf2abe4b1665"),
+    # the witness ids map back to points
+    ("check-pseudomanifold", ARC, "full", "axis", 1, "f6629d1f3330ae2cdecd6f79a0f513dc5eee71cdddce32c5f2b7ea4eacef7fba"),
 ]
 
 

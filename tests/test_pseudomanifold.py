@@ -40,14 +40,14 @@ def test_box_reduction_is_a_sphere_pseudomanifold():
 
 
 def test_dangling_vertex_breaks_homogeneity():
-    k = SimplicialComplex(2, frozenset([((0, 0),), ((4, 4),), ((0, 0), (1, 1)), ((1, 1),)]))
+    k = SimplicialComplex.of(2, [((0, 0),), ((4, 4),), ((0, 0), (1, 1)), ((1, 1),)])
     verdict = is_homogeneous(k, 1)
     assert not verdict.holds
     assert verdict.witness["simplex"] == [[4, 4]]
 
 
 def test_empty_complex_is_vacuous():
-    k = SimplicialComplex(2, frozenset())
+    k = SimplicialComplex.of(2, ())
     assert is_pseudomanifold(k, 1).all_hold
 
 
@@ -60,7 +60,7 @@ def test_unreduced_triangle_complex_is_not_homogeneous_at_one():
 
 def test_open_arc_is_degenerate():
     # an open polyline: endpoints have one coface
-    k = SimplicialComplex(
+    k = SimplicialComplex.of(
         2,
         frozenset(
             [
@@ -78,7 +78,7 @@ def test_open_arc_is_degenerate():
 
 
 def test_three_edges_at_a_vertex_are_degenerate():
-    k = SimplicialComplex(
+    k = SimplicialComplex.of(
         2,
         frozenset(
             [
@@ -98,7 +98,7 @@ def test_three_edges_at_a_vertex_are_degenerate():
 
 
 def test_two_disjoint_edges_are_not_strongly_connected():
-    k = SimplicialComplex(
+    k = SimplicialComplex.of(
         2,
         frozenset(
             [
@@ -121,7 +121,7 @@ def test_two_disjoint_edges_are_not_strongly_connected():
 
 
 def test_single_top_simplex_is_strongly_connected():
-    k = SimplicialComplex(
+    k = SimplicialComplex.of(
         2, frozenset([((0, 0),), ((2, 0),), ((0, 0), (2, 0))])
     )
     assert is_strongly_connected(k, 1).holds

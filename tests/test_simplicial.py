@@ -1,11 +1,12 @@
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from digitop._exact import integer_rank, open_simplices_intersect
+from digitop._exact import integer_rank, open_simplices_intersect, point_in_closed_simplex
 from digitop.adjacency import (
     AdjacencyPair,
     Region,
@@ -23,22 +24,32 @@ from digitop.lattice import (
     cube_vertices,
     cubes_meeting_box,
     double,
+    half_corners,
+    occupancy,
+    shapes_meeting,
     subcubes,
 )
 from digitop.simplicial import (
     SimplicialComplex,
+    _bbox2,
+    _bboxes_overlap,
+    _buckets,
+    _cells,
+    _face_offsets,
     _is_chain,
+    _open_box,
+    _order_complex,
+    _shape_verdict,
     build_complex,
-    build_complex_in_cube,
     build_complexes,
     build_reduced_complex,
     complex_to_json,
     complex_to_off,
     euler_characteristic,
+    euler_characteristics,
     lattice_correspondence,
     realization_chambers,
     reduce_complex,
-    reduction_trace,
     skeleton_components,
     barycenter_test,
     verify_complex_axioms,
@@ -63,8 +74,18 @@ PAIRS = {
 PAIRS[3].append(AdjacencyPair(XY_DIAGONALS_3, full_adjacency(3)))
 
 
-# Oracles: the per-n-cube coning construction of K(M) and K'(M), and the
-# all-pairs axiom check, kept as the slow references for the fast paths.
+# Oracles: the per-n-cube coning construction of K(M) and K'(M), the chain
+# enumeration on point tuples, and the all-pairs axiom check, kept as the slow
+# references for the fast paths.  A construction oracle returns the simplices
+# and the provenance it built itself, {doubled barycenter: cube}.
+
+
+def by_dim(simplices):
+    """The simplices grouped by dimension, each group sorted."""
+    out = {}
+    for s in simplices:
+        out.setdefault(len(s) - 1, []).append(s)
+    return {d: sorted(ss) for d, ss in sorted(out.items())}
 
 
 def barycenter_test_oracle(c, mset, pair):
@@ -93,7 +114,7 @@ def build_complex_oracle(m, pair):
     mset = frozenset(m)
     n = pair.n
     if not mset:
-        return SimplicialComplex(n, frozenset())
+        return frozenset(), {}
     lo, hi = bounding_box(mset)
     simplices = set()
     provenance = {}
@@ -117,41 +138,91 @@ def build_complex_oracle(m, pair):
                         new.append(tuple(sorted(s + (center,))))
                 built.extend(new)
         simplices.update(built)
-    return SimplicialComplex(n, frozenset(simplices), provenance)
+    return frozenset(simplices), provenance
 
 
 def reduce_complex_oracle(k, m, pair):
+    simplices, provenance = k
     mset = frozenset(m)
 
     def background_count(cube):
         free = [v for v in cube_vertices(cube) if v not in mset]
         return components(pair.beta, free).count if free else 0
 
-    removed = {c for c, cube in k.provenance.items() if background_count(cube) == 1}
-    simplices = frozenset(s for s in k.simplices if not any(v in removed for v in s))
-    provenance = {c: cube for c, cube in k.provenance.items() if c not in removed}
-    return SimplicialComplex(k.n, simplices, provenance)
+    removed = {c for c, cube in provenance.items() if background_count(cube) == 1}
+    kept = frozenset(s for s in simplices if not any(v in removed for v in s))
+    return kept, {c: cube for c, cube in provenance.items() if c not in removed}
+
+
+def order_complex_oracle(m, pair):
+    """K(M) and K'(M) from one enumeration of the chains, each chain a sorted
+    tuple of points, keyed by the barycenter of its top cube."""
+    mset, n = frozenset(m), pair.n
+    kept, lost, provenance = {}, {}, {}
+    for k in range(1, n + 1):
+        for center, axes, mask in shapes_meeting(mset, k, n):
+            passed, count = _shape_verdict(pair, axes, mask)
+            if not passed:
+                continue
+            provenance[center] = cube_of_barycenter(center)
+            faces = [tuple(a + b for a, b in zip(center, d)) for d in _face_offsets(n, axes)]
+            below = [
+                (tuple(a + b for a, b in zip(center, e)),)
+                for i, e in enumerate(half_corners(n, axes))
+                if mask >> i & 1
+            ]
+            for f in faces:
+                below += kept.get(f, ())
+            through = [ch for f in faces for ch in lost.get(f, ())]
+            if count == 1:  # the empty chain grows into the lone barycenter
+                through = [()] + below + through
+            else:
+                kept[center] = [(center,)] + [tuple(sorted((*ch, center))) for ch in below]
+            if through:
+                lost[center] = [tuple(sorted((*ch, center))) for ch in through]
+    reduced = frozenset(itertools.chain(((double(p),) for p in mset), *kept.values()))
+    return (
+        (reduced.union(*lost.values()), provenance),
+        (reduced, {h: c for h, c in provenance.items() if h in kept}),
+    )
+
+
+def complex_to_json_oracle(n, simplices, provenance):
+    """The JSON form of a complex given as point tuples and its provenance."""
+    vertices = sorted({v for s in simplices for v in s})
+    index = {v: i for i, v in enumerate(vertices)}
+    return {
+        "n": n,
+        "vertices": [list(v) for v in vertices],
+        "simplices": sorted([index[v] for v in s] for s in simplices),
+        "provenance": {str(index[c]): cube.to_json() for c, cube in sorted(provenance.items())},
+    }
+
+
+def _ranks_and_faces_oracle(simplices, sset):
+    """The first repeated-vertex, affinely-dependent or missing-face witness
+    in sorted order, with the rank test on every simplex; None if none."""
+    for s in simplices:
+        if len(set(s)) != len(s):
+            return {"kind": "repeated-vertex", "simplex": [list(v) for v in s]}
+        if len(s) > 1:
+            rows = [[v[i] - s[0][i] for i in range(len(s[0]))] for v in s[1:]]
+            if integer_rank(rows) != len(s) - 1:
+                return {"kind": "affinely-dependent", "simplex": [list(v) for v in s]}
+    for s in simplices:
+        for size in range(1, len(s)):
+            for face in itertools.combinations(s, size):
+                if face not in sset:
+                    return {"kind": "missing-face", "simplex": [list(v) for v in s], "face": [list(v) for v in face]}
+    return None
 
 
 def verify_complex_axioms_oracle(k):
     """The axiom check with the all-pairs scan over overlapping closed boxes."""
     simplices = sorted(k.simplices)
-    for s in simplices:
-        if len(set(s)) != len(s):
-            return False, {"kind": "repeated-vertex", "simplex": [list(v) for v in s]}
-        if len(s) > 1:
-            rows = [[v[i] - s[0][i] for i in range(len(s[0]))] for v in s[1:]]
-            if integer_rank(rows) != len(s) - 1:
-                return False, {"kind": "affinely-dependent", "simplex": [list(v) for v in s]}
-    for s in simplices:
-        for size in range(1, len(s)):
-            for face in itertools.combinations(s, size):
-                if face not in k.simplices:
-                    return False, {
-                        "kind": "missing-face",
-                        "simplex": [list(v) for v in s],
-                        "face": [list(v) for v in face],
-                    }
+    witness = _ranks_and_faces_oracle(simplices, k.simplices)
+    if witness:
+        return False, witness
     boxes = {s: (tuple(map(min, zip(*s))), tuple(map(max, zip(*s)))) for s in simplices}
     for i, s in enumerate(simplices):
         for t in simplices[i + 1 :]:
@@ -163,6 +234,44 @@ def verify_complex_axioms_oracle(k):
                     "kind": "open-intersection",
                     "simplex": [list(v) for v in s],
                     "other": [list(v) for v in t],
+                }
+    return True, None
+
+
+def verify_complex_axioms_ranked_oracle(k):
+    """The bucketed axiom check that gives every simplex the rank test."""
+    simplices = sorted(k.simplices)
+    witness = _ranks_and_faces_oracle(simplices, k.simplices)
+    if witness:
+        return False, witness
+    others = [i for i, s in enumerate(simplices) if not _is_chain(s)]
+    boxes = [_bbox2(s) for s in simplices]
+    open_boxes = [_open_box(box) for box in boxes]
+    buckets = _buckets(boxes)
+    pairs = {(min(i, j), max(i, j)) for i in others for cell in _cells(boxes[i]) for j in buckets[cell] if j != i}
+    for i, j in sorted(pairs):
+        s, t = simplices[i], simplices[j]
+        if _bboxes_overlap(open_boxes[i], open_boxes[j]) and open_simplices_intersect(s, t):
+            return False, {"kind": "open-intersection", "simplex": [list(v) for v in s], "other": [list(v) for v in t]}
+    return True, None
+
+
+def lattice_correspondence_oracle(k, m):
+    """The correspondence check that scans the box of every simplex."""
+    mset = frozenset(m)
+    if set(k.lattice_vertices()) != mset:
+        return False, {"kind": "lattice-vertex-mismatch", "vertices": [list(v) for v in k.lattice_vertices()]}
+    for s in sorted(k.simplices):
+        if len(s) < 2:
+            continue
+        lo, hi = _bbox2(s)
+        for p in itertools.product(*(range((l + 1) // 2, h // 2 + 1) for l, h in zip(lo, hi))):
+            h = double(p)
+            if h not in s and point_in_closed_simplex(s, [Fraction(c) for c in h]):
+                return False, {
+                    "kind": "lattice-point-inside-simplex",
+                    "simplex": [list(v) for v in s],
+                    "point": list(p),
                 }
     return True, None
 
@@ -217,6 +326,14 @@ def test_T_rejects_points():
         barycenter_test(Cube((0, 0), ()), {(0, 0)}, FULL_AXIS_2)
 
 
+def build_complex_in_cube(cn, m, pair):
+    """The complex of the foreground restricted to one cube: the chains of
+    its passing faces."""
+    mset = frozenset(m) & frozenset(cube_vertices(cn))
+    faces = [(barycenter(f), f.axes, occupancy(f, mset)) for k in range(1, cn.dim + 1) for f in subcubes(cn, k)]
+    return _order_complex(cn.n, mset, faces, pair, full=True)[1]
+
+
 def test_build_in_square_two_points():
     m = {(0, 0), (1, 0)}
     k = build_complex_in_cube(UNIT_SQUARE, m, FULL_AXIS_2)
@@ -229,7 +346,7 @@ def test_build_in_square_two_points():
 def test_build_in_square_three_points_has_triangles():
     m = {(0, 0), (1, 0), (1, 1)}
     k = build_complex_in_cube(UNIT_SQUARE, m, FULL_AXIS_2)
-    dims = {d: len(s) for d, s in k.by_dim().items()}
+    dims = {d: len(s) for d, s in by_dim(k.simplices).items()}
     assert ((1, 1),) in k.simplices  # the square's center joins
     assert dims[2] == 4
 
@@ -270,18 +387,23 @@ def test_reduce_keeps_split_squares():
     assert k.simplices == reduced.simplices
 
 
-def test_reduction_trace_invariant():
+def test_reduction_keeps_the_barycenters_of_split_cubes():
     m = {(0, 0), (1, 0), (1, 1)}
     k = build_complex(m, FULL_AXIS_2)
-    for record in reduction_trace(k, m, FULL_AXIS_2):
-        assert record.barycenter_kept == (record.background_components != 1)
+    reduced = reduce_complex(k, m, FULL_AXIS_2)
+    counts = {}
+    for center, cube in k.provenance.items():
+        free = [v for v in cube_vertices(cube) if v not in m]
+        counts[center] = components(FULL_AXIS_2.beta, free).count
+        assert (center in reduced.vertices()) == (counts[center] != 1)
+    assert counts == {(1, 0): 0, (2, 1): 0, (1, 1): 1}
 
 
 def test_ring_complex_is_a_circle():
     ring = rect_boundary(5, 5)
     k = build_complex(ring, AXIS_FULL_2)
     reduced = reduce_complex(k, ring, AXIS_FULL_2)
-    dims = {d: len(s) for d, s in reduced.by_dim().items()}
+    dims = {d: len(s) for d, s in by_dim(reduced.simplices).items()}
     assert dims == {0: 32, 1: 32}
     assert euler_characteristic(reduced) == 0
 
@@ -297,12 +419,12 @@ def test_verify_axioms_on_built_complexes():
 
 
 def test_verify_axioms_empty():
-    ok, _ = verify_complex_axioms(SimplicialComplex(2, frozenset()))
+    ok, _ = verify_complex_axioms(SimplicialComplex.of(2, ()))
     assert ok
 
 
 def test_verify_axioms_catches_crossing_edges():
-    bad = SimplicialComplex(
+    bad = SimplicialComplex.of(
         2,
         frozenset(
             [
@@ -321,9 +443,18 @@ def test_verify_axioms_catches_crossing_edges():
 
 
 def test_verify_axioms_catches_missing_face():
-    bad = SimplicialComplex(2, frozenset([((0, 0), (2, 0))]))
+    bad = SimplicialComplex.of(2, [((0, 0), (2, 0))])
     ok, witness = verify_complex_axioms(bad)
     assert not ok and witness["kind"] == "missing-face"
+
+
+def test_verify_axioms_catches_an_affinely_dependent_simplex():
+    # a point, the center of a square and the opposite corner lie on a line;
+    # they are no cube chain, so the rank test still runs on them
+    k = SimplicialComplex.of(2, _face_closure(((0, 0), (1, 1), (2, 2))))
+    ok, witness = verify_complex_axioms(k)
+    assert witness == {"kind": "affinely-dependent", "simplex": [[0, 0], [1, 1], [2, 2]]}
+    assert (ok, witness) == verify_complex_axioms_ranked_oracle(k) == verify_complex_axioms_oracle(k)
 
 
 def test_euler_characteristic_values():
@@ -341,7 +472,7 @@ def test_skeleton_components_counts():
     assert skeleton_components(one).count == 1
     two = build_complex({(0, 0), (5, 5)}, AXIS_FULL_2)
     assert skeleton_components(two).count == 2
-    assert skeleton_components(SimplicialComplex(2, frozenset())).count == 0
+    assert skeleton_components(SimplicialComplex.of(2, ())).count == 0
 
 
 def skeleton_components_oracle(k):
@@ -461,19 +592,34 @@ def _is_strict_chain(s, mset, provenance):
 def test_order_complex_matches_the_coning_oracle(case):
     m, pair = case
     k, oracle = build_complex(m, pair), build_complex_oracle(m, pair)
-    oracle_reduced = reduce_complex_oracle(oracle, m, pair)
+    _assert_matches_oracles(k, oracle, reduce_complex_oracle(oracle, m, pair), m, pair)
+    assert all(_is_strict_chain(s, m, oracle[1]) for s in k.simplices)
+
+
+def _assert_matches_oracles(k, oracle, oracle_reduced, m, pair):
+    """K, K', build_reduced_complex and reduce_complex against an oracle's
+    (simplices, provenance) for K and K'."""
     full, reduced = build_complexes(m, pair)
-    for new, old in (
+    for new, (simplices, provenance) in (
         (k, oracle),
         (full, oracle),
         (reduced, oracle_reduced),
         (reduce_complex(k, m, pair), oracle_reduced),
         (build_reduced_complex(m, pair), oracle_reduced),
     ):
-        assert new.simplices == old.simplices
-        assert dict(new.provenance) == dict(old.provenance)
-        assert json.dumps(complex_to_json(new)) == json.dumps(complex_to_json(old))
-    assert all(_is_strict_chain(s, m, k.provenance) for s in k.simplices)
+        assert new.simplices == simplices
+        assert new.provenance == provenance
+        assert json.dumps(complex_to_json(new)) == json.dumps(complex_to_json_oracle(pair.n, simplices, provenance))
+
+
+@given(boxed_sets())
+@settings(max_examples=60, deadline=None)
+def test_id_rows_match_the_point_tuple_enumeration(case):
+    # the reversed pair drops barycenters where the drawn one keeps them, so
+    # K' differs from K in many draws
+    m, pair = case
+    for p in (pair, AdjacencyPair(pair.beta, pair.alpha)):
+        _assert_matches_oracles(build_complex(m, p), *order_complex_oracle(m, p), m, p)
 
 
 @st.composite
@@ -506,7 +652,7 @@ def complexes_with_an_extra_simplex(draw):
         grid = st.tuples(*[st.integers(2 * a - 1, 2 * b + 1) for a, b in zip(lo, hi)])
         extra = sorted(draw(st.lists(grid, min_size=2, max_size=pair.n + 1, unique=True)))
     faces = {f for r in range(1, len(extra) + 1) for f in itertools.combinations(extra, r)}
-    return SimplicialComplex(k.n, k.simplices | faces)
+    return SimplicialComplex.of(k.n, k.simplices | faces)
 
 
 # The all-pairs oracle is quadratic in the simplex count (a filled 3x3x3 box
@@ -536,7 +682,7 @@ def test_cubes_of_equal_dimension_are_not_a_chain():
     chain = ((1, 0), (1, 1))
     assert not _is_chain(across) and _is_chain(chain)
     assert not _is_chain(((1, 0), (1, 0)))  # one cube twice is no strict chain
-    k = SimplicialComplex(2, _face_closure(across, chain))
+    k = SimplicialComplex.of(2, _face_closure(across, chain))
     ok, witness = verify_complex_axioms(k)
     assert not ok and witness == {
         "kind": "open-intersection", "simplex": [[1, 0], [1, 1]], "other": [[1, 0], [1, 2]]
@@ -551,9 +697,48 @@ def test_a_cube_that_is_not_a_face_of_the_next_is_not_a_chain():
     skew = ((0, 0), (3, 1))
     chain = ((2, 0), (2, 1))
     assert not _is_chain(skew) and _is_chain(chain)
-    k = SimplicialComplex(2, _face_closure(skew, chain))
+    k = SimplicialComplex.of(2, _face_closure(skew, chain))
     ok, witness = verify_complex_axioms(k)
     assert not ok and witness == {
         "kind": "open-intersection", "simplex": [[0, 0], [3, 1]], "other": [[2, 0], [2, 1]]
     }
     assert (ok, witness) == verify_complex_axioms_oracle(k)
+
+
+@given(boxed_sets())
+@settings(max_examples=40, deadline=None)
+def test_chain_certificates_match_the_oracles_on_built_complexes(case):
+    # a strict cube chain skips the rank test and the lattice-point scan
+    m, pair = case
+    full, reduced = build_complexes(m, pair)
+    for k in (full, reduced):
+        assert verify_complex_axioms(k) == verify_complex_axioms_ranked_oracle(k)
+        assert lattice_correspondence(k, m) == lattice_correspondence_oracle(k, m)
+
+
+@given(complexes_with_an_extra_simplex())
+@settings(max_examples=40, deadline=None)
+def test_chain_certificates_match_the_oracles_with_an_extra_simplex(k):
+    assert verify_complex_axioms(k) == verify_complex_axioms_ranked_oracle(k)
+    # the set of the lattice vertices, so that the scan decides
+    m = k.lattice_vertices()
+    assert lattice_correspondence(k, m) == lattice_correspondence_oracle(k, m)
+
+
+@st.composite
+def sets_to_four_dimensions(draw):
+    """A random subset of a 4x4, 3x3x3 or 2x2x3x3 box under one of the four
+    axis/full pairs."""
+    sides = draw(st.sampled_from([(4, 4), (3, 3, 3), (2, 2, 3, 3)]))
+    cells = list(itertools.product(*(range(s) for s in sides)))
+    chosen = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    n = len(sides)
+    alpha, beta = draw(st.sampled_from(list(itertools.product((axis_adjacency, full_adjacency), repeat=2))))
+    return frozenset(p for p, keep in zip(cells, chosen) if keep), AdjacencyPair(alpha(n), beta(n))
+
+
+@given(sets_to_four_dimensions())
+@settings(max_examples=60, deadline=None)
+def test_chain_free_euler_matches_the_chain_count(case):
+    m, pair = case
+    assert euler_characteristics(m, pair) == tuple(map(euler_characteristic, build_complexes(m, pair)))
