@@ -23,10 +23,8 @@ from .adjacency import (
     neighbors,
 )
 from .jordan import (
-    GeneratorSpec,
     JordanReport,
     box_surface,
-    generate,
     jordan_check,
     rect_boundary,
     sphere_shell,
@@ -37,10 +35,8 @@ from .lattice import (
     completing_translations,
     cube_vertices,
     subcubes,
-    supercubes,
 )
 from .manifold import (
-    DoublePointWitness,
     GlobalSides,
     GoodPairReport,
     ManifoldReport,

@@ -13,24 +13,11 @@ Vec = Sequence[Fraction]
 
 
 def integer_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix, computed by fraction-free elimination."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col] / inv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    """Rank of an integer matrix: its columns minus the dimension of its null space."""
+    if not rows:
+        return 0
+    _, basis = solve_affine([list(map(Fraction, row)) for row in rows], [Fraction(0)] * len(rows))
+    return len(rows[0]) - len(basis)
 
 
 def solve_affine(

@@ -16,24 +16,18 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence, TypeVar
 
-from .lattice import Point, Translation, bounding_box, vec_add
+from .lattice import Point, Translation, bounding_box, shell_offsets, unit, vec_add
 
 Path = Sequence[Point]
 T = TypeVar("T")
 
 
 def _axis_offsets(n: int) -> frozenset[Translation]:
-    out = set()
-    for i in range(n):
-        for s in (1, -1):
-            v = [0] * n
-            v[i] = s
-            out.add(tuple(v))
-    return frozenset(out)
+    return frozenset(unit(n, i, s) for i in range(n) for s in (1, -1))
 
 
 def _full_offsets(n: int) -> frozenset[Translation]:
-    return frozenset(v for v in itertools.product((-1, 0, 1), repeat=n) if any(v))
+    return frozenset(shell_offsets(n))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Sequence
 from . import __version__, jordan, manifold, pseudomanifold, separation
 from .adjacency import AdjacencyPair, Region
 from .fileio import InputFormatError, format_points, load_points, parse_adjacency_arg
-from .jordan import GeneratorSpec, generate, jordan_check, simple_point_witness
+from .jordan import GENERATORS, jordan_check, simple_point_witness
 from .manifold import check_manifold, is_good_pair, is_simple_point
 from .pseudomanifold import is_pseudomanifold
 from .separation import has_separation_property
@@ -61,22 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"digitop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # only build writes OFF, and only reports with witnesses can be replayed
-    for name, needs_points, formats, replay in (
-        ("verify-manifold", True, ("text", "json"), True),
-        ("check-separation", True, ("text", "json"), True),
-        ("build", True, ("text", "json", "off"), False),
-        ("check-pseudomanifold", True, ("text", "json"), True),
-        ("euler", True, ("text", "json"), False),
-        ("jordan", True, ("text", "json"), True),
-        ("good-pair", False, ("text", "json"), True),
-        ("simple-points", True, ("text", "json"), True),
-    ):
-        p = sub.add_parser(name)
-        _add_common(p, needs_points, formats, replay)
+    for name, (needs_points, formats, replay, _) in _COMMANDS.items():
+        _add_common(sub.add_parser(name), needs_points, formats, replay)
 
     g = sub.add_parser("generate")
-    g.add_argument("--kind", required=True, choices=("rect-boundary", "box-surface", "sphere-shell"))
+    g.add_argument("--kind", required=True, choices=tuple(GENERATORS))
     g.add_argument("--params", required=True, type=int, nargs="+", help="generator parameters")
     g.add_argument("--format", choices=("text", "json"), default="text")
     g.add_argument("-o", "--output", default=None)
@@ -98,7 +87,7 @@ def _window(args: argparse.Namespace, points, margin: int) -> Region:
 def _load_context(args: argparse.Namespace):
     points = None
     n = args.n
-    if getattr(args, "points", None):
+    if getattr(args, "points", None) is not None:
         points, dim = load_points(args.points)
         if n is not None and n != dim:
             raise InputFormatError(f"--n {n} contradicts point dimension {dim}")
@@ -113,6 +102,8 @@ def _load_context(args: argparse.Namespace):
         raise InputFormatError("--N must be at least 1")
     if args.budget < 0:
         raise InputFormatError("--budget must be nonnegative")
+    if getattr(args, "max_cells", 1) < 1:
+        raise InputFormatError("--max-cells must be at least 1")
     pair = AdjacencyPair(parse_adjacency_arg(args.alpha, n), parse_adjacency_arg(args.beta, n))
     region = _window(args, points, args.margin) if points else None
     return points, n, pair, region
@@ -224,11 +215,7 @@ def _maybe_replay(args: argparse.Namespace, mset, pair: AdjacencyPair) -> int | 
     return 1
 
 
-def _cmd_verify_manifold(args: argparse.Namespace) -> int:
-    mset, n, pair, region = _load_context(args)
-    code = _maybe_replay(args, mset, pair)
-    if code is not None:
-        return code
+def _cmd_verify_manifold(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
     report = check_manifold(mset, pair, region)
     lines = [f"certified: {report.certified}"]
     for name, verdict in (
@@ -245,11 +232,7 @@ def _cmd_verify_manifold(args: argparse.Namespace) -> int:
     return 0 if report.certified else 1
 
 
-def _cmd_check_separation(args: argparse.Namespace) -> int:
-    mset, n, pair, region = _load_context(args)
-    code = _maybe_replay(args, mset, pair)
-    if code is not None:
-        return code
+def _cmd_check_separation(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
     verdict = has_separation_property(mset, pair, region)
     witnesses = [verdict.witness] if verdict.witness else []
     lines = [f"separation: {verdict.holds}"]
@@ -259,8 +242,7 @@ def _cmd_check_separation(args: argparse.Namespace) -> int:
     return 0 if verdict.holds else 1
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
-    mset, n, pair, _ = _load_context(args)
+def _cmd_build(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
     if args.format == "off":
         text, skipped = complex_to_off(build_reduced_complex(mset, pair))
         if skipped:
@@ -281,11 +263,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check_pseudomanifold(args: argparse.Namespace) -> int:
-    mset, n, pair, region = _load_context(args)
-    code = _maybe_replay(args, mset, pair)
-    if code is not None:
-        return code
+def _cmd_check_pseudomanifold(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
     reduced = build_reduced_complex(mset, pair)
     if not reduced.rows:
         print("warning: empty complex is vacuously a pseudomanifold", file=sys.stderr)
@@ -302,8 +280,7 @@ def _cmd_check_pseudomanifold(args: argparse.Namespace) -> int:
     return 0 if report.all_hold else 1
 
 
-def _cmd_euler(args: argparse.Namespace) -> int:
-    mset, n, pair, _ = _load_context(args)
+def _cmd_euler(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
     chi, chi_prime = euler_characteristics(mset, pair)
     result = {"chi_K": chi, "chi_K_prime": chi_prime}
     lines = [f"chi(K) = {result['chi_K']}", f"chi(K') = {result['chi_K_prime']}"]
@@ -311,11 +288,7 @@ def _cmd_euler(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_jordan(args: argparse.Namespace) -> int:
-    mset, n, pair, region = _load_context(args)
-    code = _maybe_replay(args, mset, pair)
-    if code is not None:
-        return code
+def _cmd_jordan(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
     report = jordan_check(mset, pair, margin=args.margin)
     lines = [
         f"all-true: {report.all_true}",
@@ -331,13 +304,7 @@ def _cmd_jordan(args: argparse.Namespace) -> int:
     return 0 if report.all_true else 1
 
 
-def _cmd_good_pair(args: argparse.Namespace) -> int:
-    _, n, pair, _ = _load_context(args)
-    # witnesses of a good-pair report live on the origin's background sphere
-    sphere = frozenset(pair.beta.offsets)
-    code = _maybe_replay(args, sphere, pair)
-    if code is not None:
-        return code
+def _cmd_good_pair(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
     report = is_good_pair(pair, bound=args.bound, budget=args.budget)
     lines = [
         f"good-pair: {report.verdict}",
@@ -346,7 +313,7 @@ def _cmd_good_pair(args: argparse.Namespace) -> int:
         f"double-points: {len(report.double_point_witnesses)}",
     ]
     for w in report.double_point_witnesses:
-        lines.append(f"  witness: {json.dumps(w.to_json(), sort_keys=True)}")
+        lines.append(f"  witness: {json.dumps(w, sort_keys=True)}")
     _report(args, _config(args, n), report.to_json(), report.witnesses(), lines)
     if report.verdict == "yes":
         return 0
@@ -355,11 +322,7 @@ def _cmd_good_pair(args: argparse.Namespace) -> int:
     return 3
 
 
-def _cmd_simple_points(args: argparse.Namespace) -> int:
-    mset, n, pair, region = _load_context(args)
-    code = _maybe_replay(args, mset, pair)
-    if code is not None:
-        return code
+def _cmd_simple_points(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
     simple = [p for p in sorted(mset) if is_simple_point(p, mset, pair, region)]
     result = {"simple_points": [list(p) for p in simple], "count": len(simple)}
     witnesses = [simple_point_witness(p) for p in simple]
@@ -369,10 +332,8 @@ def _cmd_simple_points(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    kind = args.kind.replace("-", "_")
-    spec = GeneratorSpec(kind, tuple(args.params))
     try:
-        points = generate(spec)
+        points = GENERATORS[args.kind](*args.params)
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"generate {args.kind}: {exc}") from exc
     config = {"command": "generate", "kind": args.kind, "params": list(args.params)}
@@ -381,16 +342,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "verify-manifold": _cmd_verify_manifold,
-    "check-separation": _cmd_check_separation,
-    "build": _cmd_build,
-    "check-pseudomanifold": _cmd_check_pseudomanifold,
-    "euler": _cmd_euler,
-    "jordan": _cmd_jordan,
-    "good-pair": _cmd_good_pair,
-    "simple-points": _cmd_simple_points,
-    "generate": _cmd_generate,
+# name: (needs --points, report formats, can replay, handler); only build
+# writes OFF, and only reports with witnesses can be replayed
+_COMMANDS = {
+    "verify-manifold": (True, ("text", "json"), True, _cmd_verify_manifold),
+    "check-separation": (True, ("text", "json"), True, _cmd_check_separation),
+    "build": (True, ("text", "json", "off"), False, _cmd_build),
+    "check-pseudomanifold": (True, ("text", "json"), True, _cmd_check_pseudomanifold),
+    "euler": (True, ("text", "json"), False, _cmd_euler),
+    "jordan": (True, ("text", "json"), True, _cmd_jordan),
+    "good-pair": (False, ("text", "json"), True, _cmd_good_pair),
+    "simple-points": (True, ("text", "json"), True, _cmd_simple_points),
 }
 
 
@@ -400,7 +362,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _HANDLERS[args.command](args)
+        if args.command == "generate":
+            return _cmd_generate(args)
+        mset, n, pair, region = _load_context(args)
+        # witnesses of a good-pair report live on the origin's background sphere
+        code = _maybe_replay(args, frozenset(pair.beta.offsets) if args.command == "good-pair" else mset, pair)
+        return _COMMANDS[args.command][3](args, mset, n, pair, region) if code is None else code
     except ValueError as exc:  # InputFormatError and NotCertifiedError too
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -149,12 +149,6 @@ REPLAYS = {
 }
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    kind: str  # rect_boundary | box_surface | sphere_shell
-    params: tuple[int, ...]
-
-
 def rect_boundary(w: int, h: int) -> frozenset[Point]:
     """Boundary lattice points of a w-by-h box in the plane."""
     if w < 3 or h < 3:
@@ -198,11 +192,5 @@ def sphere_shell(radius: int, n: int) -> frozenset[Point]:
     return frozenset(out)
 
 
-def generate(spec: GeneratorSpec) -> frozenset[Point]:
-    if spec.kind == "rect_boundary":
-        return rect_boundary(*spec.params)
-    if spec.kind == "box_surface":
-        return box_surface(*spec.params)
-    if spec.kind == "sphere_shell":
-        return sphere_shell(*spec.params)
-    raise ValueError(f"unknown generator kind {spec.kind!r}")
+# the example sets of ``digitop generate --kind KIND``
+GENERATORS = {"rect-boundary": rect_boundary, "box-surface": box_surface, "sphere-shell": sphere_shell}

@@ -80,12 +80,6 @@ class Cube:
     def from_json(d: dict) -> "Cube":
         return Cube(tuple(d["base"]), tuple(d["axes"]))
 
-    def box2(self) -> tuple[HalfPoint, HalfPoint]:
-        """Closed bounding box in doubled coordinates."""
-        lo = double(self.base)
-        hi = tuple(2 * b + (2 if i in self.axes else 0) for i, b in enumerate(self.base))
-        return lo, hi
-
 
 @lru_cache(maxsize=None)
 def _corners(n: int, axes: tuple[int, ...]) -> tuple[Translation, ...]:
@@ -111,22 +105,6 @@ def subcubes(c: Cube, j: int) -> list[Cube]:
             for axis, bit in zip(fixed, bits):
                 base[axis] += bit
             out.append(Cube(tuple(base), free))
-    return sorted(out)
-
-
-def supercubes(c: Cube, n: int | None = None) -> list[Cube]:
-    """All (k+1)-cubes of Z^n containing c; 2*(n-k) of them."""
-    if n is None:
-        n = c.n
-    if c.dim >= n:
-        raise ValueError(f"a {c.dim}-cube has no supercubes in dimension {n}")
-    out = []
-    for axis in range(n):
-        if axis in c.axes:
-            continue
-        new_axes = tuple(sorted(c.axes + (axis,)))
-        out.append(Cube(c.base, new_axes))
-        out.append(Cube(vec_add(c.base, unit(n, axis, -1)), new_axes))
     return sorted(out)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal, Mapping, Optional
+from typing import Iterable, Literal, Optional
 
 from .adjacency import (
     AdjacencyPair,
@@ -43,14 +43,13 @@ DEFAULT_BUDGET = 100_000
 
 @dataclass(frozen=True)
 class ManifoldReport:
-    """Per-property verdicts plus the local side pair of every point."""
+    """Per-property verdicts; ``local_components`` gives each point's local sides."""
 
     alpha_connected: Verdict
     cube_connectivity: Verdict
     local_two_components: Verdict
     two_sidedness: Verdict
     separation: Verdict
-    local_sides: Optional[Mapping[Point, tuple[frozenset[Point], frozenset[Point]]]]
 
     @property
     def certified(self) -> bool:
@@ -89,42 +88,6 @@ class GlobalSides:
 
     c_side: frozenset[Point]
     d_side: frozenset[Point]
-
-
-@dataclass(frozen=True)
-class DoublePointWitness:
-    """A foreground edge crossing a background edge inside one square."""
-
-    z: Point
-    p: Point
-    q: Point
-    r: Point
-    tau: Translation
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "double-point",
-            "z": list(self.z),
-            "p": list(self.p),
-            "q": list(self.q),
-            "r": list(self.r),
-            "tau": list(self.tau),
-        }
-
-    def verify(self, pair: AdjacencyPair) -> bool:
-        """Replay every defining condition of the configuration."""
-        alpha, beta = pair.alpha, pair.beta
-        return (
-            beta.adjacent(self.z, self.p)
-            and axis_adjacent(self.z, self.q)
-            and alpha.adjacent(self.p, self.q)
-            and beta.adjacent(self.z, self.r)
-            and axis_adjacent(self.p, self.r)
-            and vec_add(self.p, self.tau) == self.q
-            and vec_add(self.r, self.tau) == self.z
-            and alpha.adjacent(self.r, self.q)
-            and is_simple_translation(self.tau)
-        )
 
 
 def axis_adjacent(p: Point, q: Point) -> bool:
@@ -217,7 +180,6 @@ def check_manifold(
     # both local tests read one table entry per shell mask; two-sidedness
     # holds vacuously unless every point has two local sides
     local_two = two_sided = Verdict(True)
-    sides: dict[Point, tuple[frozenset[Point], frozenset[Point]]] = {}
     for p in sorted(mset):
         comps, one_sided = _shell(pair, shell_mask(p, mset))
         if len(comps) != 2:
@@ -227,7 +189,6 @@ def check_manifold(
             )
             two_sided = Verdict(True)
             break
-        sides[p] = (frozenset(vec_add(p, v) for v in comps[0]), frozenset(vec_add(p, v) for v in comps[1]))
         if one_sided is not None and two_sided.holds:
             a, k = one_sided
             two_sided = Verdict(
@@ -248,7 +209,6 @@ def check_manifold(
         local_two_components=local_two,
         two_sidedness=two_sided,
         separation=separation,
-        local_sides=sides if local_two.holds else None,
     )
 
 
@@ -270,7 +230,7 @@ def global_sides(
     mset = frozenset(m)
     if report is None:
         report = check_manifold(mset, pair)
-    if not report.certified or report.local_sides is None:
+    if not report.certified:
         raise NotCertifiedError("global sides are defined only for certified manifolds")
     shell = {vec_add(p, v) for p in mset for v in shell_offsets(pair.n)} - mset
     comps = sorted(components(pair.beta, shell).components().values(), key=min)
@@ -283,12 +243,12 @@ def global_sides(
         for x in comp:
             by_point[x] = comp
     for p in sorted(mset):
-        c_p, d_p = report.local_sides[p]
+        c_p, d_p = local_components(p, mset, pair)
         if by_point[min(c_p)] is by_point[min(d_p)]:
             raise RuntimeError(
                 f"local sides of {p} fall into one shell component; certification inconsistent"
             )
-    anchor = report.local_sides[min(mset)][0]
+    anchor = local_components(min(mset), mset, pair)[0]
     first = by_point[min(anchor)]
     second = comps[0] if first is comps[1] else comps[1]
     return GlobalSides(first, second)
@@ -325,8 +285,9 @@ def is_simple_point(
     return components(pair.alpha, mset).count == components(pair.alpha, mset - {p}).count
 
 
-def double_points(z: Point, pair: AdjacencyPair) -> list[DoublePointWitness]:
-    """Exhaustive search for crossing configurations around one point."""
+def double_points(z: Point, pair: AdjacencyPair) -> list[dict]:
+    """Exhaustive search for crossing configurations around one point: a
+    foreground edge p-q crossing a background edge z-r inside one square."""
     alpha, beta = pair.alpha, pair.beta
     out = []
     for p in sorted(neighbors(beta, z)):
@@ -342,7 +303,9 @@ def double_points(z: Point, pair: AdjacencyPair) -> list[DoublePointWitness]:
                 and axis_adjacent(p, r)
                 and alpha.adjacent(r, q)
             ):
-                out.append(DoublePointWitness(z, p, q, r, tau))
+                out.append(
+                    {"kind": "double-point", "z": list(z), "p": list(p), "q": list(q), "r": list(r), "tau": list(tau)}
+                )
     return out
 
 
@@ -351,11 +314,11 @@ class GoodPairReport:
     verdict: Literal["yes", "no", "unknown"]
     separating: Literal["yes", "no", "unknown"]
     contractibility: Literal["yes", "unknown", "skipped"]
-    double_point_witnesses: tuple[DoublePointWitness, ...]
+    double_point_witnesses: tuple[dict, ...]
     sphere_report: Optional[ManifoldReport]
 
     def witnesses(self) -> list[dict]:
-        out = [w.to_json() for w in self.double_point_witnesses]
+        out = list(self.double_point_witnesses)
         if self.sphere_report is not None and not self.sphere_report.certified:
             out.extend(self.sphere_report.witnesses())
         return out
@@ -365,7 +328,7 @@ class GoodPairReport:
             "verdict": self.verdict,
             "separating": self.separating,
             "contractibility": self.contractibility,
-            "double_points": [w.to_json() for w in self.double_point_witnesses],
+            "double_points": list(self.double_point_witnesses),
             "sphere_certified": (
                 self.sphere_report.certified if self.sphere_report else None
             ),
@@ -460,7 +423,20 @@ def _replay_one_sided(w: dict, mset, pair: AdjacencyPair, region) -> bool:
 
 
 def _replay_double_point(w: dict, mset, pair: AdjacencyPair, region) -> bool:
-    return DoublePointWitness(*(tuple(w[k]) for k in ("z", "p", "q", "r", "tau"))).verify(pair)
+    """Replay every defining condition of the configuration."""
+    z, p, q, r, tau = (tuple(w[k]) for k in ("z", "p", "q", "r", "tau"))
+    alpha, beta = pair.alpha, pair.beta
+    return (
+        beta.adjacent(z, p)
+        and axis_adjacent(z, q)
+        and alpha.adjacent(p, q)
+        and beta.adjacent(z, r)
+        and axis_adjacent(p, r)
+        and vec_add(p, tau) == q
+        and vec_add(r, tau) == z
+        and alpha.adjacent(r, q)
+        and is_simple_translation(tau)
+    )
 
 
 REPLAYS = {

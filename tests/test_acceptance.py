@@ -22,7 +22,7 @@ from digitop.adjacency import (
 from digitop.cli import main
 from digitop.jordan import box_surface, jordan_check, rect_boundary
 from digitop.lattice import Cube, bounding_box, cube_vertices
-from digitop.manifold import check_manifold, global_sides, is_good_pair
+from digitop.manifold import REPLAYS, check_manifold, global_sides, is_good_pair
 from digitop.pseudomanifold import is_pseudomanifold
 from digitop.separation import beta_neighbor_lower_bound
 from digitop.simplicial import (
@@ -121,7 +121,9 @@ def test_criterion_03_good_pair_table():
     r88 = is_good_pair(AdjacencyPair(alpha=full, beta=full))
     if r88.verdict != "no" or not r88.double_point_witnesses:
         failures.append("(8,8) expected no with a double-point witness")
-    elif not all(w.verify(AdjacencyPair(alpha=full, beta=full)) for w in r88.double_point_witnesses):
+    elif not all(
+        REPLAYS["double-point"](w, None, AdjacencyPair(alpha=full, beta=full), None) for w in r88.double_point_witnesses
+    ):
         failures.append("(8,8) double-point witnesses do not replay")
 
     r44 = is_good_pair(AdjacencyPair(alpha=ax, beta=ax))

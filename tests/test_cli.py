@@ -271,6 +271,7 @@ def test_replay_separation_witness(tmp_path, capsys):
 
 def test_usage_errors(tmp_path):
     assert main(["jordan", "--points", str(tmp_path / "missing.txt")]) == 2
+    assert main(["verify-manifold", "--points", "", "--n", "2"]) == 2  # the path "" is read, not skipped
     pts = tmp_path / "p.txt"
     pts.write_text("0 0\n1 0\n", encoding="utf-8")
     assert main(["jordan", "--points", str(pts), "--n", "3"]) == 2
@@ -656,6 +657,15 @@ def test_a_window_at_max_cells_still_runs(tmp_path):
     assert _run_all([*argv, "--max-cells", "64"])[0] == 0
     code, _, err = _run_all([*argv, "--max-cells", "63"])
     assert code == 2 and "64 cells" in err and "--max-cells 63" in err
+
+
+@pytest.mark.parametrize("cells", ["0", "-5"])
+@pytest.mark.parametrize("command", ["check-separation", "good-pair"])
+def test_max_cells_below_one_is_a_usage_error(ring_file, command, cells):
+    given = ["--n", "2"] if command == "good-pair" else ["--points", str(ring_file)]
+    code, out, err = _run_all([command, *given, "--alpha", "axis", "--beta", "full", "--max-cells", cells])
+    assert (code, out) == (2, "")
+    assert err == "error: --max-cells must be at least 1\n"
 
 
 def test_replay_bounds_the_window_of_the_recorded_margin(tmp_path):

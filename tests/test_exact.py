@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from digitop._exact import (
     barycentric_coordinates,
@@ -19,11 +21,58 @@ def point_in_open_simplex(vertices, point) -> bool:
     return coords is not None and all(c > 0 for c in coords)
 
 
+def integer_rank_oracle(rows: list[list[int]]) -> int:
+    """Reference: rank by its own Gauss-Jordan elimination over fractions."""
+    mat = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = mat[rank][col]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                factor = mat[r][col] / inv
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
 def test_integer_rank():
     assert integer_rank([[1, 0], [0, 1]]) == 2
     assert integer_rank([[1, 1], [2, 2]]) == 1
     assert integer_rank([[0, 0], [0, 0]]) == 0
     assert integer_rank([[2, 0, 0], [0, 2, 0], [1, 1, 0]]) == 2
+
+
+@st.composite
+def small_matrices(draw):
+    """Integer matrices of up to 5 rows and 1-5 columns (wide, tall, all-zero
+    or empty); with some rows replaced by integer combinations of the others,
+    so that rank-deficient ones are common."""
+    cols = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), max_size=5))
+    for i in range(1, len(rows)):
+        if draw(st.booleans()):
+            weights = draw(st.lists(entries, min_size=i, max_size=i))
+            rows[i] = [sum(w * row[c] for w, row in zip(weights, rows)) for c in range(cols)]
+    return rows
+
+
+@given(small_matrices())
+@example([])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[1, 2, 3, 4, 5]])
+@example([[1], [2], [0], [-1]])
+@example([[1, 2], [2, 4], [3, 6]])
+@settings(max_examples=200, deadline=None)
+def test_integer_rank_matches_the_elimination_oracle(rows):
+    assert integer_rank(rows) == integer_rank_oracle(rows)
 
 
 def test_solve_affine_unique():

@@ -50,6 +50,9 @@ GROUPS = [
     ("witness", ["good-pair n=2 full/axis"]),
     ("witness", ["good-pair n=2 axis/full"]),
     ("witness", ["good-pair n=3 axis/full"]),
+    # full/full has double points, so these pin the double-point witness bytes
+    ("witness", ["good-pair n=2 full/full"]),
+    ("witness", ["good-pair n=3 full/full"]),
     (
         "witness",
         [
@@ -150,3 +153,49 @@ def test_good_pair_bytes_under_other_bounds_and_budgets(args, code, sha):
         got = main(["good-pair", *args, "--format", "json"])
     text = RUN.canonical(out.getvalue(), ())
     assert (got, hashlib.sha256(text.encode("utf-8")).hexdigest()) == (code, sha)
+
+
+# the default text format of every command; (exit, sha256(stdout),
+# sha256(stderr)) recorded from the handlers that each loaded their own
+# context and replayed on their own, before one command table fed them
+BOX_SURFACE_333 = "".join(
+    " ".join(map(str, p)) + "\n" for p in itertools.product(range(3), repeat=3) if {0, 2} & set(p)
+)
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+TEXT = [
+    (["verify-manifold"], RING_5_5, "axis", "full", 0, "73babe4ee25d084c22763b26fe2b794fbad83acbe5d8588b5148f91f305f2eb0", EMPTY),
+    (["verify-manifold"], ARC, "full", "axis", 1, "256ac18e1d60fd9f4e96322398f7d6dd002d9dc391c982fce274dddae30b0098", EMPTY),
+    (["check-separation"], PLATE, "full", "axis", 1, "13180dd39f8a7358c9b3e6e0dd79ca4ff5ce7426be340908af3dada659f284b7", EMPTY),
+    (["build"], RING_5_5, "axis", "full", 0, "20b60ac157a3adbcab5acb320adaa40ed884d5bb8091854981079c596587e60e", EMPTY),
+    (["build", "--format", "off"], BOX_SURFACE_333, "axis", "full", 0,
+     "c8eb623369feb3dedd2d6b91da0577581da83e64d442e16d460b8fc7dd6eaaef",
+     "aa8e0f402c731134aa909d30b57e9a338604405eb502fc4234d0abfa2eb3abb5"),
+    (["check-pseudomanifold"], ARC, "full", "axis", 1, "eaa50d6747259868713f0b29fbed4aa871f4fc1d4ec1da5b4c164059b3b3954d", EMPTY),
+    (["euler"], RING_5_5, "axis", "full", 0, "765006c745b19ca579b837e506c42354ab3a4d6da35be0fda40482e0342e3fd3", EMPTY),
+    (["jordan"], RING_5_5, "axis", "full", 0, "2d1b9e50db0af00d00f40804f368d49512bd0245f66475804b08f3bc3405945a", EMPTY),
+    (["simple-points"], ARC, "full", "axis", 1, "1060635d1807e60d4c6cbc5f3183b14a2235c4b61e463949fcf74da6883ff821", EMPTY),
+    (["good-pair", "--n", "2"], None, "full", "full", 1, "400be45faf10c6430b8e5bbd99758f005125f1e5921680d0793d06f9d4378630", EMPTY),
+    (["good-pair", "--n", "2"], None, "full", "axis", 0, "616437c5926f93dc8038c873a2623fa772c84a89c91c687ba8fdbacda9b3386f", EMPTY),
+    (["good-pair", "--n", "3", "--budget", "1000"], None, "axis", "full", 3,
+     "7487f890824bf13be941f853579821e0db5d8ba352b44a0eaa6b847cb4589b6c", EMPTY),
+    (["generate", "--kind", "rect-boundary", "--params", "5", "5"], None, None, None, 0,
+     "0f4d4880cca28ac7794699fd4d27df6bfe05dbca747201aa9f29f82af9aa7921", EMPTY),
+]
+
+
+@pytest.mark.parametrize(
+    "args,points,alpha,beta,code,out_sha,err_sha", TEXT, ids=[f"{c[0][0]}-{i}" for i, c in enumerate(TEXT)]
+)
+def test_text_report_bytes(args, points, alpha, beta, code, out_sha, err_sha, tmp_path):
+    argv = list(args)
+    if points is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(points, encoding="utf-8")
+        argv += ["--points", str(path)]
+    if alpha is not None:
+        argv += ["--alpha", alpha, "--beta", beta]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        got = main(argv)
+    digest = [hashlib.sha256(s.getvalue().encode("utf-8")).hexdigest() for s in (out, err)]
+    assert (got, *digest) == (code, out_sha, err_sha)

@@ -2,9 +2,8 @@ import pytest
 
 from digitop.adjacency import AdjacencyPair, axis_adjacency, full_adjacency
 from digitop.jordan import (
-    GeneratorSpec,
+    GENERATORS,
     box_surface,
-    generate,
     jordan_check,
     rect_boundary,
     sphere_shell,
@@ -35,11 +34,10 @@ def test_generators_reject_degenerate_parameters():
 
 
 def test_generate_dispatch():
-    assert generate(GeneratorSpec("rect_boundary", (5, 5))) == rect_boundary(5, 5)
-    assert generate(GeneratorSpec("box_surface", (3, 3, 3))) == box_surface(3, 3, 3)
-    assert generate(GeneratorSpec("sphere_shell", (2, 2))) == sphere_shell(2, 2)
-    with pytest.raises(ValueError):
-        generate(GeneratorSpec("torus", (3,)))
+    assert GENERATORS["rect-boundary"](5, 5) == rect_boundary(5, 5)
+    assert GENERATORS["box-surface"](3, 3, 3) == box_surface(3, 3, 3)
+    assert GENERATORS["sphere-shell"](2, 2) == sphere_shell(2, 2)
+    assert "torus" not in GENERATORS
 
 
 def test_sphere_shell_is_a_ring():

@@ -13,10 +13,30 @@ from digitop.lattice import (
     cubes_meeting_box,
     occupancy,
     shapes_meeting,
+    double,
     subcubes,
-    supercubes,
+    unit,
     vec_add,
 )
+
+
+def box2(c: Cube):
+    """Closed bounding box of a cube in doubled coordinates."""
+    lo = double(c.base)
+    hi = tuple(2 * b + (2 if i in c.axes else 0) for i, b in enumerate(c.base))
+    return lo, hi
+
+
+def supercubes(c: Cube, n: int) -> list[Cube]:
+    """All (k+1)-cubes of Z^n containing c; 2*(n-k) of them."""
+    out = []
+    for axis in range(n):
+        if axis in c.axes:
+            continue
+        new_axes = tuple(sorted(c.axes + (axis,)))
+        out.append(Cube(c.base, new_axes))
+        out.append(Cube(vec_add(c.base, unit(n, axis, -1)), new_axes))
+    return sorted(out)
 
 
 def test_vertices_of_point_cube():
@@ -98,7 +118,7 @@ def test_subcube_total_is_three_to_the_k(k, n):
 
 def test_vertices_stay_in_box():
     c = Cube((2, -1), (0,))
-    lo, hi = c.box2()
+    lo, hi = box2(c)
     for v in cube_vertices(c):
         assert all(a <= 2 * x <= b for a, x, b in zip(lo, v, hi))
 

@@ -17,6 +17,7 @@ from digitop.adjacency import neighbors
 from digitop.jordan import box_surface, jordan_check, rect_boundary
 from digitop.lattice import shell_mask, vec_add, vec_sub
 from digitop.manifold import (
+    REPLAYS,
     NotCertifiedError,
     _shell,
     check_manifold,
@@ -53,10 +54,10 @@ def test_local_components_spur_tip():
 
 
 def test_ring_is_certified():
-    report = check_manifold(rect_boundary(5, 5), AXIS_FULL_2)
+    ring = rect_boundary(5, 5)
+    report = check_manifold(ring, AXIS_FULL_2)
     assert report.certified
-    assert report.local_sides is not None
-    assert len(report.local_sides) == 16
+    assert all(len(local_components(p, ring, AXIS_FULL_2)) == 2 for p in ring)
 
 
 def test_ring_minus_point_fails():
@@ -85,6 +86,8 @@ def test_global_sides_ring():
     # the center of the 3x3 interior is too far from the ring to be in its shell
     assert sizes == [8, 24]
     assert sides.c_side.isdisjoint(sides.d_side)
+    # the first side holds the first local side of the smallest point (0, 0)
+    assert (-1, -1) in sides.c_side and len(sides.d_side) == 8
 
 
 def test_global_sides_box():
@@ -153,13 +156,17 @@ def test_shared_labeling_matches_the_oracle(case):
         assert got == expected
 
 
+def _crossing(w):
+    return tuple(tuple(w[k]) for k in ("p", "q", "r", "tau"))
+
+
 def test_double_points_full_full():
     witnesses = double_points((0, 0), AdjacencyPair(full_adjacency(2), full_adjacency(2)))
     assert witnesses
-    found = {(w.p, w.q, w.r, w.tau) for w in witnesses}
+    found = {_crossing(w) for w in witnesses}
     assert ((1, 1), (1, 0), (0, 1), (0, -1)) in found
     for w in witnesses:
-        assert w.verify(AdjacencyPair(full_adjacency(2), full_adjacency(2)))
+        assert REPLAYS["double-point"](w, None, AdjacencyPair(full_adjacency(2), full_adjacency(2)), None)
 
 
 def test_double_points_axis_background_is_empty():
@@ -175,9 +182,9 @@ def test_double_points_translation_invariance():
     at_origin = double_points((0, 0), pair)
     shifted = double_points((4, -3), pair)
     moved = {
-        (tuple(a + b for a, b in zip(w.p, (4, -3))), w.tau) for w in at_origin
+        (tuple(a + b for a, b in zip(w["p"], (4, -3))), tuple(w["tau"])) for w in at_origin
     }
-    assert {(w.p, w.tau) for w in shifted} == moved
+    assert {(tuple(w["p"]), tuple(w["tau"])) for w in shifted} == moved
 
 
 def test_separating_pair_full_axis():
@@ -272,7 +279,7 @@ def test_foreground_cubes_see_two_shared_sides():
 def test_double_points_equivariant_under_signed_permutations():
     # rotation-regular relations: witnesses map through coordinate symmetry
     pair = AdjacencyPair(full_adjacency(2), full_adjacency(2))
-    base = {(w.p, w.q, w.r, w.tau) for w in double_points((0, 0), pair)}
+    base = {_crossing(w) for w in double_points((0, 0), pair)}
 
     def swap(t):
         return (t[1], t[0])
@@ -399,10 +406,9 @@ _RING_KINK = frozenset(rect_boundary(5, 5) - {(0, 0)} | {(1, 1)})
 def test_local_shell_table_matches_the_point_oracle(case):
     m, pair = case
     report = check_manifold(m, pair)
-    local_two, two_sided, sides = local_verdicts_oracle(m, pair)
+    local_two, two_sided, _ = local_verdicts_oracle(m, pair)
     assert report.local_two_components == local_two
     assert report.two_sidedness == two_sided
-    assert report.local_sides == sides
     # every point's table entry, also where an earlier point ended the scan
     for p in m:
         expected = local_components_oracle(p, m, pair)

@@ -54,6 +54,7 @@ from digitop.simplicial import (
     barycenter_test,
     verify_complex_axioms,
 )
+from test_lattice import box2
 
 AXIS_FULL_2 = AdjacencyPair(axis_adjacency(2), full_adjacency(2))
 FULL_AXIS_2 = AdjacencyPair(full_adjacency(2), axis_adjacency(2))
@@ -129,7 +130,7 @@ def build_complex_oracle(m, pair):
                     continue
                 center = barycenter(c)
                 provenance[center] = c
-                box_lo, box_hi = c.box2()
+                box_lo, box_hi = box2(c)
                 new = [(center,)]
                 for s in built:
                     if center not in s and all(
