@@ -270,7 +270,7 @@ class _CycleGraph:
     list is increasing.  A translation keeps that order, so index order is
     the order of ``sorted`` points and of ``spec.sorted_offsets``.  The
     replacement runs depend only on where they start and end and on their
-    length cap, so each run list is enumerated once per graph.
+    length cap, so a run list enumerated to its end is kept for the graph.
     """
 
     def __init__(self, spec: AdjacencySpec, pts: Iterable[Point]) -> None:
@@ -310,33 +310,35 @@ class _CycleGraph:
 
     def runs(
         self, first: tuple[str, int] | None, end_next_to: int | None, max_len: int
-    ) -> list[tuple[int, ...]]:
+    ) -> Iterable[tuple[int, ...]]:
         """Replacement runs of at most ``max_len`` vertices, in DFS preorder.
 
         ``first`` pins the start: ("eq", v) starts at v, ("adj", v) at a
         neighbour of v, and None anywhere.  With ``end_next_to`` set, only
-        runs whose last vertex is its neighbour are kept.
+        runs whose last vertex is its neighbour are kept.  Runs are yielded
+        as they are found, so a search that stops early never holds them all.
         """
         key = (first, end_next_to, max_len)
-        out = self._runs.get(key)
-        if out is not None:
-            return out
-        out = self._runs[key] = []
-        if max_len < 1:
-            return out
+        done = self._runs.get(key)
+        return done if done is not None else self._enumerate_runs(key)
+
+    def _enumerate_runs(self, key: tuple) -> Iterator[tuple[int, ...]]:
+        first, end_next_to, max_len = key
+        out: list[tuple[int, ...]] = []
         if first is None:
             starts: Sequence[int] = range(len(self.adj))
         else:
             starts = (first[1],) if first[0] == "eq" else self.adj[first[1]]
         ends = None if end_next_to is None else self.adj_sets[end_next_to]
-        stack = [(s,) for s in reversed(starts)]
+        stack = [(s,) for s in reversed(starts)] if max_len >= 1 else []
         while stack:
             run = stack.pop()
             if ends is None or run[-1] in ends:
                 out.append(run)
+                yield run
             if len(run) < max_len:
                 stack.extend(run + (q,) for q in reversed(self.adj[run[-1]]))
-        return out
+        self._runs[key] = out
 
 
 def _cycle_rewrites(

@@ -104,8 +104,13 @@ def _load_context(args: argparse.Namespace):
         raise InputFormatError("--budget must be nonnegative")
     if getattr(args, "max_cells", 1) < 1:
         raise InputFormatError("--max-cells must be at least 1")
-    pair = AdjacencyPair(parse_adjacency_arg(args.alpha, n), parse_adjacency_arg(args.beta, n))
+    # windows are bounded before any adjacency (up to 3^n - 1 offsets) is built;
+    # good-pair's sphere check floods the origin's background sphere, which
+    # spans [-1, 1]^n, at margin 2: the box [-3, 3]^n
+    if args.command == "good-pair":
+        _window(args, ((-1,) * n, (1,) * n), 2)
     region = _window(args, points, args.margin) if points else None
+    pair = AdjacencyPair(parse_adjacency_arg(args.alpha, n), parse_adjacency_arg(args.beta, n))
     return points, n, pair, region
 
 
@@ -215,19 +220,23 @@ def _maybe_replay(args: argparse.Namespace, mset, pair: AdjacencyPair) -> int | 
     return 1
 
 
+def _witness_line(w: dict) -> str:
+    return f"  witness: {json.dumps(w, sort_keys=True)}"
+
+
+def _verdict_lines(report) -> list[str]:
+    """One line per verdict of a ``Checks`` report, then one per witness."""
+    lines = [f"{name.replace('_', '-')}: {verdict.holds}" for name, verdict in report.verdicts()]
+    return lines + [_witness_line(w) for w in report.witnesses()]
+
+
 def _cmd_verify_manifold(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
     report = check_manifold(mset, pair, region)
     lines = [f"certified: {report.certified}"]
-    for name, verdict in (
-        ("alpha-connected", report.alpha_connected),
-        ("cube-connectivity", report.cube_connectivity),
-        ("local-two-components", report.local_two_components),
-        ("two-sidedness", report.two_sidedness),
-        ("separation", report.separation),
-    ):
-        lines.append(f"{name}: {verdict.holds}")
+    for name, verdict in report.verdicts():
+        lines.append(f"{name.replace('_', '-')}: {verdict.holds}")
         if not verdict.holds and verdict.witness:
-            lines.append(f"  witness: {json.dumps(verdict.witness, sort_keys=True)}")
+            lines.append(_witness_line(verdict.witness))
     _report(args, _config(args, n), report.to_json(), report.witnesses(), lines)
     return 0 if report.certified else 1
 
@@ -235,9 +244,7 @@ def _cmd_verify_manifold(args: argparse.Namespace, mset, n: int, pair: Adjacency
 def _cmd_check_separation(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
     verdict = has_separation_property(mset, pair, region)
     witnesses = [verdict.witness] if verdict.witness else []
-    lines = [f"separation: {verdict.holds}"]
-    if witnesses:
-        lines.append(f"  witness: {json.dumps(witnesses[0], sort_keys=True)}")
+    lines = [f"separation: {verdict.holds}", *map(_witness_line, witnesses)]
     _report(args, _config(args, n), verdict.to_json(), witnesses, lines)
     return 0 if verdict.holds else 1
 
@@ -268,14 +275,7 @@ def _cmd_check_pseudomanifold(args: argparse.Namespace, mset, n: int, pair: Adja
     if not reduced.rows:
         print("warning: empty complex is vacuously a pseudomanifold", file=sys.stderr)
     report = is_pseudomanifold(reduced, pair.n - 1)
-    lines = [
-        f"pseudomanifold (dimension {report.dimension}): {report.all_hold}",
-        f"homogeneous: {report.homogeneous.holds}",
-        f"nondegenerate: {report.nondegenerate.holds}",
-        f"strongly-connected: {report.strongly_connected.holds}",
-    ]
-    for w in report.witnesses():
-        lines.append(f"  witness: {json.dumps(w, sort_keys=True)}")
+    lines = [f"pseudomanifold (dimension {report.dimension}): {report.all_hold}", *_verdict_lines(report)]
     _report(args, _config(args, n), report.to_json(), report.witnesses(), lines)
     return 0 if report.all_hold else 1
 
@@ -295,11 +295,8 @@ def _cmd_jordan(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, reg
         f"two-components: {report.two_components} (count {report.component_count})",
         f"inside-size: {report.inside_size}",
         f"outside-flagged: {report.outside_flagged}",
-        f"common-boundary: {report.common_boundary.holds}",
-        f"no-simple-points: {report.no_simple_points.holds}",
+        *_verdict_lines(report),
     ]
-    for w in report.witnesses():
-        lines.append(f"  witness: {json.dumps(w, sort_keys=True)}")
     _report(args, _config(args, n), report.to_json(), report.witnesses(), lines)
     return 0 if report.all_true else 1
 
@@ -311,9 +308,8 @@ def _cmd_good_pair(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, 
         f"separating: {report.separating}",
         f"contractibility: {report.contractibility}",
         f"double-points: {len(report.double_point_witnesses)}",
+        *map(_witness_line, report.double_point_witnesses),
     ]
-    for w in report.double_point_witnesses:
-        lines.append(f"  witness: {json.dumps(w, sort_keys=True)}")
     _report(args, _config(args, n), report.to_json(), report.witnesses(), lines)
     if report.verdict == "yes":
         return 0

@@ -13,11 +13,11 @@ from typing import Iterable
 from .adjacency import AdjacencyPair, Region, neighbors
 from .lattice import Point
 from .manifold import ManifoldReport, NotCertifiedError, check_manifold, is_simple_point
-from .verdict import Verdict
+from .verdict import Checks, Verdict
 
 
 @dataclass(frozen=True)
-class JordanReport:
+class JordanReport(Checks, conjunction="all_true"):
     two_components: bool
     component_count: int
     inside_size: int
@@ -26,31 +26,12 @@ class JordanReport:
     no_simple_points: Verdict
 
     @property
-    def all_true(self) -> bool:
-        return (
-            self.two_components
-            and self.outside_flagged
-            and self.common_boundary.holds
-            and self.no_simple_points.holds
-        )
+    def holds(self) -> bool:
+        return self.two_components and self.outside_flagged and super().holds
 
     def witnesses(self) -> list[dict]:
-        out = []
-        if not self.two_components:
-            out.append({"kind": "component-count", "count": self.component_count})
-        verdicts = (self.common_boundary, self.no_simple_points)
-        return out + [v.witness for v in verdicts if not v.holds and v.witness]
-
-    def to_json(self) -> dict:
-        return {
-            "all_true": self.all_true,
-            "two_components": self.two_components,
-            "component_count": self.component_count,
-            "inside_size": self.inside_size,
-            "outside_flagged": self.outside_flagged,
-            "common_boundary": self.common_boundary.to_json(),
-            "no_simple_points": self.no_simple_points.to_json(),
-        }
+        count = [] if self.two_components else [{"kind": "component-count", "count": self.component_count}]
+        return count + super().witnesses()
 
 
 def jordan_check(

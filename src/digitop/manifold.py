@@ -36,13 +36,13 @@ from .lattice import (
     vec_sub,
 )
 from .separation import has_separation_property
-from .verdict import Verdict
+from .verdict import Checks, Verdict
 
 DEFAULT_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
-class ManifoldReport:
+class ManifoldReport(Checks, conjunction="certified"):
     """Per-property verdicts; ``local_components`` gives each point's local sides."""
 
     alpha_connected: Verdict
@@ -50,36 +50,6 @@ class ManifoldReport:
     local_two_components: Verdict
     two_sidedness: Verdict
     separation: Verdict
-
-    @property
-    def certified(self) -> bool:
-        return (
-            self.alpha_connected.holds
-            and self.cube_connectivity.holds
-            and self.local_two_components.holds
-            and self.two_sidedness.holds
-            and self.separation.holds
-        )
-
-    def witnesses(self) -> list[dict]:
-        verdicts = (
-            self.alpha_connected,
-            self.cube_connectivity,
-            self.local_two_components,
-            self.two_sidedness,
-            self.separation,
-        )
-        return [v.witness for v in verdicts if not v.holds and v.witness]
-
-    def to_json(self) -> dict:
-        return {
-            "certified": self.certified,
-            "alpha_connected": self.alpha_connected.to_json(),
-            "cube_connectivity": self.cube_connectivity.to_json(),
-            "local_two_components": self.local_two_components.to_json(),
-            "two_sidedness": self.two_sidedness.to_json(),
-            "separation": self.separation.to_json(),
-        }
 
 
 @dataclass(frozen=True)
@@ -287,25 +257,17 @@ def is_simple_point(
 
 def double_points(z: Point, pair: AdjacencyPair) -> list[dict]:
     """Exhaustive search for crossing configurations around one point: a
-    foreground edge p-q crossing a background edge z-r inside one square."""
-    alpha, beta = pair.alpha, pair.beta
+    foreground edge p-q crossing a background edge z-r inside one square.
+
+    Each candidate (p a beta-neighbour of z, q an alpha-neighbour of p,
+    tau = q - p, r = z - tau) is kept when its replay accepts it."""
     out = []
-    for p in sorted(neighbors(beta, z)):
-        for q in sorted(neighbors(alpha, p)):
-            if not axis_adjacent(z, q):
-                continue
+    for p in sorted(neighbors(pair.beta, z)):
+        for q in sorted(neighbors(pair.alpha, p)):
             tau = vec_sub(q, p)
-            if not any(tau) or not is_simple_translation(tau):
-                continue
-            r = vec_sub(z, tau)
-            if (
-                beta.adjacent(z, r)
-                and axis_adjacent(p, r)
-                and alpha.adjacent(r, q)
-            ):
-                out.append(
-                    {"kind": "double-point", "z": list(z), "p": list(p), "q": list(q), "r": list(r), "tau": list(tau)}
-                )
+            w = {"z": z, "p": p, "q": q, "r": vec_sub(z, tau), "tau": tau}
+            if _replay_double_point(w, None, pair, None):
+                out.append({"kind": "double-point", **{k: list(v) for k, v in w.items()}})
     return out
 
 

@@ -10,35 +10,15 @@ from functools import lru_cache
 
 from .adjacency import AdjacencyPair, label
 from .simplicial import Row, SimplicialComplex, build_reduced_complex
-from .verdict import Verdict
+from .verdict import Checks, Verdict
 
 
 @dataclass(frozen=True)
-class PseudomanifoldReport:
+class PseudomanifoldReport(Checks, conjunction="all_hold"):
     dimension: int
     homogeneous: Verdict
     nondegenerate: Verdict
     strongly_connected: Verdict
-
-    @property
-    def all_hold(self) -> bool:
-        return self.homogeneous.holds and self.nondegenerate.holds and self.strongly_connected.holds
-
-    def witnesses(self) -> list[dict]:
-        return [
-            v.witness
-            for v in (self.homogeneous, self.nondegenerate, self.strongly_connected)
-            if not v.holds and v.witness
-        ]
-
-    def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "all_hold": self.all_hold,
-            "homogeneous": self.homogeneous.to_json(),
-            "nondegenerate": self.nondegenerate.to_json(),
-            "strongly_connected": self.strongly_connected.to_json(),
-        }
 
 
 def _simplex_json(k: SimplicialComplex, row: Row) -> list[list[int]]:

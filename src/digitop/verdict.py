@@ -9,7 +9,7 @@ bool`` that re-checks exactly the recorded fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 
@@ -20,6 +20,38 @@ class Verdict:
 
     def to_json(self) -> dict:
         return {"holds": self.holds, "witness": self.witness}
+
+
+class Checks:
+    """Base of a frozen dataclass whose ``Verdict`` fields are its checked
+    properties, in field order; its other fields are plain report data.
+
+    A subclass names its conjunction once, as ``class R(Checks,
+    conjunction="certified")``: a property of that name returns ``holds``,
+    and ``to_json`` writes it under that key.
+    """
+
+    def __init_subclass__(cls, conjunction: str, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._conjunction = conjunction
+        setattr(cls, conjunction, property(lambda self: self.holds))
+
+    def verdicts(self) -> list[tuple[str, Verdict]]:
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return [(name, v) for name, v in values if isinstance(v, Verdict)]
+
+    @property
+    def holds(self) -> bool:
+        return all(v.holds for _, v in self.verdicts())
+
+    def witnesses(self) -> list[dict]:
+        return [v.witness for _, v in self.verdicts() if not v.holds and v.witness]
+
+    def to_json(self) -> dict:
+        """Every field, verdicts as ``{"holds", "witness"}``, and the conjunction."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {k: v.to_json() if isinstance(v, Verdict) else v for k, v in values.items()}
+        return {**out, self._conjunction: self.holds}
 
 
 def wrong_dimension(value, n: int):

@@ -485,3 +485,16 @@ def test_indexed_search_matches_the_point_oracle(case):
         new = smallest_budget(lambda b: _contract_cycle(graph, cycle, bound, b), 300)
         old = smallest_budget(lambda b: contract_cycle_oracle(spec, s, points, bound, b), 300)
         assert new == old
+
+
+def test_runs_are_yielded_lazily_and_kept_only_when_complete():
+    ring = [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)]
+    graph = _CycleGraph(full_adjacency(2), ring)
+    key = (("adj", 0), 2, 6)
+    lazy = graph.runs(*key)
+    first = next(iter(lazy))
+    assert graph._runs == {}  # a search that stops early keeps nothing
+    complete = list(graph.runs(*key))
+    assert complete[0] == first and graph.runs(*key) == complete
+    assert list(_CycleGraph(full_adjacency(2), ring).runs(*key)) == complete
+    assert all(run[0] in graph.adj_sets[0] and run[-1] in graph.adj_sets[2] and len(run) <= 6 for run in complete)

@@ -107,6 +107,10 @@ def test_good_pair_exit_codes():
     # inconclusive contractibility at the default rewrite bound
     assert main(["good-pair", "--n", "2", "--alpha", "axis", "--beta", "full"]) == 3
     assert main(["good-pair", "--n", "2", "--alpha", "axis", "--beta", "full", "--N", "4"]) == 0
+    # a long rewrite bound: runs are enumerated only as far as the budget reaches
+    start = time.perf_counter()
+    assert main(["good-pair", "--n", "2", "--alpha", "full", "--beta", "axis", "--N", "40"]) == 3
+    assert time.perf_counter() - start < 10
 
 
 def test_simple_points_command(ring_file, tmp_path):
@@ -277,6 +281,12 @@ def test_usage_errors(tmp_path):
     assert main(["jordan", "--points", str(pts), "--n", "3"]) == 2
     assert main(["jordan", "--points", str(pts), "--margin", "1"]) == 2
     assert main(["good-pair", "--alpha", "full", "--beta", "axis"]) == 2  # no --n
+    # a 5^16-cell window is refused before the 3^16 - 1 full offsets are built
+    far = tmp_path / "p16.txt"
+    far.write_text(" ".join("0" * 16) + "\n", encoding="utf-8")
+    for alpha in ("axis", "full"):
+        code, out, err = _run_all(["verify-manifold", "--points", str(far), "--alpha", alpha, "--beta", "axis"])
+        assert (code, out) == (2, "") and "Traceback" not in err and f"{5**16} cells" in err
 
 
 @pytest.mark.parametrize("where", ["points", "custom"])
@@ -575,6 +585,8 @@ def _exit_code(tmp, command, points, alpha, report=None, extra=()):
 
 
 @given(st.sampled_from([*_REPLAYABLE, "build", "euler"]), _POINTS, _ADJACENCY)
+@example("verify-manifold", b"0 " * 16 + b"\n", "axis")  # refused before its 3^16 - 1 offsets exist
+@example("jordan", b"0 " * 16 + b"\n", "full")
 @settings(max_examples=60, deadline=None)
 def test_malformed_point_and_adjacency_files_never_raise(command, points, alpha):
     with tempfile.TemporaryDirectory() as tmp:
@@ -642,21 +654,24 @@ def _run_all(argv):
 def test_a_window_over_max_cells_exits_2_before_labeling(tmp_path):
     far = tmp_path / "far.txt"
     far.write_text("0 0\n3000 3000\n", encoding="utf-8")
-    start = time.perf_counter()
-    code, out, err = _run_all(["check-separation", "--points", str(far), "--alpha", "full", "--beta", "axis"])
-    assert time.perf_counter() - start < 2
-    assert (code, out) == (2, "")
-    assert "Traceback" not in err and "9030025 cells" in err and "--max-cells 1000000" in err
+    # good-pair's sphere check labels [-3, 3]^n around the origin: 7^n cells
+    for given, cells in ((["check-separation", "--points", str(far)], 9030025), (["good-pair", "--n", "9"], 7**9)):
+        start = time.perf_counter()
+        code, out, err = _run_all([*given, "--alpha", "full", "--beta", "axis"])
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err and f"{cells} cells" in err and "--max-cells 1000000" in err
 
 
 def test_a_window_at_max_cells_still_runs(tmp_path):
     pair = tmp_path / "pair.txt"
     pair.write_text("0 0\n3 3\n", encoding="utf-8")  # margin 2: an 8 x 8 window
-    argv = ["check-separation", "--points", str(pair), "--alpha", "full", "--beta", "axis"]
-    assert _run_all(argv)[0] == 0
-    assert _run_all([*argv, "--max-cells", "64"])[0] == 0
-    code, _, err = _run_all([*argv, "--max-cells", "63"])
-    assert code == 2 and "64 cells" in err and "--max-cells 63" in err
+    for given, cells in ((["check-separation", "--points", str(pair)], 64), (["good-pair", "--n", "3"], 343)):
+        argv = [*given, "--alpha", "full", "--beta", "axis"]
+        assert _run_all(argv)[0] == 0
+        assert _run_all([*argv, "--max-cells", str(cells)])[0] == 0
+        code, _, err = _run_all([*argv, "--max-cells", str(cells - 1)])
+        assert code == 2 and err == f"error: the analysis window has {cells} cells, more than --max-cells {cells - 1}\n"
 
 
 @pytest.mark.parametrize("cells", ["0", "-5"])

@@ -3,12 +3,14 @@ import pytest
 from digitop.adjacency import AdjacencyPair, axis_adjacency, full_adjacency
 from digitop.jordan import (
     GENERATORS,
+    JordanReport,
     box_surface,
     jordan_check,
     rect_boundary,
     sphere_shell,
 )
 from digitop.manifold import NotCertifiedError, check_manifold
+from digitop.verdict import Verdict
 
 AXIS_FULL_2 = AdjacencyPair(axis_adjacency(2), full_adjacency(2))
 AXIS_FULL_3 = AdjacencyPair(axis_adjacency(3), full_adjacency(3))
@@ -96,3 +98,25 @@ def test_jordan_accepts_precomputed_report():
     ring = rect_boundary(5, 5)
     report = check_manifold(ring, AXIS_FULL_2)
     assert jordan_check(ring, AXIS_FULL_2, report=report).all_true
+
+
+def test_jordan_report_adds_the_component_terms_to_its_verdicts():
+    # a certified set always gives two components and a flagged outside, so
+    # only a report built by hand shows that the conjunction reads them
+    simple = {"kind": "simple-point", "point": [0, 0]}
+    report = JordanReport(False, 3, 4, True, Verdict(True), Verdict(False, simple))
+    assert [name for name, _ in report.verdicts()] == ["common_boundary", "no_simple_points"]
+    assert report.witnesses() == [{"kind": "component-count", "count": 3}, simple]
+    assert report.to_json() == {
+        "all_true": False,
+        "two_components": False,
+        "component_count": 3,
+        "inside_size": 4,
+        "outside_flagged": True,
+        "common_boundary": {"holds": True, "witness": None},
+        "no_simple_points": {"holds": False, "witness": simple},
+    }
+    for two, flagged in ((False, True), (True, False), (True, True)):
+        report = JordanReport(two, 2, 4, flagged, Verdict(True), Verdict(True))
+        assert report.all_true is report.holds is (two and flagged)
+        assert report.witnesses() == ([] if two else [{"kind": "component-count", "count": 2}])

@@ -20,6 +20,7 @@ from digitop.manifold import (
     REPLAYS,
     NotCertifiedError,
     _shell,
+    axis_adjacent,
     check_manifold,
     double_points,
     global_sides,
@@ -27,6 +28,7 @@ from digitop.manifold import (
     is_regular_rotation,
     is_separating_pair,
     is_simple_point,
+    is_simple_translation,
     local_components,
 )
 from digitop.verdict import Verdict
@@ -185,6 +187,49 @@ def test_double_points_translation_invariance():
         (tuple(a + b for a, b in zip(w["p"], (4, -3))), tuple(w["tau"])) for w in at_origin
     }
     assert {(tuple(w["p"]), tuple(w["tau"])) for w in shifted} == moved
+
+
+def double_points_oracle(z, pair):
+    """Reference: each defining condition of a double point written out, the
+    cheap ones first."""
+    alpha, beta = pair.alpha, pair.beta
+    out = []
+    for p in sorted(neighbors(beta, z)):
+        for q in sorted(neighbors(alpha, p)):
+            if not axis_adjacent(z, q):
+                continue
+            tau = vec_sub(q, p)
+            if not any(tau) or not is_simple_translation(tau):
+                continue
+            r = vec_sub(z, tau)
+            if (
+                beta.adjacent(z, r)
+                and axis_adjacent(p, r)
+                and alpha.adjacent(r, q)
+            ):
+                out.append(
+                    {"kind": "double-point", "z": list(z), "p": list(p), "q": list(q), "r": list(r), "tau": list(tau)}
+                )
+    return out
+
+
+@st.composite
+def double_point_cases(draw):
+    n = draw(st.sampled_from((2, 3)))
+    z = draw(st.tuples(*[st.integers(-30, 30)] * n))
+    return z, AdjacencyPair(draw(adjacency_specs(n)), draw(adjacency_specs(n)))
+
+
+@given(double_point_cases())
+@example(((0, 0), AdjacencyPair(full_adjacency(2), full_adjacency(2))))
+@example(((0, 0, 0), AdjacencyPair(full_adjacency(3), full_adjacency(3))))
+@example(((1, -2, 3), AdjacencyPair(axis_adjacency(3), full_adjacency(3))))
+@example(((0, 0, 0), FULL_AXIS_3))
+@example(((0, 0), AdjacencyPair(custom_adjacency(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]), full_adjacency(2))))
+@settings(max_examples=60, deadline=None)
+def test_double_points_match_the_oracle_in_order(case):
+    z, pair = case
+    assert double_points(z, pair) == double_points_oracle(z, pair)
 
 
 def test_separating_pair_full_axis():
