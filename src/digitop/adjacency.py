@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence, TypeVar
 
-from .lattice import Point, Translation, bounding_box, shell_offsets, unit, vec_add
+from .lattice import Point, Translation, bounding_box, row_major_strides, shell_offsets, unit, vec_add
 
 Path = Sequence[Point]
 T = TypeVar("T")
@@ -57,6 +56,13 @@ class AdjacencySpec:
     def sorted_offsets(self) -> tuple[Translation, ...]:
         return tuple(sorted(self.offsets))
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.offsets))
+
+    def __hash__(self) -> int:  # every cached table lookup hashes its adjacency
+        return self._hash
+
     def adjacent(self, p: Point, q: Point) -> bool:
         return tuple(a - b for a, b in zip(q, p)) in self.offsets
 
@@ -91,6 +97,13 @@ class AdjacencyPair:
     @property
     def n(self) -> int:
         return self.alpha.n
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.alpha, self.beta))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -227,7 +240,7 @@ def complement_components(
         if not region.strictly_contains(p, 1):
             raise ValueError(f"region too small: {p} touches the margin zone")
     sizes = [b - a + 3 for a, b in zip(region.lo, region.hi)]
-    strides = [math.prod(sizes[i + 1 :]) for i in range(region.n)]
+    strides = row_major_strides(sizes)
     cells = [0]
     for a, b, stride in zip(region.lo, region.hi, strides):
         cells = [c + k * stride for c in cells for k in range(1, b - a + 2)]

@@ -47,10 +47,9 @@ def _add_common(p: argparse.ArgumentParser, points: bool, formats: tuple[str, ..
     p.add_argument("--budget", type=int, default=100_000, help="search budget")
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
+    p.add_argument("--max-cells", type=int, default=1_000_000, help="largest analysis window, in cells")
     if replay:
-        # every command that can replay a witness may label the analysis window
         p.add_argument("--replay", default=None, help="re-verify the witnesses of a saved JSON report")
-        p.add_argument("--max-cells", type=int, default=1_000_000, help="largest analysis window, in cells")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,7 +78,7 @@ def _window(args: argparse.Namespace, points, margin: int) -> Region:
     """The analysis window; one of more than ``--max-cells`` cells is refused before anything labels it."""
     region = Region.around(points, margin)
     cells = math.prod(b - a + 1 for a, b in zip(region.lo, region.hi))
-    if cells > getattr(args, "max_cells", cells):
+    if cells > args.max_cells:
         raise InputFormatError(f"the analysis window has {cells} cells, more than --max-cells {args.max_cells}")
     return region
 
@@ -102,7 +101,7 @@ def _load_context(args: argparse.Namespace):
         raise InputFormatError("--N must be at least 1")
     if args.budget < 0:
         raise InputFormatError("--budget must be nonnegative")
-    if getattr(args, "max_cells", 1) < 1:
+    if args.max_cells < 1:
         raise InputFormatError("--max-cells must be at least 1")
     # windows are bounded before any adjacency (up to 3^n - 1 offsets) is built;
     # good-pair's sphere check floods the origin's background sphere, which

@@ -4,6 +4,11 @@ All coordinates are plain Python integers.  Barycenters of cubes have
 half-integer coordinates, so they are stored *doubled* (a "half point"):
 the tuple ``h`` represents the real point ``h / 2``.  Doubling keeps every
 value exact and removes all rounding questions.
+
+A finite stretch of the doubled grid has one integer encoding, the
+row-major key of :class:`HalfGrid`: the last axis has stride 1, so key
+order is tuple order, and moving by a doubled offset adds one integer.
+The cube enumeration keys barycenters, corners and faces this way.
 """
 
 from __future__ import annotations
@@ -11,8 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, sub
-from typing import AbstractSet, Iterable, Iterator
+from operator import add, mul, sub
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 Point = tuple[int, ...]
 HalfPoint = tuple[int, ...]  # doubled coordinates
@@ -208,24 +213,86 @@ def half_corners(n: int, axes: tuple[int, ...]) -> tuple[HalfPoint, ...]:
     return tuple(tuple(2 * d - (i in axes) for i, d in enumerate(v)) for v in _corners(n, axes))
 
 
-Shape = tuple[HalfPoint, tuple[int, ...], int]  # doubled barycenter, axes, occupancy mask
+def row_major_strides(sizes: Sequence[int]) -> tuple[int, ...]:
+    """Strides of a row-major grid with these axis sizes: the last axis has
+    stride 1, so index order is lexicographic order."""
+    strides = [1]
+    for size in reversed(sizes[1:]):
+        strides.append(strides[-1] * size)
+    return tuple(reversed(strides))
 
 
-def shapes_meeting(m: AbstractSet[Point], k: int, n: int) -> Iterator[Shape]:
-    """Every k-cube of Z^n with a vertex in m, in no particular order.  A
-    point is vertex i of the cube whose doubled barycenter is its own minus
-    ``half_corners(n, axes)[i]``, so masks are gathered point by point."""
+@dataclass(frozen=True)
+class HalfGrid:
+    """Row-major integer keys of the doubled points of a box with lower
+    corner ``lo``: ``key(h)`` is the sum of ``(h - lo) * strides``.  Key
+    order is tuple order, and ``key(h + d) == key(h) + offset(d)`` while
+    both points lie in the box.
+    """
+
+    lo: HalfPoint
+    strides: tuple[int, ...]
+
+    @staticmethod
+    def around(doubled: Iterable[HalfPoint], n: int) -> "HalfGrid":
+        """The box of the doubled points widened by one lattice step: it holds
+        every vertex, face and barycenter of the cubes that meet them."""
+        span = list(zip(*doubled)) or [(0,)] * n
+        lo = tuple(min(c) - 2 for c in span)
+        return HalfGrid(lo, row_major_strides([max(c) + 3 - a for a, c in zip(lo, span)]))
+
+    @property
+    def n(self) -> int:
+        return len(self.lo)
+
+    def offset(self, d: HalfPoint) -> int:
+        return sum(map(mul, d, self.strides))
+
+    def key(self, h: HalfPoint) -> int:
+        return sum(map(mul, map(sub, h, self.lo), self.strides))
+
+    def deltas(self, offsets: Callable[[int, tuple[int, ...]], Sequence[HalfPoint]]) -> Callable:
+        """``axes -> offsets(n, axes)`` as key deltas, memoized per axes."""
+        return lru_cache(maxsize=None)(lambda axes: list(map(self.offset, offsets(self.n, axes))))
+
+    def point(self, key: int) -> HalfPoint:
+        out = []
+        for stride, a in zip(self.strides, self.lo):
+            c, key = divmod(key, stride)
+            out.append(c + a)
+        return tuple(out)
+
+
+def half_keys(m: Iterable[Point], n: int, span: Iterable[HalfPoint] = ()) -> tuple[HalfGrid, list[int]]:
+    """The grid around the doubled points of m and of ``span``, and the keys
+    of the doubled points of m, in m's order."""
     doubled = [double(p) for p in m]
-    for axes in itertools.combinations(range(n), k):
-        masks: dict[HalfPoint, int] = {}
-        for i, corner in enumerate(half_corners(n, axes)):
-            for p in doubled:
-                h = tuple(map(sub, p, corner))
-                masks[h] = masks.get(h, 0) | 1 << i
+    grid = HalfGrid.around(doubled + list(span), n)
+    return grid, [grid.key(h) for h in doubled]
+
+
+Shape = tuple[int, tuple[int, ...], int]  # barycenter key, axes, occupancy mask
+
+
+def shapes_meeting(grid: HalfGrid, keys: Sequence[int], k: int) -> Iterator[Shape]:
+    """Every k-cube with a vertex among the doubled points ``keys`` of the
+    grid, in no particular order.  A point is vertex i of the cube whose
+    barycenter is the point minus ``half_corners(n, axes)[i]``, so masks are
+    gathered point by point, one key subtraction each."""
+    for axes in itertools.combinations(range(grid.n), k):
+        masks: dict[int, int] = {}
+        for i, corner in enumerate(map(grid.offset, half_corners(grid.n, axes))):
+            bit = 1 << i
+            for h in keys:
+                h -= corner
+                masks[h] = masks.get(h, 0) | bit
         yield from ((h, axes, mask) for h, mask in masks.items())
 
 
 def cubes_meeting(m: AbstractSet[Point], k: int, n: int) -> list[tuple[Point, tuple[int, ...], int]]:
     """Every k-cube of Z^n with a vertex in m as ``(base, axes, mask)``, in
     cube order.  ``>>`` floors, so odd negative coordinates halve right."""
-    return sorted((tuple(c >> 1 for c in h), axes, mask) for h, axes, mask in shapes_meeting(m, k, n))
+    grid, keys = half_keys(m, n)
+    return sorted(
+        (tuple(c >> 1 for c in grid.point(h)), axes, mask) for h, axes, mask in shapes_meeting(grid, keys, k)
+    )

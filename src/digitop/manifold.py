@@ -17,6 +17,7 @@ from .adjacency import (
     AdjacencyPair,
     AdjacencySpec,
     Region,
+    axis_adjacency,
     components,
     label,
     n_simply_connected_bounded,
@@ -259,11 +260,13 @@ def double_points(z: Point, pair: AdjacencyPair) -> list[dict]:
     """Exhaustive search for crossing configurations around one point: a
     foreground edge p-q crossing a background edge z-r inside one square.
 
-    Each candidate (p a beta-neighbour of z, q an alpha-neighbour of p,
-    tau = q - p, r = z - tau) is kept when its replay accepts it."""
+    Each candidate (p a beta-neighbour of z, q an axis neighbour of z,
+    tau = q - p, r = z - tau) is kept when its replay accepts it; the
+    replay requires q to be an alpha-neighbour of p."""
     out = []
+    axis = sorted(neighbors(axis_adjacency(pair.n), z))
     for p in sorted(neighbors(pair.beta, z)):
-        for q in sorted(neighbors(pair.alpha, p)):
+        for q in axis:
             tau = vec_sub(q, p)
             w = {"z": z, "p": p, "q": q, "r": vec_sub(z, tau), "tau": tau}
             if _replay_double_point(w, None, pair, None):

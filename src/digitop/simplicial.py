@@ -15,16 +15,18 @@ triangulates a strong deformation retract of the full complex.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from operator import add, sub
+from functools import cached_property, lru_cache, partial
+from operator import sub
 from typing import Iterable, Iterator, Optional
 
 from ._exact import integer_rank, open_simplices_intersect, point_in_closed_simplex
 from .adjacency import AdjacencyPair, ComponentLabeling, Region, axis_adjacency, components, label
 from .lattice import (
     Cube,
+    HalfGrid,
     HalfPoint,
     Point,
     Shape,
@@ -34,6 +36,7 @@ from .lattice import (
     cube_vertices,
     double,
     half_corners,
+    half_keys,
     is_lattice2,
     occupancy,
     shapes_meeting,
@@ -130,60 +133,69 @@ def _face_offsets(n: int, axes: tuple[int, ...]) -> tuple[HalfPoint, ...]:
     return tuple(tuple(map(sub, barycenter(f), center)) for f in faces)
 
 
-def _shapes(mset: frozenset[Point], n: int) -> Iterator[Shape]:
+def _shapes(grid: HalfGrid, keys: list[int]) -> Iterator[Shape]:
     """The cubes that meet the set, by dimension: any other fails the test."""
-    return itertools.chain.from_iterable(shapes_meeting(mset, k, n) for k in range(1, n + 1))
+    return itertools.chain.from_iterable(shapes_meeting(grid, keys, k) for k in range(1, grid.n + 1))
 
 
-def _passing(n: int, shapes: Iterable[Shape], pair: AdjacencyPair, full: bool) -> Iterator[tuple]:
+def _passing(grid: HalfGrid, shapes: Iterable[Shape], pair: AdjacencyPair, full: bool) -> Iterator[tuple]:
     """(barycenter, axes, mask, kept, face barycenters) of the passing cubes,
-    or, unless ``full``, of those that keep their barycenters."""
+    or, unless ``full``, of those that keep their barycenters, all as keys."""
+    verdict = lru_cache(maxsize=None)(partial(_shape_verdict, pair))  # hashes no pair
+    faces = grid.deltas(_face_offsets)
     for center, axes, mask in shapes:
-        passed, count = _shape_verdict(pair, axes, mask)
+        passed, count = verdict(axes, mask)
         if passed and (full or count != 1):
-            yield center, axes, mask, count != 1, [tuple(map(add, center, d)) for d in _face_offsets(n, axes)]
+            yield center, axes, mask, count != 1, [center + d for d in faces(axes)]
+
+
+def _grown(chains: list[Row], top: int) -> list[Row]:
+    """The sorted chains with ``top`` inserted in order."""
+    return [ch[:i] + (top,) + ch[i:] for ch in chains for i in [bisect(ch, top)]]
 
 
 def _order_complex(
-    n: int, mset: frozenset[Point], shapes: Iterable[Shape], pair: AdjacencyPair, full: bool
+    grid: HalfGrid, points: list[int], shapes: Iterable[Shape], pair: AdjacencyPair, full: bool
 ) -> tuple[SimplicialComplex, Optional[SimplicialComplex]]:
     """K'(M) and, when ``full``, K(M): chains c0 < c1 < ... < ck of the
-    passing cubes, plus the points of the set.
+    passing cubes, plus the points of the set (their keys).
 
     A chain is in K' iff each of its cubes keeps its barycenter, i.e. its
     in-cube background is not one piece.  ``shapes`` comes in order of
     dimension and holds every passing face of dimension >= 1 of its passing
     cubes; each cube is tested once.  Vertices are numbered before any chain
-    grows; a chain is sorted ids, keyed by the barycenter of its top cube.
+    grows, in key order, which is point order; a chain is sorted ids, keyed
+    by the barycenter of its top cube.
     """
-    cubes = list(_passing(n, shapes, pair, full))
-    points = [double(p) for p in mset]
-    table = tuple(sorted(points + [c[0] for c in cubes]))
-    ids = {v: i for i, v in enumerate(table)}
-    kept: dict[HalfPoint, list[Row]] = {}  # chains of kept cubes only
-    lost: dict[HalfPoint, list[Row]] = {}  # chains through a dropped cube
+    n = grid.n
+    cubes = list(_passing(grid, shapes, pair, full))
+    keys = sorted(points + [c[0] for c in cubes])
+    table = tuple(map(grid.point, keys))
+    ids = {h: i for i, h in enumerate(keys)}
+    corners = grid.deltas(half_corners)
+    kept: dict[int, list[Row]] = {}  # chains of kept cubes only
+    lost: dict[int, list[Row]] = {}  # chains through a dropped cube
     for center, axes, mask, keep, faces in cubes:
         top = ids[center]
-        below = [
-            (ids[tuple(map(add, center, e))],) for i, e in enumerate(half_corners(n, axes)) if mask >> i & 1
-        ]
+        below = [(ids[center + e],) for i, e in enumerate(corners(axes)) if mask >> i & 1]
         for f in faces:
             below += kept.get(f, ())
         through = [ch for f in faces for ch in lost.get(f, ())]
         if not keep:  # the empty chain grows into the lone barycenter
             through = [()] + below + through
         else:
-            kept[center] = [(top,)] + [tuple(sorted((*ch, top))) for ch in below]
+            kept[center] = [(top,)] + _grown(below, top)
         if through:
-            lost[center] = [tuple(sorted((*ch, top))) for ch in through]
+            lost[center] = _grown(through, top)
     rows = sorted(itertools.chain(((ids[h],) for h in points), *kept.values()))
     if not lost:  # nothing dropped: K' is K
         reduced = SimplicialComplex(n, table, tuple(rows))
         return reduced, reduced if full else None
     dropped = {c[0] for c in cubes if not c[3]}
     # K' keeps the order of the ids it keeps, so its rows stay sorted
-    remap = {i: j for j, i in enumerate(i for i, v in enumerate(table) if v not in dropped)}.__getitem__
-    reduced = SimplicialComplex(n, tuple(v for v in table if v not in dropped), tuple(tuple(map(remap, r)) for r in rows))
+    left = [i for i, h in enumerate(keys) if h not in dropped]
+    remap = {i: j for j, i in enumerate(left)}.__getitem__
+    reduced = SimplicialComplex(n, tuple(map(table.__getitem__, left)), tuple(tuple(map(remap, r)) for r in rows))
     return reduced, SimplicialComplex(n, table, tuple(sorted(rows + [ch for chs in lost.values() for ch in chs])))
 
 
@@ -194,35 +206,40 @@ def build_complex(m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
 
 def build_complexes(m: Iterable[Point], pair: AdjacencyPair) -> tuple[SimplicialComplex, SimplicialComplex]:
     """K(M) and K'(M) from one enumeration of the chains."""
-    mset = frozenset(m)
-    reduced, full = _order_complex(pair.n, mset, _shapes(mset, pair.n), pair, full=True)
+    grid, keys = half_keys(frozenset(m), pair.n)
+    reduced, full = _order_complex(grid, keys, _shapes(grid, keys), pair, full=True)
     return full, reduced
 
 
 def build_reduced_complex(m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
     """K'(M) alone: the chains of the passing cubes that keep their barycenters."""
-    mset = frozenset(m)
-    return _order_complex(pair.n, mset, _shapes(mset, pair.n), pair, full=False)[0]
+    grid, keys = half_keys(frozenset(m), pair.n)
+    return _order_complex(grid, keys, _shapes(grid, keys), pair, full=False)[0]
 
 
 def reduce_complex(k: SimplicialComplex, m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
     """Drop barycenters of cubes whose in-cube background is one piece:
-    the chains of the cubes of ``k`` that keep their barycenters."""
-    mset = frozenset(m)
-    shapes = sorted(((h, c.axes, occupancy(c, mset)) for h, c in k.provenance.items()), key=lambda s: len(s[1]))
-    return _order_complex(k.n, mset, shapes, pair, full=False)[0]
+    the chains of the cubes of ``k`` that keep their barycenters.  The grid
+    spans those barycenters too, so no two of them share a key."""
+    grid, keys = half_keys(frozenset(m), k.n, k.provenance)
+    on, corners = set(keys), grid.deltas(half_corners)
+    shapes = []
+    for h, c in sorted(k.provenance.items(), key=lambda hc: hc[1].dim):
+        center = grid.key(h)
+        shapes.append((center, c.axes, sum(1 << i for i, e in enumerate(corners(c.axes)) if center + e in on)))
+    return _order_complex(grid, keys, shapes, pair, full=False)[0]
 
 
 def euler_characteristics(m: Iterable[Point], pair: AdjacencyPair) -> tuple[int, int]:
     """chi(K(M)) and chi(K'(M)), no chain built: each point of M is a chain,
     and the chains topped by a passing cube c add up to g(c) = 1 - |M in c|
     minus the g of its passing faces of dimension >= 1."""
-    mset = frozenset(m)
-    g: list[dict[HalfPoint, int]] = [{}, {}]  # K, K'
-    for center, _, mask, keep, faces in _passing(pair.n, _shapes(mset, pair.n), pair, True):
+    grid, keys = half_keys(frozenset(m), pair.n)
+    g: list[dict[int, int]] = [{}, {}]  # K, K'
+    for center, _, mask, keep, faces in _passing(grid, _shapes(grid, keys), pair, True):
         for chi in g[: 1 + keep]:
             chi[center] = 1 - mask.bit_count() - sum(chi.get(f, 0) for f in faces)
-    return len(mset) + sum(g[0].values()), len(mset) + sum(g[1].values())
+    return len(keys) + sum(g[0].values()), len(keys) + sum(g[1].values())
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:

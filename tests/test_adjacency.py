@@ -72,6 +72,17 @@ def test_adjacency_validation():
         custom_adjacency(2, [(2, 0), (-2, 0)] + list(axis_adjacency(2).offsets))
 
 
+def test_adjacency_hash_ignores_the_label_and_is_stable():
+    full = full_adjacency(3)
+    relabeled = AdjacencySpec(3, frozenset(full.offsets), label="king")
+    assert relabeled == full and hash(relabeled) == hash(full)
+    assert AdjacencySpec(3, full.offsets) != axis_adjacency(3)
+    pair = AdjacencyPair(relabeled, axis_adjacency(3))
+    twin = AdjacencyPair(full, custom_adjacency(3, axis_adjacency(3).offsets))
+    assert pair == twin and hash(pair) == hash(twin) == hash(pair)
+    assert {pair: 1}[twin] == 1
+
+
 def test_components_simple_cases():
     ax = axis_adjacency(2)
     assert components(ax, {(0, 0), (1, 0)}).count == 1

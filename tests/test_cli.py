@@ -209,14 +209,22 @@ def test_off_export(box_file, tmp_path, capsys):
         ("jordan", ["--format", "off"]),
         ("build", ["--replay", "report.json"]),
         ("euler", ["--replay", "report.json"]),
-        ("build", ["--max-cells", "5"]),
-        ("euler", ["--max-cells", "5"]),
     ],
 )
 def test_options_are_offered_only_where_they_act(ring_file, command, option, capsys):
     common = ["--points", str(ring_file), "--alpha", "axis", "--beta", "full"]
     assert main([command, *common, *option]) == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "euler"])
+def test_build_and_euler_refuse_a_window_over_max_cells(ring_file, command):
+    argv = [command, "--points", str(ring_file), "--alpha", "axis", "--beta", "full", "--format", "json"]
+    code, out, err = _run_all([*argv, "--max-cells", "5"])
+    assert (code, out) == (2, "") and "usage:" not in err and "more than --max-cells 5" in err
+    cells = err.split("window has ")[1].split()[0]
+    # the bound is not part of the report: at the window's size the bytes are unchanged
+    assert _run_all([*argv, "--max-cells", cells]) == _run_all(argv) == (0, _run_all(argv)[1], "")
 
 
 def test_common_flags_stay_on_every_command_and_in_the_envelope(ring_file, capsys):
@@ -284,8 +292,8 @@ def test_usage_errors(tmp_path):
     # a 5^16-cell window is refused before the 3^16 - 1 full offsets are built
     far = tmp_path / "p16.txt"
     far.write_text(" ".join("0" * 16) + "\n", encoding="utf-8")
-    for alpha in ("axis", "full"):
-        code, out, err = _run_all(["verify-manifold", "--points", str(far), "--alpha", alpha, "--beta", "axis"])
+    for command, alpha in itertools.product(("verify-manifold", "build", "euler"), ("axis", "full")):
+        code, out, err = _run_all([command, "--points", str(far), "--alpha", alpha, "--beta", "axis"])
         assert (code, out) == (2, "") and "Traceback" not in err and f"{5**16} cells" in err
 
 

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitop.lattice import (
     Cube,
+    HalfGrid,
     at_origin,
     barycenter,
     completing_translations,
@@ -14,6 +17,9 @@ from digitop.lattice import (
     occupancy,
     shapes_meeting,
     double,
+    half_corners,
+    half_keys,
+    row_major_strides,
     subcubes,
     unit,
     vec_add,
@@ -170,27 +176,78 @@ def test_union_of_completing_translates_covers_cube():
             assert union == set(cube_vertices(cube))
 
 
-@given(
-    st.integers(2, 4).flatmap(
-        lambda n: st.frozensets(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=6)
-    )
+def shapes_meeting_oracle(m, k, n):
+    """Every k-cube with a vertex in m as (doubled barycenter, axes, mask),
+    gathered on point tuples."""
+    doubled = [double(p) for p in m]
+    for axes in itertools.combinations(range(n), k):
+        masks = {}
+        for i, corner in enumerate(half_corners(n, axes)):
+            for p in doubled:
+                h = tuple(a - b for a, b in zip(p, corner))
+                masks[h] = masks.get(h, 0) | 1 << i
+        yield from ((h, axes, mask) for h, mask in masks.items())
+
+
+small_sets = st.integers(2, 4).flatmap(
+    lambda n: st.frozensets(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=6)
 )
-@settings(max_examples=40)
+
+
+@given(small_sets)
+@settings(max_examples=40, deadline=None)
 def test_cubes_meeting_and_shapes_match_the_box_scan(m):
     n = len(next(iter(m)))
+    grid, keys = half_keys(m, n)
     for k in range(n + 1):
         # the k-cubes whose closed box meets p are the k-cubes with vertex p
         cubes = sorted({c for p in m for c in cubes_meeting_box(p, p, k, n)})
         expected = [(c.base, c.axes, occupancy(c, m)) for c in cubes]
         assert cubes_meeting(m, k, n) == expected
-        shapes = list(shapes_meeting(m, k, n))
+        shapes = [(grid.point(h), axes, mask) for h, axes, mask in shapes_meeting(grid, keys, k)]
         assert len(shapes) == len(expected)
+        assert sorted(shapes) == sorted(shapes_meeting_oracle(m, k, n))
         for h, axes, mask in shapes:
             c = cube_of_barycenter(h)
             assert c.axes == axes and occupancy(c, m) == mask
             origin, occupied = at_origin(n, axes, mask)
             assert origin == Cube((0,) * n, axes)
             assert {vec_add(v, c.base) for v in occupied} == {v for v in cube_vertices(c) if v in m}
+
+
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.frozensets(st.tuples(*[st.integers(-9, 9)] * n), min_size=1, max_size=5)
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_half_keys_decode_sort_and_add_like_tuples(m):
+    """Every doubled barycenter, corner and face of the cubes meeting m: keys
+    decode to their points, sort as the points do, and adding an offset to a
+    point adds its key delta."""
+    n = len(next(iter(m)))
+    grid, keys = half_keys(m, n)
+    assert keys == [grid.key(double(p)) for p in m]
+    points = set()
+    for k in range(n + 1):
+        for h, axes, _ in shapes_meeting_oracle(m, k, n):
+            c = cube_of_barycenter(h)
+            for f in (f for j in range(k + 1) for f in subcubes(c, j)):
+                points.add(barycenter(f))
+                offset = tuple(a - b for a, b in zip(barycenter(f), h))
+                assert grid.key(h) + grid.offset(offset) == grid.key(barycenter(f))
+    points = sorted(points)
+    encoded = [grid.key(h) for h in points]
+    assert [grid.point(key) for key in encoded] == points
+    assert encoded == sorted(encoded) and len(set(encoded)) == len(encoded)
+
+
+def test_row_major_strides_put_stride_one_last():
+    assert row_major_strides([3, 4, 5]) == (20, 5, 1)
+    assert row_major_strides([7]) == (1,)
+    grid = HalfGrid.around([(-1, 4), (-3, 2)], 2)
+    assert grid == HalfGrid((-5, 0), (7, 1))
+    assert [grid.key(h) for h in itertools.product(range(-5, 2), range(7))] == list(range(49))
 
 
 def test_cubes_meeting_an_empty_set():

@@ -25,8 +25,8 @@ from digitop.lattice import (
     cubes_meeting_box,
     double,
     half_corners,
+    half_keys,
     occupancy,
-    shapes_meeting,
     subcubes,
 )
 from digitop.simplicial import (
@@ -54,7 +54,7 @@ from digitop.simplicial import (
     barycenter_test,
     verify_complex_axioms,
 )
-from test_lattice import box2
+from test_lattice import box2, shapes_meeting_oracle
 
 AXIS_FULL_2 = AdjacencyPair(axis_adjacency(2), full_adjacency(2))
 FULL_AXIS_2 = AdjacencyPair(full_adjacency(2), axis_adjacency(2))
@@ -161,7 +161,7 @@ def order_complex_oracle(m, pair):
     mset, n = frozenset(m), pair.n
     kept, lost, provenance = {}, {}, {}
     for k in range(1, n + 1):
-        for center, axes, mask in shapes_meeting(mset, k, n):
+        for center, axes, mask in shapes_meeting_oracle(mset, k, n):
             passed, count = _shape_verdict(pair, axes, mask)
             if not passed:
                 continue
@@ -331,8 +331,11 @@ def build_complex_in_cube(cn, m, pair):
     """The complex of the foreground restricted to one cube: the chains of
     its passing faces."""
     mset = frozenset(m) & frozenset(cube_vertices(cn))
-    faces = [(barycenter(f), f.axes, occupancy(f, mset)) for k in range(1, cn.dim + 1) for f in subcubes(cn, k)]
-    return _order_complex(cn.n, mset, faces, pair, full=True)[1]
+    grid, keys = half_keys(mset, cn.n, [barycenter(cn)])
+    faces = [
+        (grid.key(barycenter(f)), f.axes, occupancy(f, mset)) for k in range(1, cn.dim + 1) for f in subcubes(cn, k)
+    ]
+    return _order_complex(grid, keys, faces, pair, full=True)[1]
 
 
 def test_build_in_square_two_points():
@@ -386,6 +389,17 @@ def test_reduce_keeps_split_squares():
     k = build_complex(ring, AXIS_FULL_2)
     reduced = reduce_complex(k, ring, AXIS_FULL_2)
     assert k.simplices == reduced.simplices
+
+
+@pytest.mark.parametrize("pair", [FULL_AXIS_2, AXIS_FULL_2])
+def test_reduce_complex_keys_cubes_of_k_far_from_the_set(pair):
+    """The cubes of k near a far second piece meet no point of m and drop
+    out; their keys must not alias cubes near m."""
+    near = frozenset(rect_boundary(3, 4))
+    for dx, dy in itertools.product((-12, 0, 12), repeat=2):
+        far = frozenset((x + dx, y + dy) for x, y in rect_boundary(4, 3)) if dx or dy else frozenset()
+        k = build_complex(near | far, pair)
+        assert reduce_complex(k, near, pair) == build_reduced_complex(near, pair)
 
 
 def test_reduction_keeps_the_barycenters_of_split_cubes():
