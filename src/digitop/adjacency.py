@@ -19,6 +19,7 @@ from .lattice import Point, Translation, bounding_box, row_major_strides, shell_
 
 Path = Sequence[Point]
 T = TypeVar("T")
+_KING = frozenset((-1, 0, 1))
 
 
 def _axis_offsets(n: int) -> frozenset[Translation]:
@@ -40,16 +41,15 @@ class AdjacencySpec:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("dimension must be at least 2")
-        axis = _axis_offsets(self.n)
-        full = _full_offsets(self.n)
         for v in self.offsets:
             if len(v) != self.n:
                 raise ValueError(f"offset {v} has wrong dimension (expected {self.n})")
             if tuple(-c for c in v) not in self.offsets:
                 raise ValueError(f"offset set is not symmetric: missing {tuple(-c for c in v)}")
-        if not axis <= self.offsets:
+        if not _axis_offsets(self.n) <= self.offsets:
             raise ValueError("offset set must contain all axis unit offsets")
-        if not self.offsets <= full:
+        # each offset a king move, tested per entry: the full set has 3^n - 1
+        if not all(any(v) and _KING.issuperset(v) for v in self.offsets):
             raise ValueError("offset set must be contained in the full (king-move) offsets")
 
     @cached_property

@@ -9,11 +9,13 @@ reports.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
 from functools import lru_cache
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -32,6 +34,8 @@ from .simplicial import (
     euler_characteristics,
 )
 from .verdict import wrong_dimension
+
+_INT = {int}  # exact: %d would print a bool as 1
 
 _REPLAYS = {**manifold.REPLAYS, **separation.REPLAYS, **jordan.REPLAYS, **pseudomanifold.REPLAYS}
 
@@ -137,34 +141,86 @@ def _emit(args: argparse.Namespace, text: str) -> None:
             sys.stdout.write("\n")
 
 
+def _row(n: int, indent: str) -> str:
+    """The template of a list of n ints that closes at ``indent``: one ``%d`` per int."""
+    if not n:
+        return "[]"
+    cell = ",\n" + indent + "  "
+    return "[\n" + indent + "  " + cell.join(["%d"] * n) + "\n" + indent + "]"
+
+
+def _flat_ints(rows: list) -> tuple | None:
+    """The ints of rows in order, if every row is a list or tuple of exact ints, else None."""
+    if {list, tuple}.issuperset(map(type, rows)):
+        flat = tuple(chain.from_iterable(rows))
+        if _INT.issuperset(map(type, flat)):
+            return flat
+    return None
+
+
+def _records(keys: list[str], values: list, indent: str) -> str | None:
+    """A dict whose values are dicts of one key set, each field a list of ints
+    (the provenance map), as one template per tuple of field lengths filled by
+    one ``%``; None for any other dict."""
+    first = values[0]
+    if not {dict}.issuperset(map(type, values)) or not first:
+        return None
+    if not all(map(first.keys().__eq__, map(dict.keys, values))):
+        return None
+    fields = sorted(first)
+    columns = [list(map(itemgetter(f), values)) for f in fields]
+    if any(_flat_ints(c) is None for c in columns):
+        return None
+    inner, field_indent = indent + "  ", indent + "    "
+    names = [encode_basestring_ascii(f).replace("%", "%%") + ": " for f in fields]
+    sep = ",\n" + field_indent
+
+    def template(lengths: tuple[int, ...]) -> str:
+        body = sep.join([name + _row(n, field_indent) for name, n in zip(names, lengths)])
+        return "%s: {\n" + field_indent + body + "\n" + inner + "}"
+
+    shapes = list(zip(*[map(len, c) for c in columns]))
+    templates = {s: template(s) for s in set(shapes)}
+    text = (",\n" + inner).join(map(templates.__getitem__, shapes))
+    # per record: its encoded key, then the ints of each field in order
+    args = chain.from_iterable(chain.from_iterable(zip(zip(map(encode_basestring_ascii, keys)), *columns)))
+    return f"{{\n{inner}{text % tuple(args)}\n{indent}}}"
+
+
 def _json(value, indent: str = "") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` for str-keyed values.
 
-    The stdlib's indented encoder is pure Python; this writer joins lists of
-    ints directly, rows of ints in one join, and hands every key and scalar
-    to ``json.dumps``.
+    The stdlib's indented encoder is pure Python.  This writer fills a list of
+    ints, a block of int rows or a dict of int-list records (the provenance
+    map) from one ``%d`` template each, in one ``%``; everything else recurses.
     """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = (f"{json.dumps(k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
-        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
+        keys = sorted(value)
+        values = list(map(value.__getitem__, keys))
+        text = _records(keys, values, indent)
+        if text is None:
+            items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in zip(keys, values)]
+            text = f"{{\n{inner}{sep.join(items)}\n{indent}}}"
+        return text
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        types = set(map(type, value))
-        rows = types == {list} and all(value)
-        if types == {int}:
-            items = map(str, value)
-        elif rows and set(map(type, itertools.chain.from_iterable(value))) == {int}:
-            text = {v: str(v) for v in set(itertools.chain.from_iterable(value))}.__getitem__
-            head, tail = "[\n" + inner + "  ", "\n" + inner + "]"
-            items = [head + (tail + sep + head).join([(sep + "  ").join(map(text, x)) for x in value]) + tail]
-        else:
-            items = (_json(x, inner) for x in value)
-        return "[\n" + inner + sep.join(items) + "\n" + indent + "]"
+        if _INT.issuperset(map(type, value)):
+            return _row(len(value), indent) % tuple(value)
+        flat = _flat_ints(value)
+        if flat is not None:
+            lengths = list(map(len, value))
+            templates = {n: _row(n, inner) for n in set(lengths)}
+            return f"[\n{inner}{sep.join(map(templates.__getitem__, lengths)) % flat}\n{indent}]"
+        return f"[\n{inner}{sep.join([_json(x, inner) for x in value])}\n{indent}]"
     return json.dumps(value)
 
 

@@ -402,8 +402,11 @@ def complex_to_json(k: SimplicialComplex) -> dict:
         "n": k.n,
         "vertices": list(map(list, k.table)),
         "simplices": list(map(list, k.rows)),
+        # cube_of_barycenter(v).to_json(), read off the doubled coordinates
         "provenance": {
-            str(i): cube_of_barycenter(v).to_json() for i, v in enumerate(k.table) if not is_lattice2(v)
+            str(i): {"base": [c >> 1 for c in v], "axes": axes}
+            for i, v in enumerate(k.table)
+            if (axes := [j for j, c in enumerate(v) if c & 1])
         },
     }
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
+import tracemalloc
 from typing import Iterator, Sequence
 
 import pytest
@@ -64,12 +66,33 @@ def test_neighbors_translate():
 
 
 def test_adjacency_validation():
-    with pytest.raises(ValueError):
-        custom_adjacency(2, [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)])  # asymmetric
-    with pytest.raises(ValueError):
-        custom_adjacency(2, [(1, 0), (-1, 0)])  # missing axis offsets
-    with pytest.raises(ValueError):
-        custom_adjacency(2, [(2, 0), (-2, 0)] + list(axis_adjacency(2).offsets))
+    king = "offset set must be contained in the full (king-move) offsets"
+    axis2, axis3 = list(axis_adjacency(2).offsets), list(axis_adjacency(3).offsets)
+    for n, offsets, message in [
+        (2, [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)], "offset set is not symmetric: missing (-1, -1)"),
+        (2, [(1, 0), (-1, 0)], "offset set must contain all axis unit offsets"),
+        # a set that misses a unit names the unit first
+        (2, [(1, 0), (-1, 0), (2, 2), (-2, -2)], "offset set must contain all axis unit offsets"),
+        (2, [(2, 0), (-2, 0)] + axis2, king),
+        (3, [(0, 2, -1), (0, -2, 1)] + axis3, king),
+        (2, [(0, 0)] + axis2, king),
+        (12, [(0,) * 12] + list(axis_adjacency(12).offsets), king),
+        (2, [(1, 0, 0)] + axis2, "offset (1, 0, 0) has wrong dimension (expected 2)"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            custom_adjacency(n, offsets)
+
+
+def test_an_axis_spec_in_12_dimensions_builds_no_full_offset_set():
+    # the full set has 3^12 - 1 = 531 440 offsets, about 75 MB as tuples
+    offsets = axis_adjacency(12).offsets
+    tracemalloc.start()
+    try:
+        spec = AdjacencySpec(12, offsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.offsets == offsets and peak < 1_000_000
 
 
 def test_adjacency_hash_ignores_the_label_and_is_stable():

@@ -633,14 +633,33 @@ _JSON_SCALARS = st.one_of(
     st.text(),
     st.sampled_from(["\u00e9\u4e2d", "\x00\x1f\t\n\"\\", "\ud83d\ude00"]),
 )
+# keys that hold a template's "%" or need escapes
+_KEYS = st.one_of(st.text(max_size=4), st.sampled_from(["%", "%d", "%s%%", 'a"%\\', "\u00e9%", "\x00\n"]))
+_INT_ROW = st.lists(st.integers(-(2**70), 2**70), max_size=3)
+_ROW = st.one_of(_INT_ROW, _INT_ROW.map(tuple), st.lists(st.one_of(st.integers(-2, 2), st.booleans()), max_size=3))
+
+
+@st.composite
+def _record_dicts(draw, inner):
+    """Dicts of dicts: one key set of int-list fields, or a few key sets, or other fields."""
+    fields = draw(st.lists(_KEYS, min_size=1, max_size=3, unique=True))
+    value = st.one_of(_ROW, inner) if draw(st.booleans()) else _ROW
+    records = {}
+    for key in draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True)):
+        names = fields if draw(st.booleans()) else draw(st.lists(st.sampled_from([*fields, "x"]), unique=True))
+        records[key] = {name: draw(value) for name in names}
+    return records
+
+
 _JSON = st.recursive(
     _JSON_SCALARS,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
-        st.lists(st.integers(-5, 5), max_size=4),
-        st.lists(st.lists(st.integers(-(2**40), 2**40), max_size=3), max_size=3),
-        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.lists(st.one_of(st.integers(-5, 5), st.booleans()), max_size=4),
+        st.lists(_ROW, max_size=4),
+        st.dictionaries(_KEYS, inner, max_size=4),
+        _record_dicts(inner),
     ),
     max_leaves=20,
 )
@@ -648,6 +667,19 @@ _JSON = st.recursive(
 
 @given(st.dictionaries(st.text(max_size=6), _JSON, max_size=5))
 @settings(max_examples=300, deadline=None)
+# a dict of records with one key set, with empty fields and ints beyond 2^63
+@example({"p": {"1": {"base": [-1, 2**64], "axes": [0]}, "0": {"base": (3, -(2**70)), "axes": []}}})
+# records with unequal key sets, the smaller or the larger first
+@example({"p": {"1": {"base": [1], "axes": [0]}, "2": {"base": [1]}}})
+@example({"p": {"1": {"base": [1]}, "2": {"base": [1], "axes": [0]}}})
+@example({"p": {"1": {"base": [1]}, "2": {"axes": [1]}}})
+# a bool in one record's field
+@example({"p": {"a": {"x": [True, 0]}, "b": {"x": [1]}}})
+# record keys and field names that hold "%" or need escapes
+@example({"p": {"%s": {"%d": [1, 2], 'a"%%\n': (3,)}, "\u00e9%": {"%d": [], 'a"%%\n': (4, 5)}}})
+# int rows mixing lists, tuples and bools
+@example({"r": [[1, 2], (3,), [], (2**65, -(2**65))]})
+@example({"r": [[1, 2], (True, 4)], "f": [1, False, 2]})
 def test_report_writer_matches_the_stdlib_encoder(envelope):
     assert cli._json(envelope) == json.dumps(envelope, sort_keys=True, indent=2)
 

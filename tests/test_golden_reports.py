@@ -94,7 +94,9 @@ def test_report_bytes_match_the_golden_file(workload, keys, tmp_path):
 # at negative coordinates were recorded from the scan that built each cube's
 # vertex list, before cubes were found from doubled barycenters.  The golden
 # file has no 4-D complex and no failing pseudomanifold check; those pairs
-# were recorded from complexes whose chains were tuples of points.
+# were recorded from complexes whose chains were tuples of points.  The build
+# of the shifted scatter was recorded from the writer that encoded one scalar at
+# a time and built a Cube per provenance entry.
 PLATE = "0 0 0\n1 0 0\n0 1 1\n1 1 1\n"
 SCATTER = "0 0 2\n0 2 0\n0 2 1\n0 2 2\n1 2 1\n2 1 0\n"  # fails in a 3-cube
 RING_5_5 = "".join(f"{x} {y}\n" for x in range(5) for y in range(5) if x in (0, 4) or y in (0, 4))
@@ -118,6 +120,8 @@ UNCOVERED = [
     ("check-pseudomanifold", BOX_SURFACE_3333, "axis", "full", 0, "207989e462cc51fdc879a8d800a7eff2688a68ba578fecbe5ca0bf2abe4b1665"),
     # the witness ids map back to points
     ("check-pseudomanifold", ARC, "full", "axis", 1, "f6629d1f3330ae2cdecd6f79a0f513dc5eee71cdddce32c5f2b7ea4eacef7fba"),
+    # the provenance bases of cubes at odd negative doubled coordinates floor
+    ("build", SCATTER_SHIFTED, "full", "axis", 0, "53d0f65b42e6e7d5c22fc034dbb6066f4d0c07461237316f98d01374a238f542"),
 ]
 
 
