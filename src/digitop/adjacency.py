@@ -9,8 +9,8 @@ background relation.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence, TypeVar
@@ -131,6 +131,13 @@ class Region:
     def strictly_contains(self, p: Point, margin: int = 1) -> bool:
         return all(a + margin <= c <= b - margin for a, c, b in zip(self.lo, p, self.hi))
 
+    def require_inside(self, m: Iterable[Point]) -> None:
+        """Raise ``ValueError`` unless every point of m sits at least one step
+        inside the window, as a complement labeling of it requires."""
+        for p in m:
+            if not self.strictly_contains(p, 1):
+                raise ValueError(f"region too small: {p} touches the margin zone")
+
     def points(self) -> Iterator[Point]:
         yield from itertools.product(*(range(a, b + 1) for a, b in zip(self.lo, self.hi)))
 
@@ -236,9 +243,7 @@ def complement_components(
     one integer stride and never leaves the grid.
     """
     mset = set(m)
-    for p in mset:
-        if not region.strictly_contains(p, 1):
-            raise ValueError(f"region too small: {p} touches the margin zone")
+    region.require_inside(mset)
     sizes = [b - a + 3 for a, b in zip(region.lo, region.hi)]
     strides = row_major_strides(sizes)
     cells = [0]
@@ -391,27 +396,33 @@ def _cycle_rewrites(
 
 def _contract_cycle(graph: _CycleGraph, cycle: Sequence[int], bound: int, budget: int) -> bool:
     """Best-first search for a contraction of ``cycle`` to one vertex; False
-    once more than ``budget`` distinct rewritten cycles have been queued."""
+    once more than ``budget`` distinct rewritten cycles have been queued.  One
+    FIFO bucket per length: the shortest, then earliest, queued cycle goes first."""
     start = tuple(cycle)
     if len(start) <= 1:
         return True
     max_len = len(start) + bound + 2
     seen = {start}
-    counter = itertools.count()
-    heap: list[tuple[int, int, tuple[int, ...]]] = [(len(start), next(counter), start)]
-    pushes = 0
-    while heap:
-        _, _, w = heapq.heappop(heap)
-        for w2 in _cycle_rewrites(graph, w, bound, max_len):
-            if w2 in seen:
-                continue
+    buckets: list[deque[tuple[int, ...]]] = [deque() for _ in range(max_len + 1)]
+    buckets[len(start)].append(start)
+    low = len(start)
+    while low <= max_len:
+        if not buckets[low]:
+            low += 1
+            continue
+        for w2 in _cycle_rewrites(graph, buckets[low].popleft(), bound, max_len):
+            queued = len(seen)  # the start and the pushes so far: a new w2 is push number `queued`
             seen.add(w2)
-            if len(w2) == 1:
+            if len(seen) == queued:
+                continue
+            length = len(w2)
+            if length == 1:
                 return True
-            pushes += 1
-            if pushes > budget:
+            if queued > budget:
                 return False
-            heapq.heappush(heap, (len(w2), next(counter), w2))
+            buckets[length].append(w2)
+            if length < low:
+                low = length
     return False
 
 

@@ -289,10 +289,16 @@ def shapes_meeting(grid: HalfGrid, keys: Sequence[int], k: int) -> Iterator[Shap
         yield from ((h, axes, mask) for h, mask in masks.items())
 
 
-def cubes_meeting(m: AbstractSet[Point], k: int, n: int) -> list[tuple[Point, tuple[int, ...], int]]:
-    """Every k-cube of Z^n with a vertex in m as ``(base, axes, mask)``, in
-    cube order.  ``>>`` floors, so odd negative coordinates halve right."""
+def cubes_meeting(
+    m: AbstractSet[Point], k: int, n: int, keep: Callable[[tuple[int, ...], int], object]
+) -> list[tuple[Point, tuple[int, ...], int]]:
+    """Every k-cube of Z^n with a vertex in m whose shape passes ``keep(axes,
+    mask)``, as ``(base, axes, mask)`` in cube order.  Shapes are filtered
+    before their keys are decoded and sorted.  ``>>`` floors, so odd negative
+    coordinates halve right."""
     grid, keys = half_keys(m, n)
     return sorted(
-        (tuple(c >> 1 for c in grid.point(h)), axes, mask) for h, axes, mask in shapes_meeting(grid, keys, k)
+        (tuple(c >> 1 for c in grid.point(h)), axes, mask)
+        for h, axes, mask in shapes_meeting(grid, keys, k)
+        if keep(axes, mask)
     )

@@ -136,17 +136,12 @@ def check_manifold(
             {"kind": "alpha-disconnected", "components": [list(r) for r in reps]},
         )
 
+    # only the n-cubes of a disconnected shape are decoded and sorted
+    failing = cubes_meeting(mset, n, n, lambda axes, mask: not _cut_connected(pair.alpha, axes, mask))
     cube_connectivity = Verdict(True)
-    for base, axes, mask in cubes_meeting(mset, n, n):
-        if not _cut_connected(pair.alpha, axes, mask):
-            cube_connectivity = Verdict(
-                False,
-                {
-                    "kind": "cube-intersection-disconnected",
-                    "cube": Cube(base, axes).to_json(),
-                },
-            )
-            break
+    if failing:
+        cube = Cube(*failing[0][:2]).to_json()
+        cube_connectivity = Verdict(False, {"kind": "cube-intersection-disconnected", "cube": cube})
 
     # both local tests read one table entry per shell mask; two-sidedness
     # holds vacuously unless every point has two local sides

@@ -9,10 +9,10 @@ two single-step preimages are foreground too.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Optional
 
-from .adjacency import AdjacencyPair, AdjacencySpec, ComponentLabeling, Region, components
+from .adjacency import AdjacencyPair, AdjacencySpec, Region, components
 from .lattice import (
     Cube,
     Point,
@@ -72,13 +72,15 @@ def _candidates(alpha: AdjacencySpec, axes: tuple[int, ...], mask: int) -> tuple
 
 
 def _violation_in_cube(
-    base: Point, axes: tuple[int, ...], mask: int, pair: AdjacencyPair, labels: ComponentLabeling
+    base: Point, axes: tuple[int, ...], mask: int, pair: AdjacencyPair, region: Region, mset: frozenset[Point]
 ) -> Optional[dict]:
     """The first violation in the cube of this base and shape: the slice, both
     translations and the point whose diagonal image is foreground while a
-    side image is not."""
+    side image is not.  Only a shape with candidates reads the window's
+    labeling, so the window is labeled at the first such cube."""
     for free, cstar, tau1, tau2, x in _candidates(pair.alpha, axes, mask):
-        if len({labels.id_of(vec_add(base, d)) for d in free}) == 1:
+        id_of = region.complement(pair.beta, mset).id_of
+        if len({id_of(vec_add(base, d)) for d in free}) == 1:
             return {
                 "kind": "separation",
                 "cube": Cube(base, axes).to_json(),
@@ -102,8 +104,8 @@ def not_separated_in_cube(
     mset = frozenset(m)
     if region is None:
         region = Region.around(mset | set(cube_vertices(c)), margin=2)
-    labels = region.complement(pair.beta, mset)
-    witness = _violation_in_cube(c.base, c.axes, occupancy(c, mset), pair, labels)
+    region.require_inside(mset)
+    witness = _violation_in_cube(c.base, c.axes, occupancy(c, mset), pair, region, mset)
     return Verdict(witness is None, witness)
 
 
@@ -115,19 +117,20 @@ def has_separation_property(
     """Conjunction of the cube check over every cube near the set.
 
     Scans every k-cube, 2 <= k <= n, with a vertex in m; cubes that miss m
-    hold vacuously.  The first failing witness in (dimension, base, axes)
-    order is returned.
+    hold vacuously, and so do cubes whose shape has no candidate, which are
+    dropped before they are decoded.  The first failing witness in
+    (dimension, base, axes) order is returned.
     """
     mset = frozenset(m)
     if not mset:
         return Verdict(True)
-    n = pair.n
+    n, has_candidates = pair.n, partial(_candidates, pair.alpha)
     if region is None:
         region = Region.around(mset, margin=2)
-    labels = region.complement(pair.beta, mset)
+    region.require_inside(mset)
     for k in range(2, n + 1):
-        for base, axes, mask in cubes_meeting(mset, k, n):
-            witness = _violation_in_cube(base, axes, mask, pair, labels)
+        for base, axes, mask in cubes_meeting(mset, k, n, has_candidates):
+            witness = _violation_in_cube(base, axes, mask, pair, region, mset)
             if witness is not None:
                 return Verdict(False, witness)
     return Verdict(True)

@@ -5,14 +5,13 @@ import json
 import os
 import sys
 import tempfile
-import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from digitop import cli, jordan, manifold, pseudomanifold, separation
-from digitop.adjacency import AdjacencyPair, Region, axis_adjacency, full_adjacency
+from digitop import adjacency, cli, jordan, manifold, pseudomanifold, separation
+from digitop.adjacency import AdjacencyPair, AdjacencySpec, Region, axis_adjacency, full_adjacency
 from digitop.cli import main
 from digitop.jordan import rect_boundary
 from digitop.fileio import (
@@ -107,10 +106,30 @@ def test_good_pair_exit_codes():
     # inconclusive contractibility at the default rewrite bound
     assert main(["good-pair", "--n", "2", "--alpha", "axis", "--beta", "full"]) == 3
     assert main(["good-pair", "--n", "2", "--alpha", "axis", "--beta", "full", "--N", "4"]) == 0
-    # a long rewrite bound: runs are enumerated only as far as the budget reaches
-    start = time.perf_counter()
-    assert main(["good-pair", "--n", "2", "--alpha", "full", "--beta", "axis", "--N", "40"]) == 3
-    assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("budget", [None, 1000])
+def test_a_long_rewrite_bound_enumerates_only_the_runs_the_budget_reaches(monkeypatch, budget):
+    # a run of up to 42 vertices on the 4-cycle: 2^41 runs from each start, so
+    # runs must be enumerated only as far as the search consumes them
+    graph = adjacency._CycleGraph
+    runs, enumerate_runs = graph.runs, graph._enumerate_runs
+    limit = (budget or 100_000) + 1
+    yielded, produced = [], []
+
+    def counted(run_list, counter):
+        for run in run_list:
+            counter.append(run)
+            if len(counter) > limit:
+                raise AssertionError(f"more than {limit} runs: the budget does not bound them")
+            yield run
+
+    monkeypatch.setattr(graph, "runs", lambda self, *key: counted(runs(self, *key), yielded))
+    monkeypatch.setattr(graph, "_enumerate_runs", lambda self, key: counted(enumerate_runs(self, key), produced))
+    argv = ["good-pair", "--n", "2", "--alpha", "full", "--beta", "axis", "--N", "40"]
+    assert main(argv + ([] if budget is None else ["--budget", str(budget)])) == 3
+    # each run closes a new cycle here, and the search stops at push budget + 1
+    assert len(yielded) == len(produced) == limit
 
 
 def test_simple_points_command(ring_file, tmp_path):
@@ -236,9 +255,9 @@ def test_common_flags_stay_on_every_command_and_in_the_envelope(ring_file, capsy
         assert (config["N"], config["budget"], config["margin"]) == (3, 7, 4)
 
 
-@pytest.mark.parametrize("margin", ["2", "4"])
-@pytest.mark.parametrize("command", ["jordan", "simple-points"])
-def test_one_complement_labeling_per_command(ring_file, monkeypatch, command, margin):
+@pytest.fixture
+def labelings(monkeypatch):
+    """The arguments of every complement labeling run while the test runs."""
     from digitop.adjacency import complement_components
 
     calls = []
@@ -251,9 +270,32 @@ def test_one_complement_labeling_per_command(ring_file, monkeypatch, command, ma
     for name, module in list(sys.modules.items()):
         if name.startswith("digitop") and getattr(module, "complement_components", None) is complement_components:
             monkeypatch.setattr(module, "complement_components", counting_label)
+    return calls
+
+
+@pytest.mark.parametrize("margin", ["2", "4"])
+@pytest.mark.parametrize("command", ["jordan", "simple-points"])
+def test_one_complement_labeling_per_command(ring_file, labelings, command, margin):
     argv = [command, "--points", str(ring_file), "--alpha", "axis", "--beta", "full", "--margin", margin]
     assert main(argv) == 0
-    assert len(calls) == 1
+    assert len(labelings) == 1
+
+
+@pytest.mark.parametrize("command", ["verify-manifold", "check-separation"])
+def test_certification_labels_the_window_only_for_a_cube_with_a_candidate(ring_file, tmp_path, labelings, command):
+    plate, far = tmp_path / "plate.txt", tmp_path / "far.txt"
+    plate.write_text("0 0 0\n1 0 0\n0 1 1\n1 1 1\n", encoding="utf-8")
+    far.write_text("0 0\n995 995\n", encoding="utf-8")  # margin 2: 1000 x 1000 cells, the default cap
+    cases = [
+        (ring_file, "axis", "full", 0, 0),
+        (far, "full", "axis", 1 if command == "verify-manifold" else 0, 0),
+        # the plate's unit cube violates separation: the scan labels once and stops there
+        (plate, "full", "axis", 1, 1),
+    ]
+    for path, alpha, beta, code, labeled in cases:
+        labelings.clear()
+        argv = [command, "--points", str(path), "--alpha", alpha, "--beta", beta, "--max-cells", "1000000"]
+        assert (_run_all(argv)[0], len(labelings)) == (code, labeled)
 
 
 def test_replay_round_trip(tmp_path, capsys):
@@ -691,16 +733,26 @@ def _run_all(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_a_window_over_max_cells_exits_2_before_labeling(tmp_path):
+def test_a_window_over_max_cells_exits_2_before_labeling(tmp_path, monkeypatch, labelings):
+    specs = []
+    post_init = AdjacencySpec.__post_init__
+
+    def counted_post_init(self):
+        specs.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(AdjacencySpec, "__post_init__", counted_post_init)
+    axis_adjacency.cache_clear()
+    full_adjacency.cache_clear()
     far = tmp_path / "far.txt"
     far.write_text("0 0\n3000 3000\n", encoding="utf-8")
     # good-pair's sphere check labels [-3, 3]^n around the origin: 7^n cells
     for given, cells in ((["check-separation", "--points", str(far)], 9030025), (["good-pair", "--n", "9"], 7**9)):
-        start = time.perf_counter()
         code, out, err = _run_all([*given, "--alpha", "full", "--beta", "axis"])
-        assert time.perf_counter() - start < 2
         assert (code, out) == (2, "")
         assert "Traceback" not in err and f"{cells} cells" in err and "--max-cells 1000000" in err
+        # refused before any adjacency (3^9 - 1 offsets for full) is built or any cell labeled
+        assert (specs, labelings) == ([], [])
 
 
 def test_a_window_at_max_cells_still_runs(tmp_path):

@@ -115,7 +115,7 @@ def test_barycenters_of_proper_subcubes_are_distinct():
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=2, max_value=4))
-@settings(max_examples=30)
+@settings(max_examples=30, deadline=None)
 def test_subcube_total_is_three_to_the_k(k, n):
     k = min(k, n)
     c = Cube((0,) * n, tuple(range(k)))
@@ -203,7 +203,10 @@ def test_cubes_meeting_and_shapes_match_the_box_scan(m):
         # the k-cubes whose closed box meets p are the k-cubes with vertex p
         cubes = sorted({c for p in m for c in cubes_meeting_box(p, p, k, n)})
         expected = [(c.base, c.axes, occupancy(c, m)) for c in cubes]
-        assert cubes_meeting(m, k, n) == expected
+        assert cubes_meeting(m, k, n, lambda axes, mask: True) == expected
+        # a shape filter keeps the kept cubes in cube order
+        odd = cubes_meeting(m, k, n, lambda axes, mask: mask & 1 and axes[:1] != (1,))
+        assert odd == [c for c in expected if c[2] & 1 and c[1][:1] != (1,)]
         shapes = [(grid.point(h), axes, mask) for h, axes, mask in shapes_meeting(grid, keys, k)]
         assert len(shapes) == len(expected)
         assert sorted(shapes) == sorted(shapes_meeting_oracle(m, k, n))
@@ -251,4 +254,4 @@ def test_row_major_strides_put_stride_one_last():
 
 
 def test_cubes_meeting_an_empty_set():
-    assert cubes_meeting(frozenset(), 2, 3) == []
+    assert cubes_meeting(frozenset(), 2, 3, lambda axes, mask: True) == []

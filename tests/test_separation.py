@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from digitop import adjacency
 from digitop.adjacency import AdjacencyPair, Region, axis_adjacency, components, full_adjacency
 from digitop.jordan import rect_boundary
 from digitop.lattice import (
@@ -12,18 +13,22 @@ from digitop.lattice import (
     completing_translations,
     cube_vertices,
     cubes_meeting_box,
+    half_keys,
+    shapes_meeting,
     subcubes,
     vec_add,
 )
-from digitop.manifold import check_manifold
+from digitop.manifold import _cut_connected, check_manifold
 from digitop.verdict import Verdict
 from digitop.separation import (
+    _candidates,
     beta_neighbor_lower_bound,
     component_count_bounds_hold,
     has_separation_property,
     not_separated_in_cube,
     replay_separation_witness,
 )
+from test_adjacency import adjacency_specs
 
 FULL_AXIS_3 = AdjacencyPair(full_adjacency(3), axis_adjacency(3))
 AXIS_FULL_3 = AdjacencyPair(axis_adjacency(3), full_adjacency(3))
@@ -243,3 +248,89 @@ def test_shape_tables_match_the_per_cube_oracle(case):
     assert has_separation_property(m, pair, region) == has_separation_property_oracle(m, pair, region)
     got = check_manifold(m, pair, region).cube_connectivity
     assert got == cube_connectivity_oracle(m, pair)
+
+
+def cubes_meeting_unfiltered(m, k, n):
+    """The gather before shapes were filtered: every k-cube with a vertex in m
+    is decoded to ``(base, axes, mask)``, and all of them are sorted."""
+    grid, keys = half_keys(m, n)
+    return sorted((tuple(c >> 1 for c in grid.point(h)), axes, mask) for h, axes, mask in shapes_meeting(grid, keys, k))
+
+
+def has_separation_property_unfiltered(mset, pair, region):
+    """The scan before shapes were filtered: the window is labeled first, and
+    every cube that meets the set is decoded, sorted and then tested."""
+    labels = region.complement(pair.beta, mset)
+    for k in range(2, pair.n + 1):
+        for base, axes, mask in cubes_meeting_unfiltered(mset, k, pair.n):
+            for free, cstar, tau1, tau2, x in _candidates(pair.alpha, axes, mask):
+                if len({labels.id_of(vec_add(base, d)) for d in free}) == 1:
+                    return Verdict(False, {
+                        "kind": "separation",
+                        "cube": Cube(base, axes).to_json(),
+                        "cstar": Cube(vec_add(base, cstar.base), cstar.axes).to_json(),
+                        "tau1": list(tau1),
+                        "tau2": list(tau2),
+                        "point": list(vec_add(base, x)),
+                    })
+    return Verdict(True)
+
+
+def cube_connectivity_unfiltered(mset, pair):
+    """The cube-connectivity scan before shapes were filtered: every n-cube
+    that meets the set is decoded and sorted, then tested in order."""
+    for base, axes, mask in cubes_meeting_unfiltered(mset, pair.n, pair.n):
+        if not _cut_connected(pair.alpha, axes, mask):
+            return Verdict(False, {"kind": "cube-intersection-disconnected", "cube": Cube(base, axes).to_json()})
+    return Verdict(True)
+
+
+@st.composite
+def shifted_box_subsets(draw):
+    """A nonempty random subset of a 2-D, 3-D or small 4-D box, moved by a
+    translation that may be negative and odd, under an axis or full
+    foreground and an axis, full or custom background."""
+    sides = draw(st.sampled_from([(5, 4), (3, 4, 3), (2, 3, 2, 2)]))
+    cells = sorted(itertools.product(*(range(s) for s in sides)))
+    chosen = draw(st.frozensets(st.sampled_from(cells), min_size=1))
+    shift = draw(st.tuples(*[st.integers(-41, 41)] * len(sides)))
+    n = len(sides)
+    alpha = draw(st.sampled_from((axis_adjacency, full_adjacency)))(n)
+    m = frozenset(tuple(a + b for a, b in zip(p, shift)) for p in chosen)
+    return m, AdjacencyPair(alpha, draw(adjacency_specs(n)))
+
+
+@given(shifted_box_subsets())
+@example((frozenset(vec_add(p, (-3, -5, -7)) for p in PLATE), FULL_AXIS_3))
+@example((frozenset({(-7, -1), (-6, -1), (-7, -3), (-5, -2)}), AdjacencyPair(axis_adjacency(2), axis_adjacency(2))))
+@example((frozenset({(-1, -3, -5, 1), (0, -2, -5, 1), (-1, -2, -4, 2)}), AdjacencyPair(full_adjacency(4), axis_adjacency(4))))
+@settings(max_examples=100, deadline=None)
+def test_shape_first_scans_match_the_unfiltered_scans(case):
+    m, pair = case
+    region = Region.around(m, 2)
+    got = has_separation_property(m, pair, region)
+    assert got == has_separation_property_unfiltered(m, pair, region)
+    assert check_manifold(m, pair, region).cube_connectivity == cube_connectivity_unfiltered(m, pair)
+    if not got.holds:
+        cube = Cube.from_json(got.witness["cube"])
+        assert not_separated_in_cube(m, cube, pair, region) == got
+
+
+def test_a_too_small_region_raises_though_no_cube_is_labeled(monkeypatch):
+    calls = []
+    label = adjacency.complement_components
+    monkeypatch.setattr(adjacency, "complement_components", lambda *args: calls.append(args) or label(*args))
+    m, pair = frozenset({(0, 0), (3, 3)}), AdjacencyPair(full_adjacency(2), axis_adjacency(2))
+    # no cube meeting the pair has a candidate, so a window wide enough is never labeled
+    assert has_separation_property(m, pair, Region.around(m, 2)).holds and calls == []
+    assert not_separated_in_cube(m, Cube((0, 0), (0, 1)), pair).holds and calls == []
+    tight = Region((0, -1), (4, 4))  # (0, 0) lies on its edge
+    with pytest.raises(ValueError) as expected:
+        label(pair.beta, m, tight)
+    assert str(expected.value) == "region too small: (0, 0) touches the margin zone"
+    for check in (has_separation_property, check_manifold):
+        with pytest.raises(ValueError, match=r"^region too small: \(0, 0\) touches the margin zone$"):
+            check(m, pair, tight)
+    with pytest.raises(ValueError, match=r"^region too small: \(0, 0\) touches the margin zone$"):
+        not_separated_in_cube(m, Cube((0, 0), (0, 1)), pair, tight)
+    assert calls == []
