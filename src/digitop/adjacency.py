@@ -141,13 +141,10 @@ class Region:
     def points(self) -> Iterator[Point]:
         yield from itertools.product(*(range(a, b + 1) for a, b in zip(self.lo, self.hi)))
 
-    def dilate(self, k: int) -> "Region":
-        return Region(tuple(a - k for a in self.lo), tuple(b + k for b in self.hi))
-
     @staticmethod
     def around(points: Iterable[Point], margin: int = 2) -> "Region":
         lo, hi = bounding_box(points)
-        return Region(lo, hi).dilate(margin)
+        return Region(tuple(a - margin for a in lo), tuple(b + margin for b in hi))
 
     def complement(self, spec: AdjacencySpec, m: Iterable[Point]) -> "ComponentLabeling":
         """``complement_components(spec, m, self)``, labeled once per window."""
@@ -181,6 +178,11 @@ class ComponentLabeling:
 
     def same_component(self, p: Point, q: Point) -> bool:
         return self.labels[p] == self.labels[q]
+
+    def ids_near(self, spec: AdjacencySpec, p: Point) -> set[Point]:
+        """The ids of the components that p's spec-neighbours in this labeling lie in."""
+        labels = self.labels
+        return {labels[q] for q in neighbors(spec, p) if q in labels}
 
     def components(self) -> dict[Point, frozenset[Point]]:
         acc: dict[Point, set[Point]] = {}

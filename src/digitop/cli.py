@@ -22,7 +22,7 @@ from typing import Sequence
 from . import __version__, jordan, manifold, pseudomanifold, separation
 from .adjacency import AdjacencyPair, Region
 from .fileio import InputFormatError, format_points, load_points, parse_adjacency_arg
-from .jordan import GENERATORS, jordan_check, simple_point_witness
+from .jordan import GENERATORS, jordan_check, simple_point_witness, window_sides
 from .manifold import check_manifold, is_good_pair, is_simple_point
 from .pseudomanifold import is_pseudomanifold
 from .separation import has_separation_property
@@ -36,6 +36,7 @@ from .simplicial import (
 from .verdict import wrong_dimension
 
 _INT = {int}  # exact: %d would print a bool as 1
+MAX_CELLS = 1_000_000  # the default --max-cells, and the bound of every generated set's window
 
 _REPLAYS = {**manifold.REPLAYS, **separation.REPLAYS, **jordan.REPLAYS, **pseudomanifold.REPLAYS}
 
@@ -51,7 +52,7 @@ def _add_common(p: argparse.ArgumentParser, points: bool, formats: tuple[str, ..
     p.add_argument("--budget", type=int, default=100_000, help="search budget")
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
-    p.add_argument("--max-cells", type=int, default=1_000_000, help="largest analysis window, in cells")
+    p.add_argument("--max-cells", type=int, default=MAX_CELLS, help="largest analysis window, in cells")
     if replay:
         p.add_argument("--replay", default=None, help="re-verify the witnesses of a saved JSON report")
 
@@ -134,11 +135,12 @@ def _config(args: argparse.Namespace, n: int) -> dict:
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputFormatError(f"{args.output}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text)  # every report ends in a newline
 
 
 def _row(n: int, indent: str) -> str:
@@ -384,6 +386,11 @@ def _cmd_simple_points(args: argparse.Namespace, mset, n: int, pair: AdjacencyPa
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     try:
+        cells = 1
+        for side in window_sides(args.kind, args.params):  # stops at the cap, however many axes
+            cells *= side
+            if cells > MAX_CELLS:
+                raise ValueError(f"its margin-2 window has at least {cells} cells; the --max-cells default is {MAX_CELLS}")
         points = GENERATORS[args.kind](*args.params)
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"generate {args.kind}: {exc}") from exc

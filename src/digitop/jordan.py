@@ -7,10 +7,11 @@ pieces, be the common boundary of both, and contain no removable point.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
-from .adjacency import AdjacencyPair, Region, neighbors
+from .adjacency import AdjacencyPair, Region
 from .lattice import Point
 from .manifold import ManifoldReport, NotCertifiedError, check_manifold, is_simple_point
 from .verdict import Checks, Verdict
@@ -56,44 +57,28 @@ def jordan_check(
     if not report.certified:
         raise NotCertifiedError("jordan check requires a certified manifold")
     labeling = region.complement(pair.beta, mset)
-    comps = labeling.components()
-    two = len(comps) == 2
-    inside_size = 0
-    outside_flagged = False
-    for cid, pts in comps.items():
-        if cid in labeling.infinite_ids:
-            outside_flagged = True
-        else:
-            inside_size = len(pts)
+    sizes = Counter(labeling.labels.values())
+    ids = sorted(sizes)
+    inside = [sizes[cid] for cid in ids if cid not in labeling.infinite_ids]
+    two = len(ids) == 2
 
-    common = Verdict(True)
-    if two:
-        ids = sorted(comps)
-        for p in sorted(mset):
-            reached = {labeling.labels[q] for q in neighbors(pair.beta, p) if q in labeling.labels}
-            missing = [cid for cid in ids if cid not in reached]
-            if missing:
-                common = Verdict(
-                    False,
-                    {
-                        "kind": "not-common-boundary",
-                        "point": list(p),
-                        "missing_component": list(missing[0]),
-                    },
-                )
-                break
-
-    no_simple = Verdict(True)
+    # one scan: the ids p touches decide both verdicts, and only a point that
+    # touches exactly one component can be simple
+    common = no_simple = Verdict(True)
     for p in sorted(mset):
-        if is_simple_point(p, mset, pair, region):
+        near = labeling.ids_near(pair.beta, p)
+        if two and common.holds and len(near) < 2:
+            witness = {"kind": "not-common-boundary", "point": list(p), "missing_component": list(min(set(ids) - near))}
+            common = Verdict(False, witness)
+        if len(near) == 1 and is_simple_point(p, mset, pair, region):
             no_simple = Verdict(False, simple_point_witness(p))
-            break
+            break  # with two components, p misses one: the common boundary failed here or before
 
     return JordanReport(
         two_components=two,
-        component_count=len(comps),
-        inside_size=inside_size,
-        outside_flagged=outside_flagged,
+        component_count=len(ids),
+        inside_size=inside[-1] if inside else 0,
+        outside_flagged=len(inside) < len(ids),
         common_boundary=common,
         no_simple_points=no_simple,
     )
@@ -110,12 +95,9 @@ def _replay_component_count(w: dict, mset, pair: AdjacencyPair, region: Region) 
 
 def _replay_not_common_boundary(w: dict, mset, pair: AdjacencyPair, region: Region) -> bool:
     p, missing = tuple(w["point"]), tuple(w["missing_component"])
-    labels = region.complement(pair.beta, mset).labels
-    return (
-        p in mset
-        and labels.get(missing) == missing  # component ids label themselves
-        and all(labels.get(q) != missing for q in neighbors(pair.beta, p))
-    )
+    labeling = region.complement(pair.beta, mset)
+    # component ids label themselves
+    return p in mset and labeling.labels.get(missing) == missing and missing not in labeling.ids_near(pair.beta, p)
 
 
 def _replay_simple_point(w: dict, mset, pair: AdjacencyPair, region: Region) -> bool:
@@ -130,29 +112,35 @@ REPLAYS = {
 }
 
 
+def _box(*sides: int) -> tuple[range, ...]:
+    """The coordinate ranges of a box with these sides."""
+    if min(sides) < 3:
+        raise ValueError("sides must be at least 3 so the interior is nonempty")
+    return tuple(map(range, sides))
+
+
+def _faces(box: tuple[range, ...]) -> frozenset[Point]:
+    """The lattice points on the boundary of a box."""
+    return frozenset(p for p in itertools.product(*box) if any(c in (r[0], r[-1]) for c, r in zip(p, box)))
+
+
 def rect_boundary(w: int, h: int) -> frozenset[Point]:
     """Boundary lattice points of a w-by-h box in the plane."""
-    if w < 3 or h < 3:
-        raise ValueError("sides must be at least 3 so the interior is nonempty")
-    return frozenset(
-        (x, y)
-        for x in range(w)
-        for y in range(h)
-        if x in (0, w - 1) or y in (0, h - 1)
-    )
+    return _faces(_box(w, h))
 
 
 def box_surface(w: int, h: int, d: int) -> frozenset[Point]:
     """Surface lattice points of a w-by-h-by-d box in space."""
-    if min(w, h, d) < 3:
-        raise ValueError("sides must be at least 3 so the interior is nonempty")
-    return frozenset(
-        (x, y, z)
-        for x in range(w)
-        for y in range(h)
-        for z in range(d)
-        if x in (0, w - 1) or y in (0, h - 1) or z in (0, d - 1)
-    )
+    return _faces(_box(w, h, d))
+
+
+def _ball(radius: int, n: int) -> Iterator[range]:
+    """The coordinate ranges of [-radius, radius]^n, which holds every lattice point with |p| <= radius + 1/2."""
+    if radius < 2:
+        raise ValueError("radius must be at least 2")
+    if n < 2:
+        raise ValueError("dimension must be at least 2")
+    return itertools.repeat(range(-radius, radius + 1), n)
 
 
 def sphere_shell(radius: int, n: int) -> frozenset[Point]:
@@ -160,18 +148,22 @@ def sphere_shell(radius: int, n: int) -> frozenset[Point]:
 
     Certification is not guaranteed; the checker decides.
     """
-    if radius < 2:
-        raise ValueError("radius must be at least 2")
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    top = radius + 1
-    out = []
-    for p in itertools.product(range(-top, top + 1), repeat=n):
-        sq = sum(c * c for c in p)
-        if sq > (radius - 1) ** 2 and 4 * sq <= (2 * radius + 1) ** 2:
-            out.append(p)
-    return frozenset(out)
+    low, high = (radius - 1) ** 2, radius * (radius + 1)  # for integers, |p|^2 <= (radius + 1/2)^2
+    return frozenset(p for p in itertools.product(*_ball(radius, n)) if low < sum(c * c for c in p) <= high)
 
 
 # the example sets of ``digitop generate --kind KIND``
 GENERATORS = {"rect-boundary": rect_boundary, "box-surface": box_surface, "sphere-shell": sphere_shell}
+# the box that holds each one, from the same parameters, which it checks as the generator does
+_BOXES = {"rect-boundary": lambda w, h: _box(w, h), "box-surface": lambda w, h, d: _box(w, h, d), "sphere-shell": _ball}
+
+
+def window_sides(kind: str, params: Sequence[int]) -> Iterator[int]:
+    """The sides of the margin-2 analysis window of ``GENERATORS[kind](*params)``, one per
+    axis, before the set is built; parameters the generator refuses raise its own error."""
+    try:
+        box = _BOXES[kind](*params)
+    except TypeError:
+        GENERATORS[kind](*params)  # a wrong parameter count, refused before anything is built
+        raise
+    return (r.stop - r.start + 4 for r in box)

@@ -244,9 +244,7 @@ def is_simple_point(
         raise ValueError(f"{p} is not a foreground point")
     if region is None:
         region = Region.around(mset, margin=2)
-    labels = region.complement(pair.beta, mset).labels
-    touched = {labels[q] for q in neighbors(pair.beta, p) if q in labels}
-    if len(touched) != 1:
+    if len(region.complement(pair.beta, mset).ids_near(pair.beta, p)) != 1:
         return False
     return components(pair.alpha, mset).count == components(pair.alpha, mset - {p}).count
 

@@ -5,6 +5,7 @@ import json
 import os
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -773,6 +774,64 @@ def test_max_cells_below_one_is_a_usage_error(ring_file, command, cells):
     code, out, err = _run_all([command, *given, "--alpha", "axis", "--beta", "full", "--max-cells", cells])
     assert (code, out) == (2, "")
     assert err == "error: --max-cells must be at least 1\n"
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jordan", "--alpha", "axis", "--beta", "full"],
+        ["build", "--format", "off"],
+        ["generate", "--kind", "rect-boundary", "--params", "5", "5"],
+    ],
+)
+def test_an_output_path_that_cannot_be_written_is_an_input_error(box_file, tmp_path, argv, target):
+    given = [] if argv[0] == "generate" else ["--points", str(box_file)]
+    path = tmp_path / target  # a missing directory, or a directory
+    code, out, err = _run_all([*argv, *given, "-o", str(path)])
+    assert (code, out) == (2, "")
+    # build's OFF warning about skipped simplices may come first
+    assert err.splitlines()[-1].startswith(f"error: {path}: ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+# per kind: parameters whose margin-2 window has at most 1000000 cells, and a step over
+@pytest.mark.parametrize(
+    "kind, at_cap, over_cap",
+    [
+        ("rect-boundary", ["996", "996"], ["996", "997"]),  # (w + 4)(h + 4)
+        ("box-surface", ["96", "96", "96"], ["96", "96", "97"]),  # (w + 4)(h + 4)(d + 4)
+        ("sphere-shell", ["47", "3"], ["48", "3"]),  # (2r + 5)^n: 99^3 and 101^3
+        ("sphere-shell", ["497", "2"], ["498", "2"]),  # 999^2 and 1001^2
+        ("sphere-shell", ["2", "6"], ["2", "10000000"]),  # 9^6 and 9^(10^7): its axes are never listed
+    ],
+)
+def test_generate_refuses_a_set_whose_window_is_over_the_cap_before_building_it(monkeypatch, kind, at_cap, over_cap):
+    built = []
+    monkeypatch.setitem(jordan.GENERATORS, kind, lambda *params: built.append(params) or {(0, 0)})
+    assert _run_all(["generate", "--kind", kind, "--params", *at_cap])[0] == 0
+    assert built == [tuple(map(int, at_cap))]
+    tracemalloc.start()
+    code, out, err = _run_all(["generate", "--kind", kind, "--params", *over_cap])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (code, out) == (2, "") and "; the --max-cells default is 1000000" in err
+    assert peak < 1_000_000
+    assert built == [tuple(map(int, at_cap))]
+
+
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("rect-boundary", ["2", "100000000"], "sides must be at least 3 so the interior is nonempty"),
+        ("box-surface", ["100000", "100000"], "box_surface() missing 1 required positional argument: 'd'"),
+        ("sphere-shell", ["1", "100"], "radius must be at least 2"),
+        ("sphere-shell", ["100000", "1"], "dimension must be at least 2"),
+        ("sphere-shell", ["100000"], "sphere_shell() missing 1 required positional argument: 'n'"),
+    ],
+)
+def test_generate_reports_bad_parameters_in_the_generators_words(kind, params, message):
+    assert _run_all(["generate", "--kind", kind, "--params", *params]) == (2, "", f"error: generate {kind}: {message}\n")
 
 
 def test_replay_bounds_the_window_of_the_recorded_margin(tmp_path):

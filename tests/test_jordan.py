@@ -1,15 +1,23 @@
-import pytest
+import itertools
 
-from digitop.adjacency import AdjacencyPair, axis_adjacency, full_adjacency
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from digitop import adjacency, jordan, manifold
+from digitop.adjacency import AdjacencyPair, ComponentLabeling, Region, axis_adjacency, full_adjacency, neighbors
 from digitop.jordan import (
     GENERATORS,
+    REPLAYS,
     JordanReport,
     box_surface,
     jordan_check,
     rect_boundary,
+    simple_point_witness,
     sphere_shell,
 )
-from digitop.manifold import NotCertifiedError, check_manifold
+from digitop.lattice import vec_add
+from digitop.manifold import ManifoldReport, NotCertifiedError, check_manifold, is_simple_point
 from digitop.verdict import Verdict
 
 AXIS_FULL_2 = AdjacencyPair(axis_adjacency(2), full_adjacency(2))
@@ -120,3 +128,125 @@ def test_jordan_report_adds_the_component_terms_to_its_verdicts():
         report = JordanReport(two, 2, 4, flagged, Verdict(True), Verdict(True))
         assert report.all_true is report.holds is (two and flagged)
         assert report.witnesses() == ([] if two else [{"kind": "component-count", "count": 2}])
+
+
+def jordan_check_two_scans(m, pair, margin=2, report=None):
+    """``jordan_check`` as it was before its one scan: the component sets are
+    collected, and each point's beta-neighbour ids are read once for the
+    common boundary and again inside ``is_simple_point``."""
+    mset = frozenset(m)
+    region = Region.around(mset, margin)
+    if report is None:
+        report = check_manifold(mset, pair, region)
+    if not report.certified:
+        raise NotCertifiedError("jordan check requires a certified manifold")
+    labeling = region.complement(pair.beta, mset)
+    comps = labeling.components()
+    two = len(comps) == 2
+    inside_size = 0
+    outside_flagged = False
+    for cid, pts in comps.items():
+        if cid in labeling.infinite_ids:
+            outside_flagged = True
+        else:
+            inside_size = len(pts)
+    common = Verdict(True)
+    if two:
+        ids = sorted(comps)
+        for p in sorted(mset):
+            reached = {labeling.labels[q] for q in neighbors(pair.beta, p) if q in labeling.labels}
+            missing = [cid for cid in ids if cid not in reached]
+            if missing:
+                witness = {"kind": "not-common-boundary", "point": list(p), "missing_component": list(missing[0])}
+                common = Verdict(False, witness)
+                break
+    no_simple = Verdict(True)
+    for p in sorted(mset):
+        if is_simple_point(p, mset, pair, region):
+            no_simple = Verdict(False, simple_point_witness(p))
+            break
+    return JordanReport(two, len(comps), inside_size, outside_flagged, common, no_simple)
+
+
+CERTIFIED = ManifoldReport(*[Verdict(True)] * 5)  # forced, so that every failing path runs
+RING = rect_boundary(5, 5)
+FULL_AXIS_2 = AdjacencyPair(full_adjacency(2), axis_adjacency(2))
+FULL_AXIS_3 = AdjacencyPair(full_adjacency(3), axis_adjacency(3))
+
+
+@st.composite
+def shifted_sets(draw):
+    """A nonempty random subset of a 5x4, 4x4 or 3x3x3 box, moved by a
+    translation that may be negative and odd, under one of the four
+    axis/full pairs."""
+    sides = draw(st.sampled_from([(5, 4), (4, 4), (3, 3, 3)]))
+    cells = sorted(itertools.product(*(range(s) for s in sides)))
+    chosen = draw(st.frozensets(st.sampled_from(cells), min_size=1))
+    shift = draw(st.tuples(*[st.integers(-41, 41)] * len(sides)))
+    n = len(sides)
+    alpha = draw(st.sampled_from((axis_adjacency, full_adjacency)))(n)
+    beta = draw(st.sampled_from((axis_adjacency, full_adjacency)))(n)
+    m = frozenset(tuple(a + b for a, b in zip(p, shift)) for p in chosen)
+    return m, AdjacencyPair(alpha, beta)
+
+
+@given(shifted_sets())
+@example((RING, AXIS_FULL_2))  # everything holds
+@example((RING | {(5, 2)}, AXIS_FULL_2))  # a spur that misses the inside and is simple
+@example((RING | {(2, 2)}, AXIS_FULL_2))  # a point that misses the outside; none is simple
+@example((RING | {(1, 2), (2, 2)}, AXIS_FULL_2))  # two points miss the outside; the second is simple
+@example((RING | {(x + 6, y) for x, y in rect_boundary(4, 4)}, AXIS_FULL_2))  # three components, of 9 and 4 inside
+@example((frozenset(vec_add(p, (-7, -1, -3)) for p in box_surface(3, 3, 3)) | {(-6, 0, -2)}, FULL_AXIS_3))  # a filled cube: one component
+@settings(max_examples=150, deadline=None)
+def test_one_scan_matches_the_two_scan_oracle(case):
+    m, pair = case
+    got = jordan_check(m, pair, report=CERTIFIED)
+    assert got.to_json() == jordan_check_two_scans(m, pair, report=CERTIFIED).to_json()
+    region = Region.around(m, 2)
+    for w in got.witnesses():
+        assert REPLAYS[w["kind"]](w, m, pair, region)
+
+
+def test_a_certified_box_reads_each_point_once(monkeypatch):
+    box, pair = box_surface(5, 5, 5), AXIS_FULL_3
+    report = check_manifold(box, pair)
+    assert report.certified
+    calls = {"neighbors": 0, "is_simple_point": 0, "components": 0}
+
+    def counted(name, f):
+        def spy(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return spy
+
+    spy = counted("neighbors", neighbors)
+    for module in (adjacency, jordan, manifold):  # wherever the name may be bound
+        if getattr(module, "neighbors", None) is neighbors:
+            monkeypatch.setattr(module, "neighbors", spy)
+    monkeypatch.setattr(jordan, "is_simple_point", counted("is_simple_point", jordan.is_simple_point))
+    monkeypatch.setattr(ComponentLabeling, "components", counted("components", ComponentLabeling.components))
+    assert jordan_check(box, pair, report=report).all_true
+    # one read of beta-neighbour ids per point of M; every point touches both
+    # components, so none is tested for simplicity, and no component is collected
+    assert len(box) == 98
+    assert calls == {"neighbors": 98, "is_simple_point": 0, "components": 0}
+    # on an arc the first point is simple, and the scan stops there: its one
+    # read, and the read inside ``is_simple_point``
+    calls.update(dict.fromkeys(calls, 0))
+    arc = {(-1, -3), (0, -2), (1, -1)}
+    assert jordan_check(arc, FULL_AXIS_2, report=CERTIFIED).no_simple_points.witness["point"] == [-1, -3]
+    assert calls == {"neighbors": 2, "is_simple_point": 1, "components": 0}
+
+
+def test_a_not_common_boundary_witness_replays_only_where_the_point_misses_the_component():
+    spur = RING | {(5, 2)}  # (5, 2) is beta-adjacent to the outside only
+    region = Region.around(spur, 2)
+    inside, outside = [1, 1], list(region.lo)
+    replay = REPLAYS["not-common-boundary"]
+    missed = {"kind": "not-common-boundary", "point": [5, 2], "missing_component": inside}
+    assert replay(missed, spur, AXIS_FULL_2, region)
+    # (0, 0) is beta-adjacent to both components, and (5, 2) reaches the outside
+    for point, component in (([0, 0], inside), ([0, 0], outside), ([5, 2], outside)):
+        reached = {"kind": "not-common-boundary", "point": point, "missing_component": component}
+        assert not replay(reached, spur, AXIS_FULL_2, region)
