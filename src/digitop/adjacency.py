@@ -289,8 +289,8 @@ class _CycleGraph:
     Vertex i is the i-th point in lexicographic order, and each neighbour
     list is increasing.  A translation keeps that order, so index order is
     the order of ``sorted`` points and of ``spec.sorted_offsets``.  The
-    replacement runs depend only on where they start and end and on their
-    length cap, so a run list enumerated to its end is kept for the graph.
+    walk counts toward each end vertex, and each walk list enumerated to its
+    end, are kept for the graph.
     """
 
     def __init__(self, spec: AdjacencySpec, pts: Iterable[Point]) -> None:
@@ -300,8 +300,8 @@ class _CycleGraph:
             tuple(j for j in (index.get(vec_add(p, v)) for v in spec.sorted_offsets) if j is not None)
             for p in self.points
         )
-        self.adj_sets = tuple(map(frozenset, self.adj))
-        self._runs: dict[tuple, list[tuple[int, ...]]] = {}
+        self._toward: dict[int, list[dict[int, int]]] = {}
+        self._walks: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
 
     def generator_cycles(self) -> Iterator[tuple[int, ...]]:
         """The fundamental cycles of the BFS tree rooted at vertex 0, one per
@@ -328,103 +328,128 @@ class _CycleGraph:
                 if p < q and parent[p] != q and parent[q] != p:
                     yield tuple(root_path(p) + root_path(q)[::-1])
 
-    def runs(
-        self, first: tuple[str, int] | None, end_next_to: int | None, max_len: int
-    ) -> Iterable[tuple[int, ...]]:
-        """Replacement runs of at most ``max_len`` vertices, in DFS preorder.
+    def walk_counts(self, v: int, steps: int) -> list[dict[int, int]]:
+        """``c[0..steps]`` (at least), where ``c[t][x]`` is the number of
+        t-step walks from x to v, ``(A^t)[x][v]``; vertices with none are
+        left out.  Each step spreads the counts over the neighbours, which
+        the symmetric relation makes the same as gathering them."""
+        counts = self._toward.setdefault(v, [{v: 1}])
+        while len(counts) <= steps:
+            step: dict[int, int] = {}
+            for y, c in counts[-1].items():
+                for x in self.adj[y]:
+                    step[x] = step.get(x, 0) + c
+            counts.append(step)
+        return counts
 
-        ``first`` pins the start: ("eq", v) starts at v, ("adj", v) at a
-        neighbour of v, and None anywhere.  With ``end_next_to`` set, only
-        runs whose last vertex is its neighbour are kept.  Runs are yielded
-        as they are found, so a search that stops early never holds them all.
+    def walks(self, u: int, v: int, steps: int) -> Iterable[tuple[int, ...]]:
+        """Every walk of ``steps`` steps from u to v, in lexicographic order.
+
+        Walks are yielded as they are found, so a search that stops early
+        never holds them all; a list enumerated to its end is kept.
         """
-        key = (first, end_next_to, max_len)
-        done = self._runs.get(key)
-        return done if done is not None else self._enumerate_runs(key)
+        key = (u, v, steps)
+        done = self._walks.get(key)
+        return done if done is not None else self._enumerate_walks(key)
 
-    def _enumerate_runs(self, key: tuple) -> Iterator[tuple[int, ...]]:
-        first, end_next_to, max_len = key
+    def _enumerate_walks(self, key: tuple[int, int, int]) -> Iterator[tuple[int, ...]]:
+        # a prefix is extended only to vertices that still reach v in the
+        # steps left, so no branch of the depth-first search is a dead end
+        u, v, steps = key
+        counts = self.walk_counts(v, steps)
         out: list[tuple[int, ...]] = []
-        if first is None:
-            starts: Sequence[int] = range(len(self.adj))
-        else:
-            starts = (first[1],) if first[0] == "eq" else self.adj[first[1]]
-        ends = None if end_next_to is None else self.adj_sets[end_next_to]
-        stack = [(s,) for s in reversed(starts)] if max_len >= 1 else []
+        stack = [(u,)] if u in counts[steps] else []
         while stack:
-            run = stack.pop()
-            if ends is None or run[-1] in ends:
-                out.append(run)
-                yield run
-            if len(run) < max_len:
-                stack.extend(run + (q,) for q in reversed(self.adj[run[-1]]))
-        self._runs[key] = out
-
-
-def _cycle_rewrites(
-    graph: _CycleGraph, w: tuple[int, ...], bound: int, max_len: int
-) -> Iterator[tuple[int, ...]]:
-    """Every cycle one middle-run replacement of at most ``bound + 2``
-    vertices in total away from ``w``, in search order."""
-    length = len(w)
-    for i in range(length + 1):
-        for j in range(i, length + 1):
-            k = j - i
-            nmax = bound + 2 - k
-            if nmax < 0:
-                continue
-            nmax = min(nmax, max_len - (length - k))
-            before = w[i - 1] if i > 0 else None
-            after = w[j] if j < length else None
-            # empty replacement: the kept pieces must join up directly
-            if k >= 1 and (before is None or after is None or after in graph.adj_sets[before]):
-                w2 = w[:i] + w[j:]
-                if w2 and (len(w2) == 1 or w2[0] == w2[-1]):
-                    yield w2
-            if before is not None:
-                first: tuple[str, int] | None = ("adj", before)
-            elif after is not None:
-                # replacement includes the basepoint: pin it to keep a cycle
-                first = ("eq", w[0])
+            walk = stack.pop()
+            left = steps + 1 - len(walk)
+            if left:
+                reach = counts[left - 1]
+                stack.extend([walk + (x,) for x in reversed(self.adj[walk[-1]]) if x in reach])
             else:
-                first = None
-            head, tail = w[:i], w[j:]
-            # runs have 1 to nmax vertices, so w2 keeps to both length bounds
-            for run in graph.runs(first, after, max(nmax, 0)):
-                w2 = head + run + tail
-                if len(w2) == 1 or w2[0] == w2[-1]:
-                    yield w2
+                out.append(walk)
+                yield walk
+        self._walks[key] = out
 
 
-def _contract_cycle(graph: _CycleGraph, cycle: Sequence[int], bound: int, budget: int) -> bool:
+def _contract_cycle(
+    graph: _CycleGraph, cycle: Sequence[int], bound: int, budget: int, exact: bool = False
+) -> bool:
     """Best-first search for a contraction of ``cycle`` to one vertex; False
     once more than ``budget`` distinct rewritten cycles have been queued.  One
-    FIFO bucket per length: the shortest, then earliest, queued cycle goes first."""
+    FIFO bucket per length: the shortest, then earliest, queued cycle goes first.
+
+    A rewrite of w keeps ``w[:p]`` and ``w[q + 1:]`` and puts a walk from
+    ``w[p]`` to ``w[q]`` between them, so the rewrites of one length from one
+    (p, q) are a segment: every walk of one step count, in lexicographic
+    order.  By default a segment is queued by its walk count alone; when it
+    is popped, its cycles not popped before take its place, which keeps the
+    pop order of a search that queues each cycle once.  While the counted
+    rewrites stay within ``budget`` the budget cannot bind; once they pass
+    it, the search starts again with ``exact``, which builds each rewrite as
+    it is queued and counts only new ones against the budget.
+    """
     start = tuple(cycle)
     if len(start) <= 1:
         return True
     max_len = len(start) + bound + 2
-    seen = {start}
-    buckets: list[deque[tuple[int, ...]]] = [deque() for _ in range(max_len + 1)]
+    done = {start} if exact else set()  # exact: every cycle queued; else every cycle popped
+    buckets: list[deque] = [deque() for _ in range(max_len + 1)]
     buckets[len(start)].append(start)
     low = len(start)
+    rewrites = 0
     while low <= max_len:
-        if not buckets[low]:
+        bucket = buckets[low]
+        if not bucket:
             low += 1
             continue
-        for w2 in _cycle_rewrites(graph, buckets[low].popleft(), bound, max_len):
-            queued = len(seen)  # the start and the pushes so far: a new w2 is push number `queued`
-            seen.add(w2)
-            if len(seen) == queued:
-                continue
-            length = len(w2)
-            if length == 1:
-                return True
-            if queued > budget:
-                return False
-            buckets[length].append(w2)
-            if length < low:
-                low = length
+        w = bucket.popleft()
+        if type(w) is list:  # a segment: its cycles not popped before take its place
+            w, p, q, steps = w
+            head, tail = w[:p], w[q + 1 :]
+            bucket.extendleft(
+                reversed([c for walk in graph.walks(w[p], w[q], steps) if (c := head + walk + tail) not in done])
+            )
+            continue
+        if not exact:
+            done.add(w)
+        length = len(w)
+        ends = [graph.walk_counts(v, bound + 3) for v in w]
+        # 0 to bound + 2 - k new vertices (at least one if none go), up to max_len in all
+        spans = [range(0 if k else 1, min(bound + 2 - k, max_len - length + k) + 1) for k in range(bound + 3)]
+        # the middle w[i:j] of k = j - i vertices gives way to r vertices, with
+        # k + r <= bound + 2; the kept ends w[p] and w[q] join the walk
+        for i in range(length + 1):
+            p = i - 1 if i else 0
+            u = w[p]
+            for j in range(i, min(i + bound + 2, length) + 1):
+                if j == length - 1 and not i:
+                    return True  # w[j:] is one point, the first such rewrite
+                k = j - i
+                inner = 1 if i and j < length else 0  # both ends kept: one more step
+                q = j if j < length else length - 1
+                counts = ends[q]
+                for r in spans[k]:
+                    steps = r + inner
+                    count = counts[steps].get(u)
+                    if not count:
+                        continue
+                    size = length - k + r
+                    if exact:
+                        head, tail = w[:p], w[q + 1 :]
+                        for walk in graph.walks(u, w[q], steps):
+                            w2 = head + walk + tail
+                            if w2 not in done:
+                                if len(done) > budget:
+                                    return False
+                                done.add(w2)
+                                buckets[size].append(w2)
+                    else:
+                        rewrites += count
+                        buckets[size].append([w, p, q, steps])
+                    if size < low:
+                        low = size
+                if rewrites > budget:
+                    return _contract_cycle(graph, start, bound, budget, exact=True)
     return False
 
 
@@ -443,6 +468,17 @@ def n_simply_connected_bounded(
     search over middle-run rewrites; ``budget`` caps the distinct rewritten
     cycles queued per generator cycle.  Returns "unknown" on budget
     exhaustion, never "no".
+
+    The search answers "yes" at its first one-point rewrite unless more than
+    ``budget`` distinct cycles were queued before it.  Those are at most the
+    rewrites yielded before it, so when the yields number at most
+    ``budget`` the answer is "yes" without deduplicating anything; a search
+    that runs out of cycles is "unknown" under any budget.  The yields are
+    counted, not built: the relation is symmetric, so the runs of r vertices
+    from a start set S that end next to e number ``sum((A^r)[s][e] for s in
+    S)`` over the adjacency matrix A, and the runs that end at e itself
+    number the same with ``A^(r - 1)``.  ``_CycleGraph.walk_counts`` keeps
+    these per end vertex.
     """
     graph = _CycleGraph(spec, s)
     if not graph.points:

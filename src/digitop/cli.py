@@ -82,9 +82,14 @@ _parser = lru_cache(maxsize=1)(build_parser)  # main reuses one parser: parsing 
 def _window(args: argparse.Namespace, points, margin: int) -> Region:
     """The analysis window; one of more than ``--max-cells`` cells is refused before anything labels it."""
     region = Region.around(points, margin)
-    cells = math.prod(b - a + 1 for a, b in zip(region.lo, region.hi))
-    if cells > args.max_cells:
-        raise InputFormatError(f"the analysis window has {cells} cells, more than --max-cells {args.max_cells}")
+    sides = [b - a + 1 for a, b in zip(region.lo, region.hi)]
+    cells = 1
+    for side in sides:  # stops at the cap, however many axes
+        cells *= side
+        if cells > args.max_cells:
+            # the exact count, unless it has more digits than Python prints (4300)
+            count = math.prod(sides) if sum(map(math.log10, sides)) < 4299 else f"at least {cells}"
+            raise InputFormatError(f"the analysis window has {count} cells, more than --max-cells {args.max_cells}")
     return region
 
 

@@ -5,6 +5,7 @@ import itertools
 import re
 import tracemalloc
 from typing import Iterator, Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,8 +26,10 @@ from digitop.adjacency import (
     n_simply_connected_bounded,
     neighbors,
 )
-from digitop.adjacency import _contract_cycle, _CycleGraph, _cycle_rewrites
+from digitop import adjacency
+from digitop.adjacency import _contract_cycle, _CycleGraph
 from digitop.lattice import Point, vec_add
+from digitop.manifold import check_manifold
 
 
 def brute_flood(points, offsets):
@@ -511,24 +514,122 @@ def test_indexed_search_matches_the_point_oracle(case):
     as_points = [[graph.points[i] for i in cycle] for cycle in cycles]
     assert as_points == list(generator_cycles_oracle(spec, s))
     # one graph for every cycle and budget, as in one search, so the memoized
-    # runs are shared the way the search shares them
+    # walks and walk counts are shared the way the search shares them
     for cycle, points in zip(cycles, as_points):
-        max_len = len(cycle) + bound + 2
-        got = [tuple(graph.points[i] for i in w) for w in _cycle_rewrites(graph, cycle, bound, max_len)]
-        assert got == list(cycle_rewrites_oracle(spec, s, tuple(points), bound, max_len))
         new = smallest_budget(lambda b: _contract_cycle(graph, cycle, bound, b), 300)
         old = smallest_budget(lambda b: contract_cycle_oracle(spec, s, points, bound, b), 300)
         assert new == old
 
 
-def test_runs_are_yielded_lazily_and_kept_only_when_complete():
-    ring = [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)]
+def matches_the_oracle_at_its_smallest_budget(spec, s, bound, cap):
+    """Every generator cycle of s contracts under the same least budget as
+    under the point oracle, or under neither within ``cap``: the indexed
+    search's least budget b is found by bisection, and the oracle must fail
+    at b - 1 and succeed at b."""
+    graph = _CycleGraph(spec, s)
+    for cycle in graph.generator_cycles():
+        points = [graph.points[i] for i in cycle]
+        least = smallest_budget(lambda b: _contract_cycle(graph, cycle, bound, b), cap)
+        if least is None:
+            assert not contract_cycle_oracle(spec, s, points, bound, cap)
+        else:
+            assert contract_cycle_oracle(spec, s, points, bound, least)
+            assert least == 0 or not contract_cycle_oracle(spec, s, points, bound, least - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_every_certified_sphere_contracts_under_the_oracles_budget(n, bound):
+    # the background spheres of the axis/full pairs that good-pair searches
+    certified = 0
+    for alpha, beta in itertools.product((axis_adjacency(n), full_adjacency(n)), repeat=2):
+        sphere = frozenset(beta.offsets)
+        if check_manifold(sphere, AdjacencyPair(alpha, beta)).certified:
+            certified += 1
+            matches_the_oracle_at_its_smallest_budget(alpha, sphere, bound, 100_000)
+    assert certified == 2
+
+
+def counted_rewrites(graph, cycle, bound):
+    """The rewrites the search counts before its first one-point rewrite,
+    found as the least budget under which it answers without starting its
+    exact recount; None if it runs out of cycles first."""
+
+    def counting_alone(budget):
+        with mock.patch.object(adjacency, "_contract_cycle", side_effect=AssertionError("recount")):
+            try:
+                return _contract_cycle(graph, cycle, bound, budget)
+            except AssertionError:
+                return False
+
+    return smallest_budget(counting_alone, 100_000)
+
+
+@given(search_cases(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_budgets_between_the_distinct_and_the_counted_rewrites_hand_over_exactly(case, data):
+    # a budget of at least the distinct pushes contracts; below the counted
+    # rewrites the count cannot tell, and the exact recount must decide it
+    spec, s, bound = case
+    graph = _CycleGraph(spec, s)
+    cycles = list(graph.generator_cycles())
+    assume(cycles)
+    cycle = data.draw(st.sampled_from(cycles))
+    points = [graph.points[i] for i in cycle]
+    distinct = smallest_budget(lambda b: _contract_cycle(graph, cycle, bound, b), 100_000)
+    counted = counted_rewrites(graph, cycle, bound)
+    assert (distinct is None) == (counted is None)
+    if distinct is None:  # exhausted, which the ring tests below cover
+        return
+    assert distinct <= counted
+    budget = data.draw(st.integers(max(distinct - 1, 0), counted))
+    expected = contract_cycle_oracle(spec, s, points, bound, budget)
+    assert expected == (budget >= distinct)
+    assert _contract_cycle(graph, cycle, bound, budget) == expected
+    assert _contract_cycle(graph, cycle, bound, budget, exact=True) == expected
+
+
+RING_3 = [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)]
+RING_4 = [(x, y) for x in range(4) for y in range(4) if {x, y} & {0, 3}]
+
+
+@pytest.mark.parametrize(
+    "spec,ring,bound",
+    [(axis_adjacency(2), RING_3, b) for b in (1, 2, 3)]
+    + [(axis_adjacency(2), RING_4, b) for b in (1, 2, 3)]
+    # the point oracle takes seconds to exhaust this ring at bound 2
+    + [(full_adjacency(2), RING_4, 1)],
+    ids=["axis-3x3-1", "axis-3x3-2", "axis-3x3-3", "axis-4x4-1", "axis-4x4-2", "axis-4x4-3", "full-4x4-1"],
+)
+def test_a_ring_that_never_contracts_exhausts_under_any_budget(spec, ring, bound):
+    # the search runs out of cycles within its length cap and answers False
+    # however large the budget; the counted pass alone decides it
+    graph = _CycleGraph(spec, ring)
+    looped = [cycle for cycle in graph.generator_cycles() if not _contract_cycle(graph, cycle, bound, 10**9)]
+    assert looped
+    with mock.patch.object(adjacency, "_contract_cycle", side_effect=AssertionError("recount")):
+        assert not any(_contract_cycle(graph, cycle, bound, 10**9) for cycle in looped)
+    for cycle in looped:
+        points = [graph.points[i] for i in cycle]
+        assert not contract_cycle_oracle(spec, frozenset(ring), points, bound, 10**9)
+        assert not _contract_cycle(graph, cycle, bound, 0, exact=True)
+
+
+def test_walks_are_yielded_lazily_and_kept_only_when_complete():
+    ring = RING_3
     graph = _CycleGraph(full_adjacency(2), ring)
-    key = (("adj", 0), 2, 6)
-    lazy = graph.runs(*key)
+    key = (0, 2, 5)
+    lazy = graph.walks(*key)
     first = next(iter(lazy))
-    assert graph._runs == {}  # a search that stops early keeps nothing
-    complete = list(graph.runs(*key))
-    assert complete[0] == first and graph.runs(*key) == complete
-    assert list(_CycleGraph(full_adjacency(2), ring).runs(*key)) == complete
-    assert all(run[0] in graph.adj_sets[0] and run[-1] in graph.adj_sets[2] and len(run) <= 6 for run in complete)
+    assert graph._walks == {}  # a search that stops early keeps nothing
+    complete = list(graph.walks(*key))
+    assert complete[0] == first and graph.walks(*key) == complete
+    assert list(_CycleGraph(full_adjacency(2), ring).walks(*key)) == complete
+    # every walk of 5 steps from 0 to 2, in lexicographic order, and as many
+    # as the walk counts say
+    brute = [
+        (0, *middle, 2)
+        for middle in itertools.product(range(len(ring)), repeat=4)
+        if all(b in graph.adj[a] for a, b in zip((0, *middle), (*middle, 2)))
+    ]
+    assert complete == brute and len(brute) == graph.walk_counts(2, 5)[5][0]

@@ -110,26 +110,27 @@ def test_good_pair_exit_codes():
 
 
 @pytest.mark.parametrize("budget", [None, 1000])
-def test_a_long_rewrite_bound_enumerates_only_the_runs_the_budget_reaches(monkeypatch, budget):
-    # a run of up to 42 vertices on the 4-cycle: 2^41 runs from each start, so
-    # runs must be enumerated only as far as the search consumes them
+def test_a_long_rewrite_bound_enumerates_only_the_walks_the_budget_reaches(monkeypatch, budget):
+    # a walk of up to 42 steps on the 4-cycle: 2^41 closed walks of 42 steps
+    # from each vertex, so they are counted, and walks are enumerated only as
+    # far as the search consumes them
     graph = adjacency._CycleGraph
-    runs, enumerate_runs = graph.runs, graph._enumerate_runs
+    walks, enumerate_walks = graph.walks, graph._enumerate_walks
     limit = (budget or 100_000) + 1
     yielded, produced = [], []
 
-    def counted(run_list, counter):
-        for run in run_list:
-            counter.append(run)
+    def counted(walk_list, counter):
+        for walk in walk_list:
+            counter.append(walk)
             if len(counter) > limit:
-                raise AssertionError(f"more than {limit} runs: the budget does not bound them")
-            yield run
+                raise AssertionError(f"more than {limit} walks: the budget does not bound them")
+            yield walk
 
-    monkeypatch.setattr(graph, "runs", lambda self, *key: counted(runs(self, *key), yielded))
-    monkeypatch.setattr(graph, "_enumerate_runs", lambda self, key: counted(enumerate_runs(self, key), produced))
+    monkeypatch.setattr(graph, "walks", lambda self, *key: counted(walks(self, *key), yielded))
+    monkeypatch.setattr(graph, "_enumerate_walks", lambda self, key: counted(enumerate_walks(self, key), produced))
     argv = ["good-pair", "--n", "2", "--alpha", "full", "--beta", "axis", "--N", "40"]
     assert main(argv + ([] if budget is None else ["--budget", str(budget)])) == 3
-    # each run closes a new cycle here, and the search stops at push budget + 1
+    # each walk closes a new cycle here, and the search stops at push budget + 1
     assert len(yielded) == len(produced) == limit
 
 
@@ -754,6 +755,20 @@ def test_a_window_over_max_cells_exits_2_before_labeling(tmp_path, monkeypatch, 
         assert "Traceback" not in err and f"{cells} cells" in err and "--max-cells 1000000" in err
         # refused before any adjacency (3^9 - 1 offsets for full) is built or any cell labeled
         assert (specs, labelings) == ([], [])
+
+
+def test_a_window_of_unprintably_many_cells_is_refused_by_a_product_that_stops_at_the_cap(monkeypatch):
+    # 7^5000 has 4 226 digits and still prints; 7^100000 has 84 510, more than
+    # Python converts, and is never formed: the product stops at 7^8 > 10^6
+    products = []
+    prod = cli.math.prod
+    monkeypatch.setattr(cli.math, "prod", lambda sides: products.append(len(sides)) or prod(sides))
+    code, out, err = _run_all(["good-pair", "--n", "5000"])
+    assert (code, out, err) == (2, "", f"error: the analysis window has {7**5000} cells, more than --max-cells 1000000\n")
+    assert products == [5000]
+    code, out, err = _run_all(["good-pair", "--n", "100000"])
+    assert (code, out) == (2, "") and products == [5000]
+    assert err == "error: the analysis window has at least 5764801 cells, more than --max-cells 1000000\n"
 
 
 def test_a_window_at_max_cells_still_runs(tmp_path):

@@ -147,6 +147,11 @@ GOOD_PAIR = [
      "67cf1587d1fd5ec3fc4882ffcbf25aea3d438765dd97f47b7da43526036ba83a"),
     (["--n", "3", "--alpha", "axis", "--beta", "full", "--budget", "1000"], 3,
      "29d515419898786d58b97fabe106d095cd9e17029b7d7eb532d6ba9eeb0fff52"),
+    # recorded before the search counted its rewrites instead of building them
+    (["--n", "4", "--alpha", "axis", "--beta", "full"], 0,
+     "de5a823ff3aff3f308e07a5d31ba01b85f6ae7eae068a7b22d4ba7d850e8eb1b"),
+    (["--n", "3", "--alpha", "axis", "--beta", "full", "--N", "3"], 0,
+     "96b0797ea815311932ef1c3f837bc2e00bbf6ac7608c9dba60f3df6b1a0de505"),
 ]
 
 
