@@ -386,18 +386,20 @@ def _contract_cycle(
     pop order of a search that queues each cycle once.  While the counted
     rewrites stay within ``budget`` the budget cannot bind; once they pass
     it, the search starts again with ``exact``, which builds each rewrite as
-    it is queued and counts only new ones against the budget.
+    it is queued and counts only new ones against the budget.  The budget,
+    not ``bound``, caps the work: walk counts are extended only to the steps
+    read, and the buckets only to the longest length queued.
     """
     start = tuple(cycle)
     if len(start) <= 1:
         return True
     max_len = len(start) + bound + 2
     done = {start} if exact else set()  # exact: every cycle queued; else every cycle popped
-    buckets: list[deque] = [deque() for _ in range(max_len + 1)]
+    buckets: list[deque] = [deque() for _ in range(len(start) + 1)]  # grown to the longest queued
     buckets[len(start)].append(start)
     low = len(start)
     rewrites = 0
-    while low <= max_len:
+    while low < len(buckets):
         bucket = buckets[low]
         if not bucket:
             low += 1
@@ -413,9 +415,11 @@ def _contract_cycle(
         if not exact:
             done.add(w)
         length = len(w)
-        ends = [graph.walk_counts(v, bound + 3) for v in w]
+        ends = [graph.walk_counts(v, 0) for v in w]  # extended only to the steps read
         # 0 to bound + 2 - k new vertices (at least one if none go), up to max_len in all
-        spans = [range(0 if k else 1, min(bound + 2 - k, max_len - length + k) + 1) for k in range(bound + 3)]
+        spans = [
+            range(0 if k else 1, min(bound + 2 - k, max_len - length + k) + 1) for k in range(min(bound + 2, length) + 1)
+        ]
         # the middle w[i:j] of k = j - i vertices gives way to r vertices, with
         # k + r <= bound + 2; the kept ends w[p] and w[q] join the walk
         for i in range(length + 1):
@@ -430,10 +434,14 @@ def _contract_cycle(
                 counts = ends[q]
                 for r in spans[k]:
                     steps = r + inner
+                    if steps >= len(counts):
+                        counts = ends[q] = graph.walk_counts(w[q], steps)
                     count = counts[steps].get(u)
                     if not count:
                         continue
                     size = length - k + r
+                    if size >= len(buckets):
+                        buckets += [deque() for _ in range(size + 1 - len(buckets))]
                     if exact:
                         head, tail = w[:p], w[q + 1 :]
                         for walk in graph.walks(u, w[q], steps):
@@ -445,11 +453,11 @@ def _contract_cycle(
                                 buckets[size].append(w2)
                     else:
                         rewrites += count
+                        if rewrites > budget:
+                            return _contract_cycle(graph, start, bound, budget, exact=True)
                         buckets[size].append([w, p, q, steps])
                     if size < low:
                         low = size
-                if rewrites > budget:
-                    return _contract_cycle(graph, start, bound, budget, exact=True)
     return False
 
 

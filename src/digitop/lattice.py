@@ -130,26 +130,15 @@ def completing_translations(cstar: Cube, c: Cube) -> list[tuple[Translation, Tra
 
     ``cstar`` must be a codimension-2 subcube of ``c``.  The two
     translations run along the two axes of ``c`` that are not free in
-    ``cstar``; their signs are forced by the corner of ``c`` at which
-    ``cstar`` sits.  Both orderings are returned.
+    ``cstar``, each toward the rest of ``c``: +1 where ``cstar`` sits at
+    ``c``'s low side on that axis, else -1.  Both orderings are returned.
     """
     if cstar.dim != c.dim - 2:
         raise ValueError(f"expected a {c.dim - 2}-subcube, got a {cstar.dim}-cube")
     if cstar.n != c.n or cstar not in subcubes(c, cstar.dim):
         raise ValueError(f"{cstar} is not a subcube of {c}")
-    missing = [a for a in c.axes if a not in cstar.axes]
-    n = c.n
-    target = set(cube_vertices(c))
-    candidates = []
-    for a1, a2 in (tuple(missing), tuple(reversed(missing))):
-        for s1, s2 in itertools.product((1, -1), repeat=2):
-            t1, t2 = unit(n, a1, s1), unit(n, a2, s2)
-            union = set()
-            for v in cube_vertices(cstar):
-                union.update((v, vec_add(v, t1), vec_add(v, t2), vec_add(vec_add(v, t1), t2)))
-            if union == target:
-                candidates.append((t1, t2))
-    return sorted(candidates)
+    t1, t2 = (unit(c.n, a, 1 if cstar.base[a] == c.base[a] else -1) for a in c.axes if a not in cstar.axes)
+    return sorted([(t1, t2), (t2, t1)])
 
 
 def bounding_box(points: Iterable[Point]) -> tuple[Point, Point]:
@@ -263,11 +252,10 @@ class HalfGrid:
         return tuple(out)
 
 
-def half_keys(m: Iterable[Point], n: int, span: Iterable[HalfPoint] = ()) -> tuple[HalfGrid, list[int]]:
-    """The grid around the doubled points of m and of ``span``, and the keys
-    of the doubled points of m, in m's order."""
+def half_keys(m: Iterable[Point], n: int) -> tuple[HalfGrid, list[int]]:
+    """The grid around the doubled points of m, and their keys, in m's order."""
     doubled = [double(p) for p in m]
-    grid = HalfGrid.around(doubled + list(span), n)
+    grid = HalfGrid.around(doubled, n)
     return grid, [grid.key(h) for h in doubled]
 
 

@@ -54,8 +54,6 @@ def _candidates(alpha: AdjacencySpec, axes: tuple[int, ...], mask: int) -> tuple
     out = []
     for comp in sorted(components(alpha, cut).components().values(), key=min):
         best = max(sum(1 for v in verts if v in comp) for _, verts, _ in slices)
-        if best == 0:
-            continue
         for cstar, star_verts, moves in slices:
             if sum(1 for v in star_verts if v in comp) != best:
                 continue

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from operator import sub
-from typing import Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from ._exact import integer_rank, open_simplices_intersect, point_in_closed_simplex
 from .adjacency import AdjacencyPair, ComponentLabeling, Region, axis_adjacency, components, label
@@ -95,7 +95,8 @@ def _shape_verdict(pair: AdjacencyPair, axes: tuple[int, ...], mask: int) -> tup
 
     Adjacency is translation-invariant, so both depend only on the cube's
     axes and on which of its vertices are foreground; they are decided on
-    the shape's cube at the origin, so each shape is flooded once.
+    the shape's cube at the origin, so each shape is flooded once.  A
+    0-cube passes iff its point is foreground, with no background piece.
     """
     c, fg = at_origin(pair.n, axes, mask)
     verts = cube_vertices(c)
@@ -154,49 +155,45 @@ def _grown(chains: list[Row], top: int) -> list[Row]:
     return [ch[:i] + (top,) + ch[i:] for ch in chains for i in [bisect(ch, top)]]
 
 
+def _without(k: SimplicialComplex, dropped: AbstractSet[int]) -> SimplicialComplex:
+    """``k`` minus the vertices of these ids and every simplex through them.
+    The kept ids keep their order, so the rows stay sorted."""
+    if not dropped:
+        return k
+    left = [i for i in range(len(k.table)) if i not in dropped]
+    remap = {i: j for j, i in enumerate(left)}.__getitem__
+    rows = tuple(tuple(map(remap, r)) for r in k.rows if dropped.isdisjoint(r))
+    return SimplicialComplex(k.n, tuple(map(k.table.__getitem__, left)), rows)
+
+
 def _order_complex(
     grid: HalfGrid, points: list[int], shapes: Iterable[Shape], pair: AdjacencyPair, full: bool
-) -> tuple[SimplicialComplex, Optional[SimplicialComplex]]:
-    """K'(M) and, when ``full``, K(M): chains c0 < c1 < ... < ck of the
-    passing cubes, plus the points of the set (their keys).
+) -> tuple[SimplicialComplex, SimplicialComplex]:
+    """K'(M) and K(M), or, unless ``full``, K'(M) twice: the chains c0 < c1
+    < ... < ck of the passing cubes, or of those that keep their barycenters,
+    plus the points of the set (their keys).
 
-    A chain is in K' iff each of its cubes keeps its barycenter, i.e. its
-    in-cube background is not one piece.  ``shapes`` comes in order of
-    dimension and holds every passing face of dimension >= 1 of its passing
-    cubes; each cube is tested once.  Vertices are numbered before any chain
-    grows, in key order, which is point order; a chain is sorted ids, keyed
-    by the barycenter of its top cube.
+    K' is K minus the barycenters of the cubes whose in-cube background is
+    one piece.  ``shapes`` comes in order of dimension and holds every
+    passing face of dimension >= 1 of its passing cubes; each cube is tested
+    once.  Vertices are numbered before any chain grows, in key order, which
+    is point order; a chain is sorted ids, keyed by the barycenter of its top
+    cube.
     """
-    n = grid.n
     cubes = list(_passing(grid, shapes, pair, full))
     keys = sorted(points + [c[0] for c in cubes])
-    table = tuple(map(grid.point, keys))
     ids = {h: i for i, h in enumerate(keys)}
     corners = grid.deltas(half_corners)
-    kept: dict[int, list[Row]] = {}  # chains of kept cubes only
-    lost: dict[int, list[Row]] = {}  # chains through a dropped cube
-    for center, axes, mask, keep, faces in cubes:
+    chains: dict[int, list[Row]] = {}
+    for center, axes, mask, _, faces in cubes:
         top = ids[center]
         below = [(ids[center + e],) for i, e in enumerate(corners(axes)) if mask >> i & 1]
         for f in faces:
-            below += kept.get(f, ())
-        through = [ch for f in faces for ch in lost.get(f, ())]
-        if not keep:  # the empty chain grows into the lone barycenter
-            through = [()] + below + through
-        else:
-            kept[center] = [(top,)] + _grown(below, top)
-        if through:
-            lost[center] = _grown(through, top)
-    rows = sorted(itertools.chain(((ids[h],) for h in points), *kept.values()))
-    if not lost:  # nothing dropped: K' is K
-        reduced = SimplicialComplex(n, table, tuple(rows))
-        return reduced, reduced if full else None
-    dropped = {c[0] for c in cubes if not c[3]}
-    # K' keeps the order of the ids it keeps, so its rows stay sorted
-    left = [i for i, h in enumerate(keys) if h not in dropped]
-    remap = {i: j for j, i in enumerate(left)}.__getitem__
-    reduced = SimplicialComplex(n, tuple(map(table.__getitem__, left)), tuple(tuple(map(remap, r)) for r in rows))
-    return reduced, SimplicialComplex(n, table, tuple(sorted(rows + [ch for chs in lost.values() for ch in chs])))
+            below += chains.get(f, ())
+        chains[center] = [(top,)] + _grown(below, top)
+    rows = sorted(itertools.chain(((ids[h],) for h in points), *chains.values()))
+    k = SimplicialComplex(grid.n, tuple(map(grid.point, keys)), tuple(rows))
+    return _without(k, {ids[c[0]] for c in cubes if not c[3]}), k
 
 
 def build_complex(m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
@@ -218,16 +215,15 @@ def build_reduced_complex(m: Iterable[Point], pair: AdjacencyPair) -> Simplicial
 
 
 def reduce_complex(k: SimplicialComplex, m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
-    """Drop barycenters of cubes whose in-cube background is one piece:
-    the chains of the cubes of ``k`` that keep their barycenters.  The grid
-    spans those barycenters too, so no two of them share a key."""
-    grid, keys = half_keys(frozenset(m), k.n, k.provenance)
-    on, corners = set(keys), grid.deltas(half_corners)
-    shapes = []
-    for h, c in sorted(k.provenance.items(), key=lambda hc: hc[1].dim):
-        center = grid.key(h)
-        shapes.append((center, c.axes, sum(1 << i for i, e in enumerate(corners(c.axes)) if center + e in on)))
-    return _order_complex(grid, keys, shapes, pair, full=False)[0]
+    """``k`` minus every vertex whose cube, under ``m``'s occupancy, fails
+    the barycenter test or has one background piece, and every simplex
+    through them: the points outside ``m``, the cubes ``m`` does not pass
+    and the barycenters K'(M) drops.  On K(M), or on K of a superset of M,
+    this is K'(M)."""
+    verdict = lru_cache(maxsize=None)(partial(_shape_verdict, pair))  # hashes no pair
+    mset = frozenset(m)
+    shapes = (verdict(c.axes, occupancy(c, mset)) for c in map(cube_of_barycenter, k.table))
+    return _without(k, {i for i, (passed, count) in enumerate(shapes) if not passed or count == 1})
 
 
 def euler_characteristics(m: Iterable[Point], pair: AdjacencyPair) -> tuple[int, int]:

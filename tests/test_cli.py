@@ -134,6 +134,21 @@ def test_a_long_rewrite_bound_enumerates_only_the_walks_the_budget_reaches(monke
     assert len(yielded) == len(produced) == limit
 
 
+def test_a_huge_rewrite_bound_counts_walks_only_as_far_as_the_budget_reads(monkeypatch):
+    # walk counts grow geometrically, so the counted rewrites pass --budget
+    # within a few steps; no count, span or bucket is made for each step --N allows
+    walk_counts = adjacency._CycleGraph.walk_counts
+
+    def bounded(self, v, steps):
+        if steps > 64:
+            raise AssertionError(f"walk counts of {steps} steps requested")
+        return walk_counts(self, v, steps)
+
+    monkeypatch.setattr(adjacency._CycleGraph, "walk_counts", bounded)
+    code, out, err = _run_all(["good-pair", "--n", "2", "--alpha", "full", "--beta", "axis", "--N", "5000"])
+    assert (code, err) == (3, "") and "contractibility: unknown" in out
+
+
 def test_simple_points_command(ring_file, tmp_path):
     assert main(["simple-points", "--points", str(ring_file), "--alpha", "axis", "--beta", "full"]) == 0
     arc = tmp_path / "arc.txt"
@@ -789,6 +804,18 @@ def test_max_cells_below_one_is_a_usage_error(ring_file, command, cells):
     code, out, err = _run_all([command, *given, "--alpha", "axis", "--beta", "full", "--max-cells", cells])
     assert (code, out) == (2, "")
     assert err == "error: --max-cells must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        (["--n", "1"], "--n must be at least 2"),
+        (["--n", "2", "--N", "0"], "--N must be at least 1"),
+        (["--n", "2", "--budget", "-1"], "--budget must be nonnegative"),
+    ],
+)
+def test_good_pair_refuses_a_dimension_bound_or_budget_out_of_range(given, message):
+    assert _run_all(["good-pair", *given, "--alpha", "full", "--beta", "axis"]) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("target", ["missing/x.json", "."])

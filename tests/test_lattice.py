@@ -156,6 +156,31 @@ def test_completing_translations_rejects_bad_input():
         completing_translations(Cube((0, 0, 0), (0, 1)), cube)
 
 
+def completing_translations_oracle(cstar, c):
+    """Every ordered pair of unit translations along the two axes missing
+    from cstar, kept where the four translates of cstar cover c."""
+    target = set(cube_vertices(c))
+    candidates = []
+    for a1, a2 in itertools.permutations([a for a in c.axes if a not in cstar.axes]):
+        for s1, s2 in itertools.product((1, -1), repeat=2):
+            t1, t2 = unit(c.n, a1, s1), unit(c.n, a2, s2)
+            union = set()
+            for v in cube_vertices(cstar):
+                union.update((v, vec_add(v, t1), vec_add(v, t2), vec_add(vec_add(v, t1), t2)))
+            if union == target:
+                candidates.append((t1, t2))
+    return sorted(candidates)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_completing_translations_match_the_covering_search(n):
+    for k, base in itertools.product(range(2, n + 1), [(0,) * n, tuple(range(-2, n - 2))]):
+        for axes in itertools.combinations(range(n), k):
+            c = Cube(base, axes)
+            for cstar in subcubes(c, k - 2):
+                assert completing_translations(cstar, c) == completing_translations_oracle(cstar, c)
+
+
 def test_cube_canonical_validation():
     with pytest.raises(ValueError):
         Cube((0, 0), (1, 0))

@@ -18,6 +18,7 @@ from digitop.adjacency import (
 from digitop.jordan import box_surface, rect_boundary
 from digitop.lattice import (
     Cube,
+    HalfGrid,
     barycenter,
     bounding_box,
     cube_of_barycenter,
@@ -25,7 +26,6 @@ from digitop.lattice import (
     cubes_meeting_box,
     double,
     half_corners,
-    half_keys,
     occupancy,
     subcubes,
 )
@@ -153,6 +153,21 @@ def reduce_complex_oracle(k, m, pair):
     removed = {c for c, cube in provenance.items() if background_count(cube) == 1}
     kept = frozenset(s for s in simplices if not any(v in removed for v in s))
     return kept, {c: cube for c, cube in provenance.items() if c not in removed}
+
+
+def reduce_complex_rechaining_oracle(k, m, pair):
+    """K'(M) from the cubes of k: the chains of those that pass and keep
+    their barycenters under m, enumerated again on a grid widened to k's
+    barycenters, so that no two of them share a key."""
+    doubled = [double(p) for p in frozenset(m)]
+    grid = HalfGrid.around(doubled + list(k.provenance), k.n)
+    keys = [grid.key(h) for h in doubled]
+    on, corners = set(keys), grid.deltas(half_corners)
+    shapes = []
+    for h, c in sorted(k.provenance.items(), key=lambda hc: hc[1].dim):
+        center = grid.key(h)
+        shapes.append((center, c.axes, sum(1 << i for i, e in enumerate(corners(c.axes)) if center + e in on)))
+    return _order_complex(grid, keys, shapes, pair, full=False)[0]
 
 
 def order_complex_oracle(m, pair):
@@ -331,7 +346,8 @@ def build_complex_in_cube(cn, m, pair):
     """The complex of the foreground restricted to one cube: the chains of
     its passing faces."""
     mset = frozenset(m) & frozenset(cube_vertices(cn))
-    grid, keys = half_keys(mset, cn.n, [barycenter(cn)])
+    grid = HalfGrid.around([barycenter(cn)], cn.n)
+    keys = [grid.key(double(p)) for p in mset]
     faces = [
         (grid.key(barycenter(f)), f.axes, occupancy(f, mset)) for k in range(1, cn.dim + 1) for f in subcubes(cn, k)
     ]
@@ -400,6 +416,32 @@ def test_reduce_complex_keys_cubes_of_k_far_from_the_set(pair):
         far = frozenset((x + dx, y + dy) for x, y in rect_boundary(4, 3)) if dx or dy else frozenset()
         k = build_complex(near | far, pair)
         assert reduce_complex(k, near, pair) == build_reduced_complex(near, pair)
+
+
+@st.composite
+def nested_sets(draw):
+    """M within M', both in a translated 4x4 or 3x3x3 box, under (axis,
+    full) or (full, axis)."""
+    sides = draw(st.sampled_from([(4, 4), (3, 3, 3)]))
+    shift = draw(st.tuples(*[st.integers(-5, 5)] * len(sides)))
+    cells = [tuple(map(sum, zip(p, shift))) for p in itertools.product(*(range(s) for s in sides))]
+    outer = [p for p in cells if draw(st.booleans())]
+    inner = [p for p in outer if draw(st.booleans())]
+    n = len(sides)
+    pair = draw(st.sampled_from([AdjacencyPair(axis_adjacency(n), full_adjacency(n)),
+                                 AdjacencyPair(full_adjacency(n), axis_adjacency(n))]))
+    return frozenset(inner), frozenset(outer), pair
+
+
+@given(nested_sets())
+@settings(max_examples=60, deadline=None)
+def test_reduce_complex_matches_the_rechaining_oracle_on_a_superset(case):
+    m, outer, pair = case
+    k = build_complex(outer, pair)
+    assert reduce_complex(k, m, pair) == reduce_complex_rechaining_oracle(k, m, pair)
+    # a complex of a subset gains no chain: the result is a subcomplex of it
+    small = build_complex(m, pair)
+    assert reduce_complex(small, outer, pair).simplices <= small.simplices
 
 
 def test_reduction_keeps_the_barycenters_of_split_cubes():
