@@ -10,15 +10,16 @@ background relation.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence, TypeVar
+from operator import eq, le, mul
+from typing import AbstractSet, Callable, Iterable, Iterator, Literal, Sequence
 
 from .lattice import Point, Translation, bounding_box, row_major_strides, shell_offsets, unit, vec_add
 
 Path = Sequence[Point]
-T = TypeVar("T")
 _KING = frozenset((-1, 0, 1))
 
 
@@ -138,9 +139,6 @@ class Region:
             if not self.strictly_contains(p, 1):
                 raise ValueError(f"region too small: {p} touches the margin zone")
 
-    def points(self) -> Iterator[Point]:
-        yield from itertools.product(*(range(a, b + 1) for a, b in zip(self.lo, self.hi)))
-
     @staticmethod
     def around(points: Iterable[Point], margin: int = 2) -> "Region":
         lo, hi = bounding_box(points)
@@ -161,9 +159,10 @@ class ComponentLabeling:
     """Partition of a point set into connected components.
 
     Each point maps to its component id, the lexicographically smallest
-    member.  For a complement labeling, ``infinite_ids`` holds the id of
-    the component that touches the analysis-region boundary, which stands
-    in for the one infinite component of the complement.
+    member.  For a complement labeling, ``labels`` is a ``WindowLabels``
+    view and ``infinite_ids`` holds the id of the component that touches
+    the analysis-region boundary, which stands in for the one infinite
+    component of the complement.
     """
 
     labels: Mapping[Point, Point]
@@ -171,7 +170,15 @@ class ComponentLabeling:
 
     @property
     def count(self) -> int:
+        if isinstance(self.labels, WindowLabels):
+            return self.labels.count()
         return len(set(self.labels.values()))
+
+    def sizes(self) -> dict[Point, int]:
+        """Each component id, in increasing order, with its number of points."""
+        if isinstance(self.labels, WindowLabels):
+            return self.labels.sizes()
+        return dict(sorted(Counter(self.labels.values()).items()))
 
     def id_of(self, p: Point) -> Point:
         return self.labels[p]
@@ -182,6 +189,8 @@ class ComponentLabeling:
     def ids_near(self, spec: AdjacencySpec, p: Point) -> set[Point]:
         """The ids of the components that p's spec-neighbours in this labeling lie in."""
         labels = self.labels
+        if isinstance(labels, WindowLabels):
+            return labels.ids_near(spec, p)
         return {labels[q] for q in neighbors(spec, p) if q in labels}
 
     def components(self) -> dict[Point, frozenset[Point]]:
@@ -191,6 +200,94 @@ class ComponentLabeling:
         return {cid: frozenset(pts) for cid, pts in sorted(acc.items())}
 
 
+class WindowLabels(Mapping):
+    """The labels of region \\ m under spec, a read-only view over one list of ids.
+
+    The flood runs on the cells of the region and a blocked one-cell rim,
+    indexed row-major (index order is lexicographic order), so a step adds
+    one integer stride and never leaves the grid.  Cell i holds the smallest
+    free cell of its component, which decodes to the component's smallest
+    point, or -1 for a rim cell or a cell of m.  The window costs one byte
+    of ``todo`` and one list slot per cell.  Keys are the free points of the
+    region; a point outside it, or of another dimension, is none.
+    """
+
+    __slots__ = ("lo", "hi", "strides", "ids", "_base", "_len", "_deltas")
+
+    def __init__(self, region: Region, spec: AdjacencySpec, m: AbstractSet[Point]) -> None:
+        sizes = [b - a + 3 for a, b in zip(region.lo, region.hi)]
+        self.lo, self.hi, self.strides = region.lo, region.hi, row_major_strides(sizes)
+        self._base = sum((1 - a) * s for a, s in zip(region.lo, self.strides))
+        self._deltas: dict[AdjacencySpec, list[int]] = {}
+        todo = bytearray(sizes[0] * self.strides[0])
+        row = sizes[-1] - 2
+        for k in itertools.product(*(range(1, size - 1) for size in sizes[:-1])):
+            start = sum(map(mul, k, self.strides)) + 1
+            todo[start : start + row] = b"\1" * row
+        for p in m:
+            todo[self.index(p)] = 0
+        self._len = todo.count(1)
+        deltas = self.deltas(spec)
+        self.ids = label(todo, lambda fr: [c + d for c in fr for d in deltas])
+
+    def index(self, p: Point) -> int:
+        """p's cell, or -1 when p is not in the region."""
+        if len(p) == len(self.lo) and all(map(le, self.lo, p)) and all(map(le, p, self.hi)):
+            return self._base + sum(map(mul, p, self.strides))
+        return -1
+
+    def point(self, i: int) -> Point:
+        out = []
+        for a, s in zip(self.lo, self.strides):
+            k, i = divmod(i, s)
+            out.append(a + k - 1)
+        return tuple(out)
+
+    def deltas(self, spec: AdjacencySpec) -> list[int]:
+        """The index step of each of spec's offsets, in sorted offset order."""
+        out = self._deltas.get(spec)
+        if out is None:
+            out = self._deltas[spec] = [sum(map(mul, v, self.strides)) for v in spec.sorted_offsets]
+        return out
+
+    def get(self, p: Point, default=None):
+        i = self.index(p)
+        c = self.ids[i] if i >= 0 else -1
+        return default if c < 0 else self.point(c)
+
+    def __getitem__(self, p: Point) -> Point:
+        q = self.get(p)
+        if q is None:
+            raise KeyError(p)
+        return q
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[Point]:
+        return (self.point(i) for i, c in enumerate(self.ids) if c >= 0)
+
+    def count(self) -> int:
+        """The number of components: cells that are their own id."""
+        return sum(map(eq, self.ids, range(len(self.ids))))
+
+    def sizes(self) -> dict[Point, int]:
+        sizes = Counter(self.ids)
+        del sizes[-1]
+        return {self.point(c): k for c, k in sorted(sizes.items())}
+
+    def ids_near(self, spec: AdjacencySpec, p: Point) -> set[Point]:
+        if len(p) != spec.n:
+            raise ValueError(f"point {p} has wrong dimension (expected {spec.n})")
+        i = self.index(p)
+        if i < 0:  # outside the region, some neighbours may still be in it
+            return {q for v in spec.sorted_offsets if (q := self.get(vec_add(p, v))) is not None}
+        ids = self.ids
+        near = {ids[i + d] for d in self.deltas(spec)}  # in the region, every neighbour is in the grid
+        near.discard(-1)
+        return set(map(self.point, near))
+
+
 def neighbors(spec: AdjacencySpec, p: Point) -> set[Point]:
     """The neighborhood {p + v : v in offsets}."""
     if len(p) != spec.n:
@@ -198,35 +295,44 @@ def neighbors(spec: AdjacencySpec, p: Point) -> set[Point]:
     return {vec_add(p, v) for v in spec.offsets}
 
 
-def label(points: Iterable[T], step: Callable[[T], Iterable[T]]) -> dict[T, T]:
-    """Flood-fill labeling: each point maps to the smallest member of its component.
+def label(todo: bytearray, step: Callable[[list[int]], Iterable[int]]) -> list[int]:
+    """Flood-fill labeling on integer ids: each id i with ``todo[i]`` set maps
+    to the smallest such id of its component, every other id to -1.
 
-    ``step(p)`` yields p's neighbours and must be symmetric; neighbours
-    outside ``points`` are skipped.  Seeds are taken in sorted order, so a
-    seed is the smallest point of the component it floods.
+    ``step(frontier)`` returns the neighbour ids of every id of a frontier,
+    under a symmetric relation; ids whose ``todo`` byte is clear are
+    skipped.  The flood runs one breadth-first layer per call.  Seeds are
+    found in increasing order, so a seed is the smallest id it floods.
+    ``todo`` is consumed: every byte ends clear.
     """
-    order = sorted(points)
-    todo = set(order)
-    labels: dict[T, T] = {}
-    for start in order:
-        if start not in todo:
-            continue
-        todo.remove(start)
-        labels[start] = start
-        stack = [start]
-        while stack:
-            for q in step(stack.pop()):
-                if q in todo:
-                    todo.remove(q)
-                    labels[q] = start
-                    stack.append(q)
-    return labels
+    ids = [-1] * len(todo)
+    seed = todo.find(1)
+    while seed >= 0:
+        todo[seed] = 0
+        ids[seed] = seed
+        frontier = [seed]
+        while frontier:
+            layer = []
+            for q in step(frontier):
+                if todo[q]:
+                    todo[q] = 0
+                    ids[q] = seed
+                    layer.append(q)
+            frontier = layer
+        seed = todo.find(1, seed)
+    return ids
 
 
 def components(spec: AdjacencySpec, points: Iterable[Point]) -> ComponentLabeling:
     """Exact connected components of a finite set under the adjacency."""
+    pts = sorted(set(points))
+    index = {p: i for i, p in enumerate(pts)}
     offsets = spec.sorted_offsets
-    return ComponentLabeling(label(points, lambda p: [vec_add(p, v) for v in offsets]))
+    ids = label(
+        bytearray(b"\1") * len(pts),
+        lambda fr: [j for i in fr for v in offsets if (j := index.get(vec_add(pts[i], v))) is not None],
+    )
+    return ComponentLabeling({p: pts[c] for p, c in zip(pts, ids)})
 
 
 def complement_components(
@@ -238,23 +344,12 @@ def complement_components(
     the boundary shell of the region is free and axis-connected, and every
     spec contains the axis offsets, so exactly one component touches the
     boundary: the one of ``region.lo``, which is also its id.  It stands in
-    for the one infinite component of the full complement.
-
-    The flood runs on the cells of the region and a blocked one-cell rim,
-    indexed row-major (index order is lexicographic order), so a step adds
-    one integer stride and never leaves the grid.
+    for the one infinite component of the full complement.  The labels are
+    a ``WindowLabels`` view.
     """
     mset = set(m)
     region.require_inside(mset)
-    sizes = [b - a + 3 for a, b in zip(region.lo, region.hi)]
-    strides = row_major_strides(sizes)
-    cells = [0]
-    for a, b, stride in zip(region.lo, region.hi, strides):
-        cells = [c + k * stride for c in cells for k in range(1, b - a + 2)]
-    free = {c: p for c, p in zip(cells, region.points()) if p not in mset}
-    deltas = [sum(c * s for c, s in zip(v, strides)) for v in spec.sorted_offsets]
-    labels = label(free, lambda c: [c + d for d in deltas])
-    return ComponentLabeling({p: free[labels[c]] for c, p in free.items()}, frozenset({region.lo}))
+    return ComponentLabeling(WindowLabels(region, spec, mset), frozenset({region.lo}))
 
 
 def is_path(spec: AdjacencySpec, seq: Path) -> bool:
@@ -333,7 +428,9 @@ class _CycleGraph:
         t-step walks from x to v, ``(A^t)[x][v]``; vertices with none are
         left out.  Each step spreads the counts over the neighbours, which
         the symmetric relation makes the same as gathering them."""
-        counts = self._toward.setdefault(v, [{v: 1}])
+        counts = self._toward.get(v)
+        if counts is None:
+            counts = self._toward[v] = [{v: 1}]
         while len(counts) <= steps:
             step: dict[int, int] = {}
             for y, c in counts[-1].items():

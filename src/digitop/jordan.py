@@ -7,7 +7,6 @@ pieces, be the common boundary of both, and contain no removable point.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -57,8 +56,8 @@ def jordan_check(
     if not report.certified:
         raise NotCertifiedError("jordan check requires a certified manifold")
     labeling = region.complement(pair.beta, mset)
-    sizes = Counter(labeling.labels.values())
-    ids = sorted(sizes)
+    sizes = labeling.sizes()
+    ids = list(sizes)
     inside = [sizes[cid] for cid in ids if cid not in labeling.infinite_ids]
     two = len(ids) == 2
 

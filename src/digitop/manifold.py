@@ -89,13 +89,16 @@ def _shell(pair: AdjacencyPair, mask: int) -> tuple[tuple[tuple[Translation, ...
     offsets = shell_offsets(pair.n)
     graph = _shell_graph(pair.beta)
     free = shell_free(pair.n, mask)
-    labels = label(free, graph.__getitem__)
-    sides = [[i for i in free if labels[i] == cid] for cid in sorted(set(labels.values()))]
+    todo = bytearray(len(offsets))
+    for i in free:
+        todo[i] = 1
+    ids = label(todo, lambda fr: [j for i in fr for j in graph[i]])
+    sides = [[i for i in free if ids[i] == cid] for cid in sorted({ids[i] for i in free})]
     as_offsets = tuple(tuple(offsets[i] for i in side) for side in sides)
     if len(sides) == 2:
         for a in pair.alpha.sorted_offsets:
             j = offsets.index(a)
-            if j in labels:  # a background point
+            if ids[j] >= 0:  # a background point
                 continue
             for k, side in enumerate(sides):
                 if graph[j].isdisjoint(side):

@@ -56,14 +56,15 @@ def is_strongly_connected(k: SimplicialComplex, d: int) -> Verdict:
     top = [s for s in k.rows if len(s) == d + 1]
     if len(top) <= 1:
         return Verdict(True)
-    by_face: dict[Row, list[Row]] = {}
-    for t in top:
+    by_face: dict[Row, list[int]] = {}
+    for i, t in enumerate(top):
         for face in itertools.combinations(t, d):
-            by_face.setdefault(face, []).append(t)
-    labels = label(
-        top, lambda t: [o for face in itertools.combinations(t, d) for o in by_face[face]]
+            by_face.setdefault(face, []).append(i)
+    ids = label(
+        bytearray(b"\1") * len(top),
+        lambda fr: [o for i in fr for face in itertools.combinations(top[i], d) for o in by_face[face]],
     )
-    stranded = next((t for t in top if labels[t] != top[0]), None)
+    stranded = next((t for t, c in zip(top, ids) if c), None)  # top[0]'s component has id 0
     if stranded is None:
         return Verdict(True)
     witness = {"kind": "strong-connectivity", "simplex": _simplex_json(k, top[0]), "other": _simplex_json(k, stranded)}

@@ -249,8 +249,8 @@ def skeleton_components(k: SimplicialComplex) -> ComponentLabeling:
     for a, b in (r for r in k.rows if len(r) == 2):
         edges[a].append(b)
         edges[b].append(a)
-    ids = label(range(len(k.table)), edges.__getitem__)
-    return ComponentLabeling({k.table[i]: k.table[c] for i, c in ids.items()})
+    ids = label(bytearray(b"\1") * len(k.table), lambda fr: [j for i in fr for j in edges[i]])
+    return ComponentLabeling({v: k.table[c] for v, c in zip(k.table, ids)})
 
 
 def _bbox2(s: Simplex) -> Box:

@@ -28,7 +28,7 @@ from digitop.adjacency import (
 )
 from digitop import adjacency
 from digitop.adjacency import _contract_cycle, _CycleGraph
-from digitop.lattice import Point, vec_add
+from digitop.lattice import Point, row_major_strides, vec_add
 from digitop.manifold import check_manifold
 
 
@@ -50,6 +50,11 @@ def brute_flood(points, offsets):
                     frontier.append(q)
         comps.append(frozenset(comp))
     return comps
+
+
+def region_points(region):
+    """Every lattice point of the window, in lexicographic order."""
+    return itertools.product(*(range(a, b + 1) for a, b in zip(region.lo, region.hi)))
 
 
 def test_axis_neighbor_count():
@@ -157,7 +162,7 @@ def test_complement_components_ring():
     interior = [pts for cid, pts in comps.items() if cid not in lab.infinite_ids]
     assert len(interior) == 1 and len(interior[0]) == 9
     # oracle: flood fill of the free region points
-    free = {p for p in region.points() if p not in ring}
+    free = {p for p in region_points(region) if p not in ring}
     assert sorted(len(c) for c in brute_flood(free, axis_adjacency(2).sorted_offsets)) == sizes
 
 
@@ -170,7 +175,7 @@ def test_complement_components_ring_full_background():
     }
     region = Region((-2, -2), (6, 6))
     lab = complement_components(full_adjacency(2), ring, region)
-    free = {p for p in region.points() if p not in ring}
+    free = {p for p in region_points(region) if p not in ring}
     oracle = brute_flood(free, full_adjacency(2).sorted_offsets)
     assert lab.count == len(oracle) == 2
 
@@ -188,15 +193,55 @@ def test_complement_components_margin_enforced():
         complement_components(axis_adjacency(2), {(0, 2)}, region)
 
 
+def label_oracle(points, step):
+    """The dict flood fill ``adjacency.label`` replaced: each point maps to the
+    smallest member of its component; ``step(p)`` yields p's neighbours, and
+    those outside ``points`` are skipped."""
+    order = sorted(points)
+    todo = set(order)
+    labels = {}
+    for start in order:
+        if start not in todo:
+            continue
+        todo.remove(start)
+        labels[start] = start
+        stack = [start]
+        while stack:
+            for q in step(stack.pop()):
+                if q in todo:
+                    todo.remove(q)
+                    labels[q] = start
+                    stack.append(q)
+    return labels
+
+
+def complement_components_dict_oracle(spec, m, region):
+    """The dict-building ``complement_components`` the window view replaced:
+    a cell -> point dict over the padded row-major grid, flooded by
+    ``label_oracle``, with the labels stored as a point -> point dict."""
+    mset = set(m)
+    region.require_inside(mset)
+    sizes = [b - a + 3 for a, b in zip(region.lo, region.hi)]
+    strides = row_major_strides(sizes)
+    cells = [0]
+    for a, b, stride in zip(region.lo, region.hi, strides):
+        cells = [c + k * stride for c in cells for k in range(1, b - a + 2)]
+    free = {c: p for c, p in zip(cells, region_points(region)) if p not in mset}
+    deltas = [sum(c * s for c, s in zip(v, strides)) for v in spec.sorted_offsets]
+    labels = label_oracle(free, lambda c: [c + d for d in deltas])
+    return ComponentLabeling({p: free[labels[c]] for c, p in free.items()}, frozenset({region.lo}))
+
+
 def complement_components_oracle(spec, m, region):
-    """Reference: label region \\ m, then merge every component that touches
-    the region's boundary under the smallest of their ids."""
+    """Reference: label region \\ m over point tuples, then merge every
+    component that touches the region's boundary under the smallest of
+    their ids.  It shares no code with the labeling under test."""
     mset = set(m)
     for p in mset:
         if not region.strictly_contains(p, 1):
             raise ValueError(f"region too small: {p} touches the margin zone")
-    free = {p for p in region.points() if p not in mset}
-    labeling = components(spec, free)
+    free = {p for p in region_points(region) if p not in mset}
+    labeling = ComponentLabeling(label_oracle(free, lambda p: [vec_add(p, v) for v in spec.sorted_offsets]))
     comps = labeling.components()
 
     def on_boundary(p):
@@ -261,6 +306,51 @@ def test_complement_components_match_the_oracle(case):
         expected = complement_components_oracle(pair.beta, m, region)
         assert got.labels == expected.labels
         assert got.infinite_ids == expected.infinite_ids
+        # the view reads as the dicts it replaced, and keys no cell twice
+        assert dict(got.labels.items()) == expected.labels == complement_components_dict_oracle(pair.beta, m, region).labels
+        assert len(got.labels) == len(expected.labels) == len(list(got.labels))
+        assert got.count == expected.count and got.sizes() == expected.sizes()
+        assert all(got.ids_near(pair.beta, p) == expected.ids_near(pair.beta, p) for p in m)
+
+
+def test_the_window_view_keys_only_the_free_points_of_the_region():
+    ring = {(x, y) for x in range(5) for y in range(5) if x in (0, 4) or y in (0, 4)}
+    region = Region.around(ring, 2)  # (-2, -2)..(6, 6), 9 cells a row
+    labels = complement_components(axis_adjacency(2), ring, region).labels
+    assert len(labels) == 81 - 16 and labels.get((2, 2)) == (1, 1) and labels[(-2, -2)] == (-2, -2)
+    # outside the region, on the blocked rim, in m, or of another dimension:
+    # a point is no key, and a stride sum that lands on a free cell is not read
+    aliases = [(1, 1 + 11), (2, 1 - 11), (1, 1, 0), (1,), (-2, 7), (7, 0), (-3, -2)]
+    for p in [(-3, 0), (7, 7), (0, 0), (4, 2), *aliases]:
+        assert labels.get(p) is None and labels.get(p, "default") == "default" and p not in labels
+        with pytest.raises(KeyError):
+            labels[p]
+    assert (1, 1) in labels and sorted(labels) == list(labels)
+
+
+@st.composite
+def flood_cases(draw):
+    """A random symmetric graph on 0..n-1 and a random mask of free ids."""
+    n = draw(st.integers(0, 40))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return adj, mask
+
+
+@given(flood_cases())
+@settings(max_examples=200, deadline=None)
+def test_label_matches_the_dict_flood_it_replaced(case):
+    adj, mask = case
+    todo = bytearray(mask)
+    ids = adjacency.label(todo, lambda fr: [j for i in fr for j in adj[i]])
+    expected = label_oracle([i for i, free in enumerate(mask) if free], adj.__getitem__)
+    assert ids == [expected.get(i, -1) for i in range(len(adj))]
+    assert not any(todo)  # consumed
 
 
 def test_region_labels_its_complement_once_and_stays_a_value():

@@ -750,6 +750,18 @@ def _run_all(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_a_labeled_window_costs_a_byte_and_a_list_slot_per_cell(tmp_path):
+    # two points 295 apart: simple-points labels the whole 300 x 300 window
+    path = tmp_path / "two.txt"
+    path.write_text("0 0\n295 295\n")
+    tracemalloc.start()
+    code, out, err = _run_all(["simple-points", "--points", str(path), "--alpha", "full", "--beta", "axis"])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (code, out, err) == (0, "simple points: 0\n", "")
+    assert peak < 10_000_000  # a dict entry and a point per cell took 30 MB
+
+
 def test_a_window_over_max_cells_exits_2_before_labeling(tmp_path, monkeypatch, labelings):
     specs = []
     post_init = AdjacencySpec.__post_init__

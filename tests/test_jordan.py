@@ -211,7 +211,7 @@ def test_a_certified_box_reads_each_point_once(monkeypatch):
     box, pair = box_surface(5, 5, 5), AXIS_FULL_3
     report = check_manifold(box, pair)
     assert report.certified
-    calls = {"neighbors": 0, "is_simple_point": 0, "components": 0}
+    calls = {"ids_near": 0, "neighbors": 0, "is_simple_point": 0, "components": 0}
 
     def counted(name, f):
         def spy(*args):
@@ -224,19 +224,21 @@ def test_a_certified_box_reads_each_point_once(monkeypatch):
     for module in (adjacency, jordan, manifold):  # wherever the name may be bound
         if getattr(module, "neighbors", None) is neighbors:
             monkeypatch.setattr(module, "neighbors", spy)
+    monkeypatch.setattr(ComponentLabeling, "ids_near", counted("ids_near", ComponentLabeling.ids_near))
     monkeypatch.setattr(jordan, "is_simple_point", counted("is_simple_point", jordan.is_simple_point))
     monkeypatch.setattr(ComponentLabeling, "components", counted("components", ComponentLabeling.components))
     assert jordan_check(box, pair, report=report).all_true
-    # one read of beta-neighbour ids per point of M; every point touches both
-    # components, so none is tested for simplicity, and no component is collected
+    # one read of beta-neighbour ids per point of M, by strides, with no
+    # neighbour tuples; every point touches both components, so none is
+    # tested for simplicity, and no component is collected
     assert len(box) == 98
-    assert calls == {"neighbors": 98, "is_simple_point": 0, "components": 0}
+    assert calls == {"ids_near": 98, "neighbors": 0, "is_simple_point": 0, "components": 0}
     # on an arc the first point is simple, and the scan stops there: its one
     # read, and the read inside ``is_simple_point``
     calls.update(dict.fromkeys(calls, 0))
     arc = {(-1, -3), (0, -2), (1, -1)}
     assert jordan_check(arc, FULL_AXIS_2, report=CERTIFIED).no_simple_points.witness["point"] == [-1, -3]
-    assert calls == {"neighbors": 2, "is_simple_point": 1, "components": 0}
+    assert calls == {"ids_near": 2, "neighbors": 0, "is_simple_point": 1, "components": 0}
 
 
 def test_a_not_common_boundary_witness_replays_only_where_the_point_misses_the_component():
@@ -250,3 +252,17 @@ def test_a_not_common_boundary_witness_replays_only_where_the_point_misses_the_c
     for point, component in (([0, 0], inside), ([0, 0], outside), ([5, 2], outside)):
         reached = {"kind": "not-common-boundary", "point": point, "missing_component": component}
         assert not replay(reached, spur, AXIS_FULL_2, region)
+
+
+def test_a_missing_component_outside_the_window_never_replays():
+    spur = RING | {(5, 2)}
+    region = Region.around(spur, 2)  # (-2, -2)..(7, 6): 12 by 11 cells with the rim
+    labels = region.complement(AXIS_FULL_2.beta, spur).labels
+    replay = REPLAYS["not-common-boundary"]
+    assert labels.get((1, 1)) == (1, 1)
+    # (2, 1 - 11) and (0, 1 + 11) sum their strides to the inside's cell (1, 1);
+    # the others lie on the rim, beyond it, or in another dimension
+    for missing in ([2, -10], [0, 12], [1, 7], [8, 1], [1, 1, 0], [1], [-40, 1]):
+        assert labels.get(tuple(missing)) is None
+        w = {"kind": "not-common-boundary", "point": [5, 2], "missing_component": missing}
+        assert not replay(w, spur, AXIS_FULL_2, region)
