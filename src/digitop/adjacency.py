@@ -14,10 +14,10 @@ from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import eq, le, mul
-from typing import AbstractSet, Callable, Iterable, Iterator, Literal, Sequence
+from operator import eq, le
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
-from .lattice import Point, Translation, bounding_box, row_major_strides, shell_offsets, unit, vec_add
+from .lattice import HalfGrid, Point, Translation, bounding_box, row_major_strides, shell_offsets, unit, vec_add
 
 Path = Sequence[Point]
 _KING = frozenset((-1, 0, 1))
@@ -154,101 +154,44 @@ class Region:
         return labeling
 
 
-@dataclass(frozen=True)
-class ComponentLabeling:
-    """Partition of a point set into connected components.
+class ComponentLabeling(Mapping):
+    """Partition of a point set into connected components: a read-only
+    ``Mapping`` from each point to its component id, the lexicographically
+    smallest member.
 
-    Each point maps to its component id, the lexicographically smallest
-    member.  For a complement labeling, ``labels`` is a ``WindowLabels``
-    view and ``infinite_ids`` holds the id of the component that touches
-    the analysis-region boundary, which stands in for the one infinite
-    component of the complement.
+    It is one list of ids over a numbering of points that follows their
+    lexicographic order: ``index(p)`` is p's number (-1 for a point outside
+    the numbering) and ``point(i)`` decodes one.  ``ids[i]`` is the smallest
+    number in i's component, or -1 when i is no key.  A point set numbers
+    its sorted points through a dict.  A complement window numbers its
+    cells by ``HalfGrid`` keys and passes ``steps``, each adjacency's key
+    step per offset, so ``ids_near`` reads a point inside it by strides.
+    ``infinite_ids`` holds the id of the component that touches the window's
+    boundary, which stands in for the one infinite component of the
+    complement.  Two labelings are equal when their labels and their
+    ``infinite_ids`` are; a plain mapping compares by labels alone.
     """
 
-    labels: Mapping[Point, Point]
-    infinite_ids: frozenset[Point] = frozenset()
+    __slots__ = ("ids", "index", "point", "infinite_ids", "_steps")
+
+    def __init__(
+        self,
+        ids: list[int],
+        index: Callable[[Point], int],
+        point: Callable[[int], Point],
+        infinite_ids: frozenset[Point] = frozenset(),
+        steps: Callable[[AdjacencySpec], list[int]] | None = None,
+    ) -> None:
+        self.ids, self.index, self.point, self.infinite_ids, self._steps = ids, index, point, infinite_ids, steps
 
     @property
-    def count(self) -> int:
-        if isinstance(self.labels, WindowLabels):
-            return self.labels.count()
-        return len(set(self.labels.values()))
+    def labels(self) -> "ComponentLabeling":
+        return self
 
-    def sizes(self) -> dict[Point, int]:
-        """Each component id, in increasing order, with its number of points."""
-        if isinstance(self.labels, WindowLabels):
-            return self.labels.sizes()
-        return dict(sorted(Counter(self.labels.values()).items()))
-
-    def id_of(self, p: Point) -> Point:
-        return self.labels[p]
-
-    def same_component(self, p: Point, q: Point) -> bool:
-        return self.labels[p] == self.labels[q]
-
-    def ids_near(self, spec: AdjacencySpec, p: Point) -> set[Point]:
-        """The ids of the components that p's spec-neighbours in this labeling lie in."""
-        labels = self.labels
-        if isinstance(labels, WindowLabels):
-            return labels.ids_near(spec, p)
-        return {labels[q] for q in neighbors(spec, p) if q in labels}
-
-    def components(self) -> dict[Point, frozenset[Point]]:
-        acc: dict[Point, set[Point]] = {}
-        for p, cid in self.labels.items():
-            acc.setdefault(cid, set()).add(p)
-        return {cid: frozenset(pts) for cid, pts in sorted(acc.items())}
-
-
-class WindowLabels(Mapping):
-    """The labels of region \\ m under spec, a read-only view over one list of ids.
-
-    The flood runs on the cells of the region and a blocked one-cell rim,
-    indexed row-major (index order is lexicographic order), so a step adds
-    one integer stride and never leaves the grid.  Cell i holds the smallest
-    free cell of its component, which decodes to the component's smallest
-    point, or -1 for a rim cell or a cell of m.  The window costs one byte
-    of ``todo`` and one list slot per cell.  Keys are the free points of the
-    region; a point outside it, or of another dimension, is none.
-    """
-
-    __slots__ = ("lo", "hi", "strides", "ids", "_base", "_len", "_deltas")
-
-    def __init__(self, region: Region, spec: AdjacencySpec, m: AbstractSet[Point]) -> None:
-        sizes = [b - a + 3 for a, b in zip(region.lo, region.hi)]
-        self.lo, self.hi, self.strides = region.lo, region.hi, row_major_strides(sizes)
-        self._base = sum((1 - a) * s for a, s in zip(region.lo, self.strides))
-        self._deltas: dict[AdjacencySpec, list[int]] = {}
-        todo = bytearray(sizes[0] * self.strides[0])
-        row = sizes[-1] - 2
-        for k in itertools.product(*(range(1, size - 1) for size in sizes[:-1])):
-            start = sum(map(mul, k, self.strides)) + 1
-            todo[start : start + row] = b"\1" * row
-        for p in m:
-            todo[self.index(p)] = 0
-        self._len = todo.count(1)
-        deltas = self.deltas(spec)
-        self.ids = label(todo, lambda fr: [c + d for c in fr for d in deltas])
-
-    def index(self, p: Point) -> int:
-        """p's cell, or -1 when p is not in the region."""
-        if len(p) == len(self.lo) and all(map(le, self.lo, p)) and all(map(le, p, self.hi)):
-            return self._base + sum(map(mul, p, self.strides))
-        return -1
-
-    def point(self, i: int) -> Point:
-        out = []
-        for a, s in zip(self.lo, self.strides):
-            k, i = divmod(i, s)
-            out.append(a + k - 1)
-        return tuple(out)
-
-    def deltas(self, spec: AdjacencySpec) -> list[int]:
-        """The index step of each of spec's offsets, in sorted offset order."""
-        out = self._deltas.get(spec)
-        if out is None:
-            out = self._deltas[spec] = [sum(map(mul, v, self.strides)) for v in spec.sorted_offsets]
-        return out
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ComponentLabeling) and self.infinite_ids != other.infinite_ids:
+            return False
+        return Mapping.__eq__(self, other)
 
     def get(self, p: Point, default=None):
         i = self.index(p)
@@ -262,30 +205,47 @@ class WindowLabels(Mapping):
         return q
 
     def __len__(self) -> int:
-        return self._len
+        return len(self.ids) - self.ids.count(-1)
 
     def __iter__(self) -> Iterator[Point]:
         return (self.point(i) for i, c in enumerate(self.ids) if c >= 0)
 
+    @property
     def count(self) -> int:
-        """The number of components: cells that are their own id."""
+        """The number of components: numbers that are their own id."""
         return sum(map(eq, self.ids, range(len(self.ids))))
 
     def sizes(self) -> dict[Point, int]:
+        """Each component id, in increasing order, with its number of points."""
         sizes = Counter(self.ids)
         del sizes[-1]
         return {self.point(c): k for c, k in sorted(sizes.items())}
 
+    def id_of(self, p: Point) -> Point:
+        return self[p]
+
+    def same_component(self, p: Point, q: Point) -> bool:
+        return self[p] == self[q]
+
     def ids_near(self, spec: AdjacencySpec, p: Point) -> set[Point]:
+        """The ids of the components that p's spec-neighbours in this labeling lie in."""
         if len(p) != spec.n:
             raise ValueError(f"point {p} has wrong dimension (expected {spec.n})")
-        i = self.index(p)
-        if i < 0:  # outside the region, some neighbours may still be in it
-            return {q for v in spec.sorted_offsets if (q := self.get(vec_add(p, v))) is not None}
-        ids = self.ids
-        near = {ids[i + d] for d in self.deltas(spec)}  # in the region, every neighbour is in the grid
+        ids, i = self.ids, self.index(p)
+        if i >= 0 and self._steps is not None:  # inside a window, every neighbour has a cell
+            near = {ids[i + d] for d in self._steps(spec)}
+        else:
+            near = {ids[j] for v in spec.sorted_offsets if (j := self.index(vec_add(p, v))) >= 0}
         near.discard(-1)
         return set(map(self.point, near))
+
+    def components(self) -> dict[Point, frozenset[Point]]:
+        """Each component id, in increasing order, with its points."""
+        acc: dict[int, list[Point]] = {}
+        for i, c in enumerate(self.ids):  # a component's first number is its id
+            if c >= 0:
+                acc.setdefault(c, []).append(self.point(i))
+        return {self.point(c): frozenset(pts) for c, pts in acc.items()}
 
 
 def neighbors(spec: AdjacencySpec, p: Point) -> set[Point]:
@@ -332,7 +292,7 @@ def components(spec: AdjacencySpec, points: Iterable[Point]) -> ComponentLabelin
         bytearray(b"\1") * len(pts),
         lambda fr: [j for i in fr for v in offsets if (j := index.get(vec_add(pts[i], v))) is not None],
     )
-    return ComponentLabeling({p: pts[c] for p, c in zip(pts, ids)})
+    return ComponentLabeling(ids, lambda p: index.get(p, -1), pts.__getitem__)
 
 
 def complement_components(
@@ -344,12 +304,37 @@ def complement_components(
     the boundary shell of the region is free and axis-connected, and every
     spec contains the axis offsets, so exactly one component touches the
     boundary: the one of ``region.lo``, which is also its id.  It stands in
-    for the one infinite component of the full complement.  The labels are
-    a ``WindowLabels`` view.
+    for the one infinite component of the full complement.
+
+    The flood runs on the cells of the region and a blocked one-cell rim,
+    keyed by a ``HalfGrid`` with lower corner ``region.lo - 1`` (key order is
+    lexicographic order), so a step adds one integer stride and never leaves
+    the grid.  The window costs one byte of ``todo`` and one list slot per
+    cell.  Its keys are the free points of the region; a point outside it,
+    or of another dimension, is none.
     """
     mset = set(m)
     region.require_inside(mset)
-    return ComponentLabeling(WindowLabels(region, spec, mset), frozenset({region.lo}))
+    lo, hi = region.lo, region.hi
+    sizes = [b - a + 3 for a, b in zip(lo, hi)]
+    grid = HalfGrid(tuple(a - 1 for a in lo), row_major_strides(sizes))
+    todo = bytearray(sizes[0] * grid.strides[0])
+    row = sizes[-1] - 2
+    for k in itertools.product(*(range(1, size - 1) for size in sizes[:-1])):
+        start = grid.offset(k) + 1
+        todo[start : start + row] = b"\1" * row
+    for p in mset:
+        todo[grid.key(p)] = 0
+    steps = lru_cache(maxsize=None)(lambda s: list(map(grid.offset, s.sorted_offsets)))
+    deltas = steps(spec)
+    ids = label(todo, lambda fr: [c + d for c in fr for d in deltas])
+
+    def index(p: Point) -> int:
+        if len(p) == len(lo) and all(map(le, lo, p)) and all(map(le, p, hi)):
+            return grid.key(p)
+        return -1
+
+    return ComponentLabeling(ids, index, grid.point, frozenset({lo}), steps)
 
 
 def is_path(spec: AdjacencySpec, seq: Path) -> bool:

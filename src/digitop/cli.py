@@ -17,7 +17,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import __version__, jordan, manifold, pseudomanifold, separation
 from .adjacency import AdjacencyPair, Region
@@ -79,17 +79,26 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = lru_cache(maxsize=1)(build_parser)  # main reuses one parser: parsing leaves it unchanged
 
 
+def _cells(sides: Iterable[int], cap: int) -> int:
+    """The product of the window sides, or the first partial product over
+    ``cap``: it stops there, however many axes."""
+    cells = 1
+    for side in sides:
+        cells *= side
+        if cells > cap:
+            break
+    return cells
+
+
 def _window(args: argparse.Namespace, points, margin: int) -> Region:
     """The analysis window; one of more than ``--max-cells`` cells is refused before anything labels it."""
     region = Region.around(points, margin)
     sides = [b - a + 1 for a, b in zip(region.lo, region.hi)]
-    cells = 1
-    for side in sides:  # stops at the cap, however many axes
-        cells *= side
-        if cells > args.max_cells:
-            # the exact count, unless it has more digits than Python prints (4300)
-            count = math.prod(sides) if sum(map(math.log10, sides)) < 4299 else f"at least {cells}"
-            raise InputFormatError(f"the analysis window has {count} cells, more than --max-cells {args.max_cells}")
+    cells = _cells(sides, args.max_cells)
+    if cells > args.max_cells:
+        # the exact count, unless it has more digits than Python prints (4300)
+        count = math.prod(sides) if sum(map(math.log10, sides)) < 4299 else f"at least {cells}"
+        raise InputFormatError(f"the analysis window has {count} cells, more than --max-cells {args.max_cells}")
     return region
 
 
@@ -391,11 +400,9 @@ def _cmd_simple_points(args: argparse.Namespace, mset, n: int, pair: AdjacencyPa
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     try:
-        cells = 1
-        for side in window_sides(args.kind, args.params):  # stops at the cap, however many axes
-            cells *= side
-            if cells > MAX_CELLS:
-                raise ValueError(f"its margin-2 window has at least {cells} cells; the --max-cells default is {MAX_CELLS}")
+        cells = _cells(window_sides(args.kind, args.params), MAX_CELLS)
+        if cells > MAX_CELLS:
+            raise ValueError(f"its margin-2 window has at least {cells} cells; the --max-cells default is {MAX_CELLS}")
         points = GENERATORS[args.kind](*args.params)
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"generate {args.kind}: {exc}") from exc

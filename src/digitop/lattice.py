@@ -8,14 +8,15 @@ value exact and removes all rounding questions.
 A finite stretch of the doubled grid has one integer encoding, the
 row-major key of :class:`HalfGrid`: the last axis has stride 1, so key
 order is tuple order, and moving by a doubled offset adds one integer.
-The cube enumeration keys barycenters, corners and faces this way.
+The cube enumeration keys barycenters, corners and faces this way, and
+a complement window keys its lattice cells with it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, mul, sub
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
@@ -216,7 +217,8 @@ class HalfGrid:
     """Row-major integer keys of the doubled points of a box with lower
     corner ``lo``: ``key(h)`` is the sum of ``(h - lo) * strides``.  Key
     order is tuple order, and ``key(h + d) == key(h) + offset(d)`` while
-    both points lie in the box.
+    both points lie in the box.  The same keys number a complement
+    window's cells, which are lattice points, not doubled ones.
     """
 
     lo: HalfPoint
@@ -237,8 +239,12 @@ class HalfGrid:
     def offset(self, d: HalfPoint) -> int:
         return sum(map(mul, d, self.strides))
 
+    @cached_property
+    def _lo_offset(self) -> int:
+        return self.offset(self.lo)
+
     def key(self, h: HalfPoint) -> int:
-        return sum(map(mul, map(sub, h, self.lo), self.strides))
+        return sum(map(mul, h, self.strides)) - self._lo_offset
 
     def deltas(self, offsets: Callable[[int, tuple[int, ...]], Sequence[HalfPoint]]) -> Callable:
         """``axes -> offsets(n, axes)`` as key deltas, memoized per axes."""

@@ -8,6 +8,7 @@ every alpha-neighbor, and the separation property.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -133,7 +134,7 @@ def check_manifold(
     if lab.count == 1:
         alpha_connected = Verdict(True)
     else:
-        reps = sorted(set(lab.labels.values()))[:2]
+        reps = list(lab.sizes())[:2]
         alpha_connected = Verdict(
             False,
             {"kind": "alpha-disconnected", "components": [list(r) for r in reps]},
@@ -202,7 +203,7 @@ def global_sides(
     if not report.certified:
         raise NotCertifiedError("global sides are defined only for certified manifolds")
     shell = {vec_add(p, v) for p in mset for v in shell_offsets(pair.n)} - mset
-    comps = sorted(components(pair.beta, shell).components().values(), key=min)
+    comps = list(components(pair.beta, shell).components().values())
     if len(comps) != 2:
         raise RuntimeError(
             f"certified set has {len(comps)} shell components; certification inconsistent"
@@ -342,11 +343,9 @@ def is_good_pair(
 
 def is_regular_rotation(spec: AdjacencySpec) -> bool:
     """Offset-set invariance under every signed axis permutation."""
-    import itertools as _it
-
     offsets = spec.offsets
-    for perm in _it.permutations(range(spec.n)):
-        for signs in _it.product((1, -1), repeat=spec.n):
+    for perm in itertools.permutations(range(spec.n)):
+        for signs in itertools.product((1, -1), repeat=spec.n):
             image = frozenset(
                 tuple(signs[i] * v[perm[i]] for i in range(spec.n)) for v in offsets
             )
@@ -356,7 +355,7 @@ def is_regular_rotation(spec: AdjacencySpec) -> bool:
 
 
 def _replay_alpha_disconnected(w: dict, mset, pair: AdjacencyPair, region) -> bool:
-    ids = set(components(pair.alpha, mset).labels.values())
+    ids = components(pair.alpha, mset).sizes().keys()
     reps = {tuple(r) for r in w["components"]}
     return len(w["components"]) == len(reps) == 2 and reps <= ids
 

@@ -52,7 +52,7 @@ def _candidates(alpha: AdjacencySpec, axes: tuple[int, ...], mask: int) -> tuple
     _, cut = at_origin(alpha.n, axes, mask)
     slices = _slices(alpha.n, axes)
     out = []
-    for comp in sorted(components(alpha, cut).components().values(), key=min):
+    for comp in components(alpha, cut).components().values():
         best = max(sum(1 for v in verts if v in comp) for _, verts, _ in slices)
         for cstar, star_verts, moves in slices:
             if sum(1 for v in star_verts if v in comp) != best:

@@ -79,9 +79,6 @@ class SimplicialComplex:
     def vertices(self) -> tuple[HalfPoint, ...]:
         return self.table
 
-    def dim(self) -> int:
-        return max(map(len, self.rows), default=0) - 1
-
     def lattice_vertices(self) -> tuple[Point, ...]:
         return tuple(tuple(c // 2 for c in v) for v in self.table if is_lattice2(v))
 
@@ -250,7 +247,8 @@ def skeleton_components(k: SimplicialComplex) -> ComponentLabeling:
         edges[a].append(b)
         edges[b].append(a)
     ids = label(bytearray(b"\1") * len(k.table), lambda fr: [j for i in fr for j in edges[i]])
-    return ComponentLabeling({v: k.table[c] for v, c in zip(k.table, ids)})
+    index = {v: i for i, v in enumerate(k.table)}
+    return ComponentLabeling(ids, lambda v: index.get(v, -1), k.table.__getitem__)
 
 
 def _bbox2(s: Simplex) -> Box:

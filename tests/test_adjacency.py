@@ -4,6 +4,8 @@ import heapq
 import itertools
 import re
 import tracemalloc
+from collections import Counter
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 from unittest import mock
 
@@ -193,6 +195,32 @@ def test_complement_components_margin_enforced():
         complement_components(axis_adjacency(2), {(0, 2)}, region)
 
 
+@dataclass(frozen=True)
+class DictLabeling:
+    """The dict form of a labeling, which the oracles build: ``labels`` maps
+    each point to the smallest member of its component, and every read is
+    taken from that dict, sharing no code with ``ComponentLabeling``."""
+
+    labels: dict
+    infinite_ids: frozenset = frozenset()
+
+    @property
+    def count(self):
+        return len(set(self.labels.values()))
+
+    def sizes(self):
+        return dict(sorted(Counter(self.labels.values()).items()))
+
+    def ids_near(self, spec, p):
+        return {self.labels[q] for q in neighbors(spec, p) if q in self.labels}
+
+    def components(self):
+        acc = {}
+        for p, cid in self.labels.items():
+            acc.setdefault(cid, set()).add(p)
+        return {cid: frozenset(pts) for cid, pts in sorted(acc.items())}
+
+
 def label_oracle(points, step):
     """The dict flood fill ``adjacency.label`` replaced: each point maps to the
     smallest member of its component; ``step(p)`` yields p's neighbours, and
@@ -229,7 +257,7 @@ def complement_components_dict_oracle(spec, m, region):
     free = {c: p for c, p in zip(cells, region_points(region)) if p not in mset}
     deltas = [sum(c * s for c, s in zip(v, strides)) for v in spec.sorted_offsets]
     labels = label_oracle(free, lambda c: [c + d for d in deltas])
-    return ComponentLabeling({p: free[labels[c]] for c, p in free.items()}, frozenset({region.lo}))
+    return DictLabeling({p: free[labels[c]] for c, p in free.items()}, frozenset({region.lo}))
 
 
 def complement_components_oracle(spec, m, region):
@@ -241,7 +269,7 @@ def complement_components_oracle(spec, m, region):
         if not region.strictly_contains(p, 1):
             raise ValueError(f"region too small: {p} touches the margin zone")
     free = {p for p in region_points(region) if p not in mset}
-    labeling = ComponentLabeling(label_oracle(free, lambda p: [vec_add(p, v) for v in spec.sorted_offsets]))
+    labeling = DictLabeling(label_oracle(free, lambda p: [vec_add(p, v) for v in spec.sorted_offsets]))
     comps = labeling.components()
 
     def on_boundary(p):
@@ -249,11 +277,11 @@ def complement_components_oracle(spec, m, region):
 
     infinite = sorted(cid for cid, pts in comps.items() if any(on_boundary(p) for p in pts))
     if not infinite:
-        return ComponentLabeling(dict(labeling.labels), frozenset())
+        return DictLabeling(labeling.labels, frozenset())
     merged_id = infinite[0]
     merged = set(infinite)
     labels = {p: (merged_id if cid in merged else cid) for p, cid in labeling.labels.items()}
-    return ComponentLabeling(labels, frozenset({merged_id}))
+    return DictLabeling(labels, frozenset({merged_id}))
 
 
 @st.composite
@@ -351,6 +379,50 @@ def test_label_matches_the_dict_flood_it_replaced(case):
     expected = label_oracle([i for i, free in enumerate(mask) if free], adj.__getitem__)
     assert ids == [expected.get(i, -1) for i in range(len(adj))]
     assert not any(todo)  # consumed
+
+
+@st.composite
+def spec_sets(draw):
+    """A random set in a small 2-, 3- or 4-D box under an axis, full or custom spec."""
+    n = draw(st.integers(2, 4))
+    r = {2: 4, 3: 2, 4: 1}[n]
+    points = draw(st.frozensets(st.tuples(*[st.integers(-r, r)] * n), max_size=16))
+    return points, draw(adjacency_specs(n))
+
+
+@given(spec_sets())
+@settings(max_examples=80, deadline=None)
+def test_a_point_set_labeling_reads_as_the_flood_of_its_points(case):
+    points, spec = case
+    n = spec.n
+    lab = components(spec, points)
+    oracle = brute_flood(points, spec.sorted_offsets)
+    expected = DictLabeling({p: min(comp) for comp in oracle for p in comp})
+    assert lab.labels is lab and dict(lab.items()) == expected.labels
+    assert len(lab) == len(points) and list(lab) == sorted(points)
+    assert lab.count == expected.count == len(oracle)
+    assert lab.sizes() == expected.sizes() and lab.components() == expected.components()
+    assert list(lab.components()) == list(lab.sizes()) == sorted(min(comp) for comp in oracle)
+    assert all(lab.get(p) == lab[p] == lab.id_of(p) == expected.labels[p] for p in points)
+    # a non-member and a point of another dimension are no keys
+    for q in [(9,) * n, (0,) * (n + 1), (0,) * (n - 1), *(p + (0,) for p in points)]:
+        assert q not in lab and lab.get(q) is None and lab.get(q, "default") == "default"
+        with pytest.raises(KeyError):
+            lab[q]
+    near = points | {vec_add(p, v) for p in points for v in spec.offsets}
+    assert all(lab.ids_near(spec, p) == expected.ids_near(spec, p) for p in near)
+    with pytest.raises(ValueError):
+        lab.ids_near(spec, (0,) * (n + 1))
+    # equal when the labels and infinite_ids agree, whatever the numbering
+    assert components(spec, sorted(points, reverse=True)) == lab == expected.labels
+    if points:
+        flagged = ComponentLabeling(lab.ids, lab.index, lab.point, frozenset({min(points)}))
+        assert dict(flagged.items()) == dict(lab.items()) and flagged != lab
+        assert components(spec, points - {max(points)}) != lab
+        region = Region.around(points, 2)
+        window = complement_components(spec, points, region)
+        free = components(spec, [p for p in region_points(region) if p not in points])
+        assert window != free and window == ComponentLabeling(free.ids, free.index, free.point, window.infinite_ids)
 
 
 def test_region_labels_its_complement_once_and_stays_a_value():

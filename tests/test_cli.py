@@ -434,10 +434,11 @@ def test_replay_checks_the_recorded_side_of_a_one_sided_neighbor(ring_file, tmp_
     [
         ("0 0\n5 5\n", "axis", "full", "alpha-disconnected", "components", [[0, 0], [0, 0]]),
         ("0 0\n5 5\n", "axis", "full", "alpha-disconnected", "components", [[0, 0], [1, 1]]),
+        ("0 0\n1 0\n5 5\n", "axis", "full", "alpha-disconnected", "components", [[1, 0], [5, 5]]),
         ("0 0\n5 5\n", "axis", "full", "local-component-count", "count", 3),
         (RING, "full", "axis", "one-sided-neighbor", "side", []),
     ],
-    ids=["same-component", "not-in-the-set", "local-count", "empty-side"],
+    ids=["same-component", "not-in-the-set", "not-a-component-id", "local-count", "empty-side"],
 )
 def test_replay_of_a_tampered_witness_is_not_reproduced(tmp_path, capsys, text, alpha, beta, kind, field, value):
     points = tmp_path / "m.txt"
@@ -872,6 +873,12 @@ def test_generate_refuses_a_set_whose_window_is_over_the_cap_before_building_it(
     assert (code, out) == (2, "") and "; the --max-cells default is 1000000" in err
     assert peak < 1_000_000
     assert built == [tuple(map(int, at_cap))]
+
+
+def test_generate_names_the_partial_product_that_passed_the_cap():
+    # 9^7 > 10^6 >= 9^6: the product stops at the seventh of 10^7 axes
+    expected = "error: generate sphere-shell: its margin-2 window has at least 4782969 cells; the --max-cells default is 1000000\n"
+    assert _run_all(["generate", "--kind", "sphere-shell", "--params", "2", "10000000"]) == (2, "", expected)
 
 
 @pytest.mark.parametrize(

@@ -567,6 +567,7 @@ def test_skeleton_components_match_the_oracle(case):
         got = skeleton_components(c)
         assert got.labels == skeleton_components_oracle(c)
         assert got.infinite_ids == frozenset()
+        assert (10**6,) * c.n not in got.labels and got.labels.get((10**6,) * c.n) is None  # not a vertex
 
 
 def test_lattice_correspondence_ring():
