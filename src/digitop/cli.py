@@ -342,10 +342,7 @@ def _cmd_build(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, regi
 
 
 def _cmd_check_pseudomanifold(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
-    reduced = build_reduced_complex(mset, pair)
-    if not reduced.rows:
-        print("warning: empty complex is vacuously a pseudomanifold", file=sys.stderr)
-    report = is_pseudomanifold(reduced, pair.n - 1)
+    report = is_pseudomanifold(build_reduced_complex(mset, pair), pair.n - 1)
     lines = [f"pseudomanifold (dimension {report.dimension}): {report.all_hold}", *_verdict_lines(report)]
     _report(args, _config(args, n), report.to_json(), report.witnesses(), lines)
     return 0 if report.all_hold else 1

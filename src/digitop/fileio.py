@@ -29,32 +29,30 @@ def _read_text(fs: FsPath) -> str:
         raise InputFormatError(f"{fs}: not UTF-8 text: {exc}") from exc
 
 
-def _data_lines(text: str) -> list[tuple[int, str]]:
-    out = []
+def _vectors(text: str, source: str, n: int | None = None) -> tuple[list[Point], int | None]:
+    """The integer vectors of the data lines, each of ``n`` coordinates;
+    unless ``n`` is given, the first line sets it, and it must be at least 2."""
+    vectors: list[Point] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line))
-    return out
-
-
-def parse_points(text: str, source: str = "<input>") -> tuple[frozenset[Point], int]:
-    points: list[Point] = []
-    n: int | None = None
-    for lineno, line in _data_lines(text):
+        if not line:
+            continue
         try:
-            coords = tuple(int(tok) for tok in line.split())
+            vec = tuple(int(tok) for tok in line.split())
         except ValueError as exc:
             raise InputFormatError(f"{source}:{lineno}: not an integer vector: {line!r}") from exc
         if n is None:
-            n = len(coords)
+            n = len(vec)
             if n < 2:
                 raise InputFormatError(f"{source}:{lineno}: dimension must be at least 2")
-        elif len(coords) != n:
-            raise InputFormatError(
-                f"{source}:{lineno}: expected {n} coordinates, found {len(coords)}"
-            )
-        points.append(coords)
+        elif len(vec) != n:
+            raise InputFormatError(f"{source}:{lineno}: expected {n} coordinates, found {len(vec)}")
+        vectors.append(vec)
+    return vectors, n
+
+
+def parse_points(text: str, source: str = "<input>") -> tuple[frozenset[Point], int]:
+    points, n = _vectors(text, source)
     if n is None:
         raise InputFormatError(f"{source}: no data lines")
     return frozenset(points), n
@@ -83,15 +81,7 @@ def parse_adjacency_arg(value: str, n: int) -> AdjacencySpec:
 
 def load_adjacency_file(path: str | FsPath, n: int) -> AdjacencySpec:
     fs = FsPath(path)
-    offsets = []
-    for lineno, line in _data_lines(_read_text(fs)):
-        try:
-            vec = tuple(int(tok) for tok in line.split())
-        except ValueError as exc:
-            raise InputFormatError(f"{fs}:{lineno}: not an integer vector: {line!r}") from exc
-        if len(vec) != n:
-            raise InputFormatError(f"{fs}:{lineno}: expected {n} coordinates, found {len(vec)}")
-        offsets.append(vec)
+    offsets, _ = _vectors(_read_text(fs), str(fs), n)
     try:
         return custom_adjacency(n, offsets)
     except ValueError as exc:

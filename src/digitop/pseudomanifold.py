@@ -25,60 +25,38 @@ def _simplex_json(k: SimplicialComplex, row: Row) -> list[list[int]]:
     return [list(v) for v in k.points(row)]
 
 
-def is_homogeneous(k: SimplicialComplex, d: int) -> Verdict:
-    """Every simplex must be a face of some d-simplex."""
+def is_pseudomanifold(k: SimplicialComplex, d: int) -> PseudomanifoldReport:
+    """Homogeneity (every simplex is a face of some d-simplex),
+    nondegeneracy (every (d-1)-simplex has exactly two d-dimensional
+    cofaces) and strong connectivity (the dual graph on d-simplices, whose
+    edges are shared (d-1)-faces, is connected), each with its first
+    witness in row order.  The last two read one table of the d-simplices
+    on each (d-1)-face."""
+    top = [t for t in k.rows if len(t) == d + 1]
     # rows are sorted tuples, so the faces of t are its combinations
-    top = (t for t in k.rows if len(t) == d + 1)
     faces = {f for t in top for r in range(1, d + 2) for f in itertools.combinations(t, r)}
     stray = next((s for s in k.rows if s not in faces), None)
-    if stray is None:
-        return Verdict(True)
-    return Verdict(False, {"kind": "homogeneity", "simplex": _simplex_json(k, stray)})
-
-
-def is_nondegenerate(k: SimplicialComplex, d: int) -> Verdict:
-    """Every (d-1)-simplex must have exactly two d-dimensional cofaces."""
-    cofaces: dict[Row, int] = {s: 0 for s in k.rows if len(s) == d}
-    for t in k.rows:
-        if len(t) != d + 1:
-            continue
-        for face in itertools.combinations(t, d):
-            if face in cofaces:
-                cofaces[face] += 1
-    for s, count in cofaces.items():
-        if count != 2:
-            return Verdict(False, {"kind": "nondegeneracy", "simplex": _simplex_json(k, s), "cofaces": count})
-    return Verdict(True)
-
-
-def is_strongly_connected(k: SimplicialComplex, d: int) -> Verdict:
-    """The dual graph on d-simplices (edges: shared (d-1)-faces) is connected."""
-    top = [s for s in k.rows if len(s) == d + 1]
-    if len(top) <= 1:
-        return Verdict(True)
-    by_face: dict[Row, list[int]] = {}
+    del faces  # freed before the coface table is built
+    cofaces: dict[Row, list[int]] = {}
     for i, t in enumerate(top):
         for face in itertools.combinations(t, d):
-            by_face.setdefault(face, []).append(i)
+            cofaces.setdefault(face, []).append(i)
+    thin = next(((s, c) for s in k.rows if len(s) == d and (c := len(cofaces.get(s, ()))) != 2), None)
     ids = label(
         bytearray(b"\1") * len(top),
-        lambda fr: [o for i in fr for face in itertools.combinations(top[i], d) for o in by_face[face]],
+        lambda fr: [o for i in fr for face in itertools.combinations(top[i], d) for o in cofaces[face]],
     )
     stranded = next((t for t, c in zip(top, ids) if c), None)  # top[0]'s component has id 0
-    if stranded is None:
-        return Verdict(True)
-    witness = {"kind": "strong-connectivity", "simplex": _simplex_json(k, top[0]), "other": _simplex_json(k, stranded)}
-    return Verdict(False, witness)
-
-
-def is_pseudomanifold(k: SimplicialComplex, d: int) -> PseudomanifoldReport:
-    """Conjunction of the three checks, with witnesses."""
-    return PseudomanifoldReport(
-        dimension=d,
-        homogeneous=is_homogeneous(k, d),
-        nondegenerate=is_nondegenerate(k, d),
-        strongly_connected=is_strongly_connected(k, d),
-    )
+    homogeneous = nondegenerate = strongly_connected = Verdict(True)
+    if stray is not None:
+        homogeneous = Verdict(False, {"kind": "homogeneity", "simplex": _simplex_json(k, stray)})
+    if thin is not None:
+        s, count = thin
+        nondegenerate = Verdict(False, {"kind": "nondegeneracy", "simplex": _simplex_json(k, s), "cofaces": count})
+    if stranded is not None:
+        witness = {"kind": "strong-connectivity", "simplex": _simplex_json(k, top[0]), "other": _simplex_json(k, stranded)}
+        strongly_connected = Verdict(False, witness)
+    return PseudomanifoldReport(d, homogeneous, nondegenerate, strongly_connected)
 
 
 @lru_cache(maxsize=1)

@@ -131,20 +131,24 @@ def _face_offsets(n: int, axes: tuple[int, ...]) -> tuple[HalfPoint, ...]:
     return tuple(tuple(map(sub, barycenter(f), center)) for f in faces)
 
 
-def _shapes(grid: HalfGrid, keys: list[int]) -> Iterator[Shape]:
-    """The cubes that meet the set, by dimension: any other fails the test."""
-    return itertools.chain.from_iterable(shapes_meeting(grid, keys, k) for k in range(1, grid.n + 1))
-
-
-def _passing(grid: HalfGrid, shapes: Iterable[Shape], pair: AdjacencyPair, full: bool) -> Iterator[tuple]:
-    """(barycenter, axes, mask, kept, face barycenters) of the passing cubes,
-    or, unless ``full``, of those that keep their barycenters, all as keys."""
+def _passing(grid: HalfGrid, shapes: Iterable[Shape], pair: AdjacencyPair) -> Iterator[tuple]:
+    """(barycenter, axes, mask, kept, face offsets) of the passing cubes: the
+    barycenter is a key, a face's key is the barycenter plus its offset, and
+    ``kept`` says whether K'(M) keeps the barycenter."""
     verdict = lru_cache(maxsize=None)(partial(_shape_verdict, pair))  # hashes no pair
     faces = grid.deltas(_face_offsets)
     for center, axes, mask in shapes:
         passed, count = verdict(axes, mask)
-        if passed and (full or count != 1):
-            yield center, axes, mask, count != 1, [center + d for d in faces(axes)]
+        if passed:
+            yield center, axes, mask, count != 1, faces(axes)
+
+
+def _passing_cubes(m: Iterable[Point], pair: AdjacencyPair) -> tuple[HalfGrid, list[int], Iterator[tuple]]:
+    """The grid, the keys of the points of ``m`` and ``_passing`` over the
+    cubes that meet ``m``, by dimension: any other cube fails the test."""
+    grid, keys = half_keys(frozenset(m), pair.n)
+    shapes = itertools.chain.from_iterable(shapes_meeting(grid, keys, k) for k in range(1, grid.n + 1))
+    return grid, keys, _passing(grid, shapes, pair)
 
 
 def _grown(chains: list[Row], top: int) -> list[Row]:
@@ -164,20 +168,18 @@ def _without(k: SimplicialComplex, dropped: AbstractSet[int]) -> SimplicialCompl
 
 
 def _order_complex(
-    grid: HalfGrid, points: list[int], shapes: Iterable[Shape], pair: AdjacencyPair, full: bool
+    grid: HalfGrid, points: list[int], cubes: Iterable[tuple]
 ) -> tuple[SimplicialComplex, SimplicialComplex]:
-    """K'(M) and K(M), or, unless ``full``, K'(M) twice: the chains c0 < c1
-    < ... < ck of the passing cubes, or of those that keep their barycenters,
-    plus the points of the set (their keys).
+    """K'(M) and K(M) of these passing cubes: the chains c0 < c1 < ... < ck
+    of the cubes plus the points of the set (their keys), and K minus the
+    barycenters of the cubes not kept.
 
-    K' is K minus the barycenters of the cubes whose in-cube background is
-    one piece.  ``shapes`` comes in order of dimension and holds every
-    passing face of dimension >= 1 of its passing cubes; each cube is tested
-    once.  Vertices are numbered before any chain grows, in key order, which
-    is point order; a chain is sorted ids, keyed by the barycenter of its top
-    cube.
+    ``cubes`` comes from ``_passing``, in order of dimension, and holds
+    every passing face of dimension >= 1 of each of its cubes.  Vertices
+    are numbered before any chain grows, in key order, which is point
+    order; a chain is sorted ids, keyed by the barycenter of its top cube.
     """
-    cubes = list(_passing(grid, shapes, pair, full))
+    cubes = list(cubes)
     keys = sorted(points + [c[0] for c in cubes])
     ids = {h: i for i, h in enumerate(keys)}
     corners = grid.deltas(half_corners)
@@ -186,7 +188,7 @@ def _order_complex(
         top = ids[center]
         below = [(ids[center + e],) for i, e in enumerate(corners(axes)) if mask >> i & 1]
         for f in faces:
-            below += chains.get(f, ())
+            below += chains.get(center + f, ())
         chains[center] = [(top,)] + _grown(below, top)
     rows = sorted(itertools.chain(((ids[h],) for h in points), *chains.values()))
     k = SimplicialComplex(grid.n, tuple(map(grid.point, keys)), tuple(rows))
@@ -200,15 +202,14 @@ def build_complex(m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
 
 def build_complexes(m: Iterable[Point], pair: AdjacencyPair) -> tuple[SimplicialComplex, SimplicialComplex]:
     """K(M) and K'(M) from one enumeration of the chains."""
-    grid, keys = half_keys(frozenset(m), pair.n)
-    reduced, full = _order_complex(grid, keys, _shapes(grid, keys), pair, full=True)
+    reduced, full = _order_complex(*_passing_cubes(m, pair))
     return full, reduced
 
 
 def build_reduced_complex(m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
     """K'(M) alone: the chains of the passing cubes that keep their barycenters."""
-    grid, keys = half_keys(frozenset(m), pair.n)
-    return _order_complex(grid, keys, _shapes(grid, keys), pair, full=False)[0]
+    grid, keys, cubes = _passing_cubes(m, pair)
+    return _order_complex(grid, keys, (c for c in cubes if c[3]))[0]
 
 
 def reduce_complex(k: SimplicialComplex, m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
@@ -227,11 +228,11 @@ def euler_characteristics(m: Iterable[Point], pair: AdjacencyPair) -> tuple[int,
     """chi(K(M)) and chi(K'(M)), no chain built: each point of M is a chain,
     and the chains topped by a passing cube c add up to g(c) = 1 - |M in c|
     minus the g of its passing faces of dimension >= 1."""
-    grid, keys = half_keys(frozenset(m), pair.n)
+    _, keys, cubes = _passing_cubes(m, pair)
     g: list[dict[int, int]] = [{}, {}]  # K, K'
-    for center, _, mask, keep, faces in _passing(grid, _shapes(grid, keys), pair, True):
+    for center, _, mask, keep, faces in cubes:
         for chi in g[: 1 + keep]:
-            chi[center] = 1 - mask.bit_count() - sum(chi.get(f, 0) for f in faces)
+            chi[center] = 1 - mask.bit_count() - sum(chi.get(center + f, 0) for f in faces)
     return len(keys) + sum(g[0].values()), len(keys) + sum(g[1].values())
 
 

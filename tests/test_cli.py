@@ -368,6 +368,28 @@ def test_a_file_that_is_not_utf8_is_an_input_error_naming_it(tmp_path, capsys, w
     assert str(bad) in err and "UTF-8" in err
 
 
+@pytest.mark.parametrize(
+    "where, text, message",
+    [
+        ("points", "0 0\n1 x\n", "{path}:2: not an integer vector: '1 x'"),
+        ("points", "# one axis\n0\n", "{path}:2: dimension must be at least 2"),
+        ("points", "0 0\n\n1 0 0\n", "{path}:3: expected 2 coordinates, found 3"),
+        ("points", "# nothing\n\n", "{path}: no data lines"),
+        ("custom", "1 0\n-1 0 # back\n0 1.5\n", "{path}:3: not an integer vector: '0 1.5'"),
+        ("custom", "1 0\n-1 0\n0 1 0\n0 -1\n", "{path}:3: expected 2 coordinates, found 3"),
+        ("custom", "1\n", "{path}:1: expected 2 coordinates, found 1"),
+    ],
+)
+def test_a_malformed_line_exits_2_naming_its_file_and_line(tmp_path, capsys, where, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    pts = tmp_path / "p.txt"
+    pts.write_text("0 0\n1 0\n", encoding="utf-8")
+    points, alpha = (bad, "full") if where == "points" else (pts, f"custom:{bad}")
+    assert main(["build", "--points", str(points), "--alpha", alpha]) == 2
+    assert capsys.readouterr().err == "error: " + message.format(path=bad) + "\n"
+
+
 def test_replay_manifold_witness(tmp_path):
     broken = tmp_path / "broken.txt"
     pts = sorted(p for p in __import__("digitop").rect_boundary(5, 5))

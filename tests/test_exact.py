@@ -103,6 +103,12 @@ def test_barycentric_coordinates():
     assert off_plane is None
 
 
+def test_barycentric_coordinates_refuse_affinely_dependent_vertices():
+    # three points on a line: the weights of a point on it are not unique
+    with pytest.raises(ValueError, match="affinely dependent"):
+        barycentric_coordinates([(0, 0), (2, 0), (4, 0)], [F(1), F(0)])
+
+
 def test_point_in_simplex_open_vs_closed():
     triangle = [(0, 0), (2, 0), (0, 2)]
     vertex = [F(0), F(0)]

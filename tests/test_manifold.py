@@ -55,6 +55,17 @@ def test_local_components_spur_tip():
     assert len(comps) == 1
 
 
+def test_point_tests_refuse_a_non_member():
+    for check in (local_components, is_simple_point):
+        with pytest.raises(ValueError, match="not a foreground point"):
+            check((5, 5), {(0, 0), (1, 0)}, FULL_AXIS_2)
+
+
+def test_check_manifold_refuses_an_empty_set():
+    with pytest.raises(ValueError, match="nonempty"):
+        check_manifold(set(), AXIS_FULL_2)
+
+
 def test_ring_is_certified():
     ring = rect_boundary(5, 5)
     report = check_manifold(ring, AXIS_FULL_2)

@@ -9,13 +9,8 @@ from digitop.adjacency import AdjacencyPair, axis_adjacency, full_adjacency
 from digitop.cli import main
 from digitop.fileio import format_points
 from digitop.jordan import box_surface, rect_boundary
-from digitop.pseudomanifold import (
-    is_homogeneous,
-    is_nondegenerate,
-    is_pseudomanifold,
-    is_strongly_connected,
-)
-from digitop.simplicial import SimplicialComplex, build_complex, reduce_complex
+from digitop.pseudomanifold import is_pseudomanifold
+from digitop.simplicial import SimplicialComplex, build_complex, build_complexes, reduce_complex
 from test_simplicial import complexes_with_an_extra_simplex
 
 AXIS_FULL_2 = AdjacencyPair(axis_adjacency(2), full_adjacency(2))
@@ -41,7 +36,7 @@ def test_box_reduction_is_a_sphere_pseudomanifold():
 
 def test_dangling_vertex_breaks_homogeneity():
     k = SimplicialComplex.of(2, [((0, 0),), ((4, 4),), ((0, 0), (1, 1)), ((1, 1),)])
-    verdict = is_homogeneous(k, 1)
+    verdict = is_pseudomanifold(k, 1).homogeneous
     assert not verdict.holds
     assert verdict.witness["simplex"] == [[4, 4]]
 
@@ -54,7 +49,7 @@ def test_empty_complex_is_vacuous():
 def test_unreduced_triangle_complex_is_not_homogeneous_at_one():
     m = {(0, 0), (1, 0), (1, 1)}
     k = build_complex(m, FULL_AXIS_2)
-    verdict = is_homogeneous(k, 1)
+    verdict = is_pseudomanifold(k, 1).homogeneous
     assert not verdict.holds  # the 2-simplices are their own witnesses
 
 
@@ -72,7 +67,7 @@ def test_open_arc_is_degenerate():
             ]
         ),
     )
-    verdict = is_nondegenerate(k, 1)
+    verdict = is_pseudomanifold(k, 1).nondegenerate
     assert not verdict.holds
     assert verdict.witness["cofaces"] == 1
 
@@ -92,7 +87,7 @@ def test_three_edges_at_a_vertex_are_degenerate():
             ]
         ),
     )
-    verdict = is_nondegenerate(k, 1)
+    verdict = is_pseudomanifold(k, 1).nondegenerate
     assert not verdict.holds
     assert verdict.witness["cofaces"] == 3
 
@@ -111,7 +106,7 @@ def test_two_disjoint_edges_are_not_strongly_connected():
             ]
         ),
     )
-    verdict = is_strongly_connected(k, 1)
+    verdict = is_pseudomanifold(k, 1).strongly_connected
     assert not verdict.holds
     assert verdict.witness == {
         "kind": "strong-connectivity",
@@ -124,12 +119,12 @@ def test_single_top_simplex_is_strongly_connected():
     k = SimplicialComplex.of(
         2, frozenset([((0, 0),), ((2, 0),), ((0, 0), (2, 0))])
     )
-    assert is_strongly_connected(k, 1).holds
+    assert is_pseudomanifold(k, 1).strongly_connected.holds
 
 
 def test_circle_dual_graph_is_two_regular():
     k = reduced(rect_boundary(4, 4), AXIS_FULL_2)
-    assert is_nondegenerate(k, 1).holds  # every vertex on exactly two edges
+    assert is_pseudomanifold(k, 1).nondegenerate.holds  # every vertex on exactly two edges
 
 
 def is_homogeneous_oracle(k, d):
@@ -154,7 +149,7 @@ def is_homogeneous_oracle(k, d):
 @settings(max_examples=40, deadline=None)
 def test_homogeneity_matches_the_oracle_with_an_extra_simplex(k):
     for d in range(1, k.n + 1):
-        verdict = is_homogeneous(k, d)
+        verdict = is_pseudomanifold(k, d).homogeneous
         assert (verdict.holds, verdict.witness) == is_homogeneous_oracle(k, d)
 
 
@@ -182,6 +177,28 @@ def is_strongly_connected_oracle(k, d):
     }
 
 
+def is_nondegenerate_oracle(k, d):
+    """Reference: each (d-1)-simplex in sorted order, with the d-simplices
+    that contain it counted by brute force; the first count other than two
+    is the witness."""
+    top = [set(t) for t in k.simplices if len(t) == d + 1]
+    for s in sorted(s for s in k.simplices if len(s) == d):
+        count = sum(1 for t in top if t.issuperset(s))
+        if count != 2:
+            return False, {"kind": "nondegeneracy", "simplex": [list(v) for v in s], "cofaces": count}
+    return True, None
+
+
+@given(complexes_with_an_extra_simplex())
+@settings(max_examples=40, deadline=None)
+def test_nondegeneracy_and_strong_connectivity_match_the_oracles_with_an_extra_simplex(k):
+    for d in range(1, k.n + 1):
+        report = is_pseudomanifold(k, d)
+        assert (report.nondegenerate.holds, report.nondegenerate.witness) == is_nondegenerate_oracle(k, d)
+        verdict = report.strongly_connected
+        assert (verdict.holds, verdict.witness) == is_strongly_connected_oracle(k, d)
+
+
 @st.composite
 def boxed_sets(draw):
     """A random subset of a 4x4 or 3x3x3 box, translated, under one of the
@@ -203,8 +220,18 @@ def test_strong_connectivity_matches_the_oracle(case):
     m, pair = case
     k = build_complex(m, pair)
     for c in (k, reduce_complex(k, m, pair)):
-        verdict = is_strongly_connected(c, pair.n - 1)
+        verdict = is_pseudomanifold(c, pair.n - 1).strongly_connected
         assert (verdict.holds, verdict.witness) == is_strongly_connected_oracle(c, pair.n - 1)
+
+
+@given(boxed_sets())
+@settings(max_examples=40, deadline=None)
+def test_nondegeneracy_matches_the_oracle(case):
+    m, pair = case
+    full, reduced = build_complexes(m, pair)
+    for c in (full, reduced):
+        verdict = is_pseudomanifold(c, pair.n - 1).nondegenerate
+        assert (verdict.holds, verdict.witness) == is_nondegenerate_oracle(c, pair.n - 1)
 
 
 def test_replay_builds_the_complex_once_for_all_witnesses(tmp_path, monkeypatch):

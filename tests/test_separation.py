@@ -44,6 +44,10 @@ def test_empty_intersection_holds_vacuously():
     assert verdict.holds and verdict.witness is None
 
 
+def test_an_empty_set_has_the_separation_property():
+    assert has_separation_property(frozenset(), FULL_AXIS_3) == Verdict(True)
+
+
 def test_diagonal_plate_splits_its_complement():
     verdict = not_separated_in_cube(PLATE, UNIT_CUBE, FULL_AXIS_3)
     assert not verdict.holds

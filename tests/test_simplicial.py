@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from digitop import simplicial
 from digitop._exact import integer_rank, open_simplices_intersect, point_in_closed_simplex
 from digitop.adjacency import (
     AdjacencyPair,
@@ -39,6 +40,7 @@ from digitop.simplicial import (
     _is_chain,
     _open_box,
     _order_complex,
+    _passing,
     _shape_verdict,
     build_complex,
     build_complexes,
@@ -59,6 +61,7 @@ from test_lattice import box2, shapes_meeting_oracle
 AXIS_FULL_2 = AdjacencyPair(axis_adjacency(2), full_adjacency(2))
 FULL_AXIS_2 = AdjacencyPair(full_adjacency(2), axis_adjacency(2))
 AXIS_FULL_3 = AdjacencyPair(axis_adjacency(3), full_adjacency(3))
+FULL_AXIS_3 = AdjacencyPair(full_adjacency(3), axis_adjacency(3))
 
 UNIT_SQUARE = Cube((0, 0), (0, 1))
 UNIT_EDGE = Cube((0, 0), (0,))
@@ -167,7 +170,7 @@ def reduce_complex_rechaining_oracle(k, m, pair):
     for h, c in sorted(k.provenance.items(), key=lambda hc: hc[1].dim):
         center = grid.key(h)
         shapes.append((center, c.axes, sum(1 << i for i, e in enumerate(corners(c.axes)) if center + e in on)))
-    return _order_complex(grid, keys, shapes, pair, full=False)[0]
+    return _order_complex(grid, keys, [c for c in _passing(grid, shapes, pair) if c[3]])[0]
 
 
 def order_complex_oracle(m, pair):
@@ -351,7 +354,7 @@ def build_complex_in_cube(cn, m, pair):
     faces = [
         (grid.key(barycenter(f)), f.axes, occupancy(f, mset)) for k in range(1, cn.dim + 1) for f in subcubes(cn, k)
     ]
-    return _order_complex(grid, keys, faces, pair, full=True)[1]
+    return _order_complex(grid, keys, _passing(grid, faces, pair))[1]
 
 
 def test_build_in_square_two_points():
@@ -575,6 +578,37 @@ def test_lattice_correspondence_ring():
     k = build_complex(ring, AXIS_FULL_2)
     ok, witness = lattice_correspondence(k, ring)
     assert ok, witness
+
+
+def test_lattice_vertices_other_than_the_set_are_a_mismatch():
+    ring = rect_boundary(5, 5)
+    k = build_complex(ring, AXIS_FULL_2)
+    fewer = ring - {(0, 0)}
+    witness = {"kind": "lattice-vertex-mismatch", "vertices": sorted(map(list, ring))}
+    assert lattice_correspondence(k, fewer) == (False, witness) == lattice_correspondence_oracle(k, fewer)
+
+
+def test_the_reduced_build_grows_no_chain_of_a_dropped_cube(monkeypatch):
+    seen = []
+    order_complex = simplicial._order_complex
+
+    def spy(grid, points, cubes):
+        seen.append(cubes := list(cubes))
+        return order_complex(grid, points, cubes)
+
+    monkeypatch.setattr(simplicial, "_order_complex", spy)
+    box = box_surface(3, 3, 3)
+    full, reduced = build_complexes(box, FULL_AXIS_3)
+    assert build_reduced_complex(box, FULL_AXIS_3) == reduced != full
+    passing, kept = seen
+    assert kept == [c for c in passing if c[3]] != passing
+
+
+def test_a_repeated_vertex_is_the_first_axiom_witness():
+    # a row may name one vertex twice; the first such row is the witness
+    k = SimplicialComplex(2, ((0, 0), (2, 0)), ((0,), (0, 0), (0, 1), (1,)))
+    witness = {"kind": "repeated-vertex", "simplex": [[0, 0], [0, 0]]}
+    assert verify_complex_axioms(k) == (False, witness)
 
 
 def test_complement_chambers_match_background_components():
