@@ -21,6 +21,7 @@ from .lattice import HalfGrid, Point, Translation, bounding_box, row_major_strid
 
 Path = Sequence[Point]
 _KING = frozenset((-1, 0, 1))
+DEFAULT_BUDGET = 100_000  # the contractibility search's default --budget
 
 
 def _axis_offsets(n: int) -> frozenset[Translation]:
@@ -221,12 +222,6 @@ class ComponentLabeling(Mapping):
         del sizes[-1]
         return {self.point(c): k for c, k in sorted(sizes.items())}
 
-    def id_of(self, p: Point) -> Point:
-        return self[p]
-
-    def same_component(self, p: Point, q: Point) -> bool:
-        return self[p] == self[q]
-
     def ids_near(self, spec: AdjacencySpec, p: Point) -> set[Point]:
         """The ids of the components that p's spec-neighbours in this labeling lie in."""
         if len(p) != spec.n:
@@ -293,6 +288,31 @@ def components(spec: AdjacencySpec, points: Iterable[Point]) -> ComponentLabelin
         lambda fr: [j for i in fr for v in offsets if (j := index.get(vec_add(pts[i], v))) is not None],
     )
     return ComponentLabeling(ids, lambda p: index.get(p, -1), pts.__getitem__)
+
+
+@lru_cache(maxsize=None)
+def neighbour_table(spec: AdjacencySpec, points: tuple[Point, ...]) -> tuple[dict[Point, int], list[list[int]]]:
+    """The numbering of distinct sorted points, and each one's neighbours
+    among them as increasing numbers: two points are adjacent iff their
+    difference is an offset.  Cached per fixed tuple (a cube's ``corners``,
+    ``shell_offsets``); ``__wrapped__`` is uncached."""
+    index = {p: i for i, p in enumerate(points)}
+    return index, [[j for v in spec.sorted_offsets if (j := index.get(vec_add(p, v))) is not None] for p in points]
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def masked_components(spec: AdjacencySpec, points: tuple[Point, ...], mask: int) -> ComponentLabeling:
+    """``components`` of the points whose bit is set in ``mask`` (bit i is
+    ``points[i]``; ``~occupied`` selects the free ones), flooded through the
+    ``neighbour_table`` of the tuple."""
+    index, table = neighbour_table(spec, points)
+    size = len(points)
+    # byte i is bit i: the bits below a sentinel bit at ``size``, reversed
+    todo = bytearray(format(mask & ~(-1 << size) | 1 << size, "b")[:0:-1], "ascii").translate(_BITS)
+    ids = label(todo, lambda fr: [j for i in fr for j in table[i]])
+    return ComponentLabeling(ids, lambda p: index.get(p, -1), points.__getitem__)
 
 
 def complement_components(
@@ -375,11 +395,7 @@ class _CycleGraph:
 
     def __init__(self, spec: AdjacencySpec, pts: Iterable[Point]) -> None:
         self.points = tuple(sorted(set(pts)))
-        index = {p: i for i, p in enumerate(self.points)}
-        self.adj = tuple(
-            tuple(j for j in (index.get(vec_add(p, v)) for v in spec.sorted_offsets) if j is not None)
-            for p in self.points
-        )
+        self.adj = neighbour_table.__wrapped__(spec, self.points)[1]
         self._toward: dict[int, list[dict[int, int]]] = {}
         self._walks: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
 
@@ -547,7 +563,7 @@ def n_simply_connected_bounded(
     spec: AdjacencySpec,
     s: Iterable[Point],
     bound: int,
-    budget: int = 100_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> Literal["yes", "unknown"]:
     """Bounded search: does every cycle in s contract to a point?
 

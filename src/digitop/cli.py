@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import __version__, jordan, manifold, pseudomanifold, separation
-from .adjacency import AdjacencyPair, Region
+from .adjacency import DEFAULT_BUDGET, AdjacencyPair, Region
 from .fileio import InputFormatError, format_points, load_points, parse_adjacency_arg
 from .jordan import GENERATORS, jordan_check, simple_point_witness, window_sides
 from .manifold import check_manifold, is_good_pair, is_simple_point
@@ -49,7 +49,7 @@ def _add_common(p: argparse.ArgumentParser, points: bool, formats: tuple[str, ..
     p.add_argument("--n", type=int, default=None, help="dimension (inferred from points if given)")
     p.add_argument("--margin", type=int, default=2, help="analysis margin around the set")
     p.add_argument("--N", type=int, default=2, dest="bound", help="path-rewrite bound")
-    p.add_argument("--budget", type=int, default=100_000, help="search budget")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search budget")
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
     p.add_argument("--max-cells", type=int, default=MAX_CELLS, help="largest analysis window, in cells")
@@ -433,7 +433,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_generate(args)
         mset, n, pair, region = _load_context(args)
         # witnesses of a good-pair report live on the origin's background sphere
-        code = _maybe_replay(args, frozenset(pair.beta.offsets) if args.command == "good-pair" else mset, pair)
+        code = _maybe_replay(args, pair.beta.offsets if args.command == "good-pair" else mset, pair)
         return _COMMANDS[args.command][3](args, mset, n, pair, region) if code is None else code
     except ValueError as exc:  # InputFormatError and NotCertifiedError too
         print(f"error: {exc}", file=sys.stderr)

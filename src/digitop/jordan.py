@@ -96,7 +96,7 @@ def _replay_not_common_boundary(w: dict, mset, pair: AdjacencyPair, region: Regi
     p, missing = tuple(w["point"]), tuple(w["missing_component"])
     labeling = region.complement(pair.beta, mset)
     # component ids label themselves
-    return p in mset and labeling.labels.get(missing) == missing and missing not in labeling.ids_near(pair.beta, p)
+    return p in mset and labeling.get(missing) == missing and missing not in labeling.ids_near(pair.beta, p)
 
 
 def _replay_simple_point(w: dict, mset, pair: AdjacencyPair, region: Region) -> bool:

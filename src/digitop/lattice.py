@@ -88,15 +88,16 @@ class Cube:
 
 
 @lru_cache(maxsize=None)
-def _corners(n: int, axes: tuple[int, ...]) -> tuple[Translation, ...]:
-    """Offsets from a cube's base to its 2^k vertices, in lexicographic order."""
+def corners(n: int, axes: tuple[int, ...]) -> tuple[Translation, ...]:
+    """Offsets from a cube's base to its 2^k vertices, in lexicographic order:
+    the offset of mask bit i.  Corner 2^k - 1 - i is corner i's antipode."""
     return tuple(itertools.product(*((0, 1) if i in axes else (0,) for i in range(n))))
 
 
 def cube_vertices(c: Cube) -> tuple[Point, ...]:
     """All 2^k vertices of a canonical cube, in lexicographic order."""
     base = c.base
-    return tuple(tuple(map(add, base, d)) for d in _corners(len(base), c.axes))
+    return tuple(tuple(map(add, base, d)) for d in corners(len(base), c.axes))
 
 
 def subcubes(c: Cube, j: int) -> list[Cube]:
@@ -105,12 +106,8 @@ def subcubes(c: Cube, j: int) -> list[Cube]:
         raise ValueError(f"subcube dimension {j} out of range for a {c.dim}-cube")
     out = []
     for free in itertools.combinations(c.axes, j):
-        fixed = [a for a in c.axes if a not in free]
-        for bits in itertools.product((0, 1), repeat=len(fixed)):
-            base = list(c.base)
-            for axis, bit in zip(fixed, bits):
-                base[axis] += bit
-            out.append(Cube(tuple(base), free))
+        fixed = tuple(a for a in c.axes if a not in free)  # each subcube's base is a corner on these
+        out += (Cube(tuple(map(add, c.base, d)), free) for d in corners(c.n, fixed))
     return sorted(out)
 
 
@@ -143,13 +140,10 @@ def completing_translations(cstar: Cube, c: Cube) -> list[tuple[Translation, Tra
 
 
 def bounding_box(points: Iterable[Point]) -> tuple[Point, Point]:
-    pts = list(points)
-    if not pts:
+    axes = list(zip(*points))
+    if not axes:
         raise ValueError("empty point set has no bounding box")
-    n = len(pts[0])
-    lo = tuple(min(p[i] for p in pts) for i in range(n))
-    hi = tuple(max(p[i] for p in pts) for i in range(n))
-    return lo, hi
+    return tuple(map(min, axes)), tuple(map(max, axes))
 
 
 def cubes_meeting_box(lo: Point, hi: Point, k: int, n: int) -> list[Cube]:
@@ -185,22 +179,11 @@ def shell_mask(p: Point, m: AbstractSet[Point]) -> int:
     return sum(1 << i for i, v in enumerate(shell_offsets(len(p))) if tuple(map(add, p, v)) in m)
 
 
-def shell_free(n: int, mask: int) -> list[int]:
-    """The indices into ``shell_offsets(n)`` of the shell points outside m."""
-    return [i for i in range(3**n - 1) if not mask >> i & 1]
-
-
-def at_origin(n: int, axes: tuple[int, ...], mask: int) -> tuple[Cube, frozenset[Point]]:
-    """The cube of a shape based at the origin of Z^n, and its occupied vertices."""
-    c = Cube((0,) * n, axes)
-    return c, frozenset(v for i, v in enumerate(cube_vertices(c)) if mask >> i & 1)
-
-
 @lru_cache(maxsize=None)
 def half_corners(n: int, axes: tuple[int, ...]) -> tuple[HalfPoint, ...]:
     """Doubled offsets from a cube's barycenter to its vertices, in the order
     of ``cube_vertices``: the offset of mask bit i."""
-    return tuple(tuple(2 * d - (i in axes) for i, d in enumerate(v)) for v in _corners(n, axes))
+    return tuple(tuple(2 * d - (i in axes) for i, d in enumerate(v)) for v in corners(n, axes))
 
 
 def row_major_strides(sizes: Sequence[int]) -> tuple[int, ...]:

@@ -15,23 +15,24 @@ from functools import lru_cache
 from typing import Iterable, Literal, Optional
 
 from .adjacency import (
+    DEFAULT_BUDGET,
     AdjacencyPair,
     AdjacencySpec,
     Region,
     axis_adjacency,
     components,
-    label,
+    masked_components,
     n_simply_connected_bounded,
     neighbors,
+    neighbour_table,
 )
 from .lattice import (
     Cube,
     Point,
     Translation,
-    at_origin,
+    corners,
     cubes_meeting,
     occupancy,
-    shell_free,
     shell_mask,
     shell_offsets,
     vec_add,
@@ -39,8 +40,6 @@ from .lattice import (
 )
 from .separation import has_separation_property
 from .verdict import Checks, Verdict
-
-DEFAULT_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -68,17 +67,7 @@ def axis_adjacent(p: Point, q: Point) -> bool:
 
 def is_simple_translation(tau: Translation) -> bool:
     """True iff tau is no nontrivial power of another translation."""
-    g = 0
-    for c in tau:
-        g = math.gcd(g, abs(c))
-    return g == 1
-
-
-@lru_cache(maxsize=None)
-def _shell_graph(beta: AdjacencySpec) -> tuple[frozenset[int], ...]:
-    """Each shell offset's beta-neighbours in the shell, as indices into ``shell_offsets``."""
-    index = {v: i for i, v in enumerate(shell_offsets(beta.n))}
-    return tuple(frozenset(index[w] for w in (vec_add(v, d) for d in beta.offsets) if w in index) for v in index)
+    return math.gcd(*tau) == 1
 
 
 @lru_cache(maxsize=None)
@@ -88,22 +77,21 @@ def _shell(pair: AdjacencyPair, mask: int) -> tuple[tuple[tuple[Translation, ...
     alpha-neighbour offset in M that is beta-adjacent to no offset of some
     side, with that side's index (None if there is none)."""
     offsets = shell_offsets(pair.n)
-    graph = _shell_graph(pair.beta)
-    free = shell_free(pair.n, mask)
-    todo = bytearray(len(offsets))
-    for i in free:
-        todo[i] = 1
-    ids = label(todo, lambda fr: [j for i in fr for j in graph[i]])
-    sides = [[i for i in free if ids[i] == cid] for cid in sorted({ids[i] for i in free})]
-    as_offsets = tuple(tuple(offsets[i] for i in side) for side in sides)
+    index, table = neighbour_table(pair.beta, offsets)
+    ids = masked_components(pair.beta, offsets, ~mask).ids
+    sides: dict[int, list[Translation]] = {}  # a side's id is its first number
+    for v, c in zip(offsets, ids):
+        if c >= 0:
+            sides.setdefault(c, []).append(v)
+    as_offsets = tuple(map(tuple, sides.values()))
     if len(sides) == 2:
         for a in pair.alpha.sorted_offsets:
-            j = offsets.index(a)
-            if ids[j] >= 0:  # a background point
-                continue
-            for k, side in enumerate(sides):
-                if graph[j].isdisjoint(side):
-                    return as_offsets, (a, k)
+            j = index[a]
+            if ids[j] < 0:  # a foreground point
+                near = {ids[x] for x in table[j]}
+                for k, c in enumerate(sides):
+                    if c not in near:
+                        return as_offsets, (a, k)
     return as_offsets, None
 
 
@@ -118,7 +106,7 @@ def local_components(p: Point, m: Iterable[Point], pair: AdjacencyPair) -> list[
 @lru_cache(maxsize=None)
 def _cut_connected(alpha: AdjacencySpec, axes: tuple[int, ...], mask: int) -> bool:
     """Is the occupied part of a cube shape alpha-connected (or empty)?"""
-    return components(alpha, at_origin(alpha.n, axes, mask)[1]).count <= 1
+    return masked_components(alpha, corners(alpha.n, axes), mask).count <= 1
 
 
 def check_manifold(
@@ -203,25 +191,21 @@ def global_sides(
     if not report.certified:
         raise NotCertifiedError("global sides are defined only for certified manifolds")
     shell = {vec_add(p, v) for p in mset for v in shell_offsets(pair.n)} - mset
-    comps = list(components(pair.beta, shell).components().values())
+    labels = components(pair.beta, shell)
+    comps = labels.components()
     if len(comps) != 2:
         raise RuntimeError(
             f"certified set has {len(comps)} shell components; certification inconsistent"
         )
-    by_point: dict[Point, frozenset[Point]] = {}
-    for comp in comps:
-        for x in comp:
-            by_point[x] = comp
     for p in sorted(mset):
         c_p, d_p = local_components(p, mset, pair)
-        if by_point[min(c_p)] is by_point[min(d_p)]:
+        if labels[min(c_p)] == labels[min(d_p)]:
             raise RuntimeError(
                 f"local sides of {p} fall into one shell component; certification inconsistent"
             )
-    anchor = local_components(min(mset), mset, pair)[0]
-    first = by_point[min(anchor)]
-    second = comps[0] if first is comps[1] else comps[1]
-    return GlobalSides(first, second)
+    first = labels[min(local_components(min(mset), mset, pair)[0])]
+    (second,) = comps.keys() - {first}
+    return GlobalSides(comps[first], comps[second])
 
 
 def is_simple_point(
@@ -313,15 +297,12 @@ def is_separating_pair(
 def _sphere_check(
     pair: AdjacencyPair, bound: int, budget: int
 ) -> tuple[Literal["yes", "no", "unknown"], ManifoldReport, str]:
-    origin = (0,) * pair.n
-    sphere = frozenset(vec_add(origin, v) for v in pair.beta.offsets)
+    sphere = pair.beta.offsets  # the origin's neighbours
     report = check_manifold(sphere, pair)
     if not report.certified:
         return "no", report, "skipped"
     contractible = n_simply_connected_bounded(pair.alpha, sphere, bound, budget)
-    if contractible == "yes":
-        return "yes", report, "yes"
-    return "unknown", report, "unknown"
+    return contractible, report, contractible
 
 
 def is_good_pair(
@@ -332,12 +313,7 @@ def is_good_pair(
     origin = (0,) * pair.n
     doubles = tuple(double_points(origin, pair))
     separating, sphere_report, contractibility = _sphere_check(pair, bound, budget)
-    if doubles or separating == "no":
-        verdict: Literal["yes", "no", "unknown"] = "no"
-    elif separating == "yes":
-        verdict = "yes"
-    else:
-        verdict = "unknown"
+    verdict = "no" if doubles else separating
     return GoodPairReport(verdict, separating, contractibility, doubles, sphere_report)
 
 
@@ -362,7 +338,7 @@ def _replay_alpha_disconnected(w: dict, mset, pair: AdjacencyPair, region) -> bo
 
 def _replay_cube_disconnected(w: dict, mset, pair: AdjacencyPair, region) -> bool:
     c = Cube.from_json(w["cube"])
-    return not _cut_connected(pair.alpha, c.axes, occupancy(c, mset))
+    return c.dim == pair.n and not _cut_connected(pair.alpha, c.axes, occupancy(c, mset))
 
 
 def _replay_local_count(w: dict, mset, pair: AdjacencyPair, region) -> bool:

@@ -12,12 +12,12 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from typing import Iterable, Optional
 
-from .adjacency import AdjacencyPair, AdjacencySpec, Region, components
+from .adjacency import AdjacencyPair, AdjacencySpec, Region, masked_components
 from .lattice import (
     Cube,
     Point,
-    at_origin,
     completing_translations,
+    corners,
     cube_vertices,
     cubes_meeting,
     occupancy,
@@ -31,40 +31,43 @@ from .verdict import Verdict
 def _slices(n: int, axes: tuple[int, ...]) -> tuple:
     """Per codimension-2 slice of the cube of these axes at the origin, in
     scan order: the slice, its vertices, and per completing pair (tau1,
-    tau2) the images of those vertices under tau1, tau2 and tau1 + tau2."""
+    tau2) the images of those vertices under tau1, tau2 and tau1 + tau2;
+    each vertex as its number in ``corners(n, axes)``."""
     c, out = Cube((0,) * n, axes), []
+    index = {v: i for i, v in enumerate(corners(n, axes))}.__getitem__
     for cstar in subcubes(c, c.dim - 2):
         verts, moves = cube_vertices(cstar), []
         for tau1, tau2 in completing_translations(cstar, c):
-            images = (tuple(vec_add(v, t) for v in verts) for t in (tau1, tau2, vec_add(tau1, tau2)))
+            images = (tuple(index(vec_add(v, t)) for v in verts) for t in (tau1, tau2, vec_add(tau1, tau2)))
             moves.append((tau1, tau2, *images))
-        out.append((cstar, verts, moves))
+        out.append((cstar, tuple(map(index, verts)), moves))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _candidates(alpha: AdjacencySpec, axes: tuple[int, ...], mask: int) -> tuple:
     """Scan-order (free-vertex offsets, cstar, tau1, tau2, point) of a cube
-    shape at the origin, kept where the diagonal test fails.  All but the
+    shape on its ``corners``, kept where the diagonal test fails.  All but the
     global-label test lies inside the cube, so it is decided once per shape;
     a cube violates at the first candidate whose free vertices share a label.
     """
-    _, cut = at_origin(alpha.n, axes, mask)
+    pts = corners(alpha.n, axes)
+    ids = masked_components(alpha, pts, mask).ids
     slices = _slices(alpha.n, axes)
     out = []
-    for comp in components(alpha, cut).components().values():
-        best = max(sum(1 for v in verts if v in comp) for _, verts, _ in slices)
+    for comp in [[c == i for c in ids] for i, c in enumerate(ids) if c == i]:  # by component id
+        best = max(sum(comp[i] for i in verts) for _, verts, _ in slices)
         for cstar, star_verts, moves in slices:
-            if sum(1 for v in star_verts if v in comp) != best:
+            if sum(comp[i] for i in star_verts) != best:
                 continue
             for tau1, tau2, side1, side2, diag in moves:
-                free1 = [q for q in side1 if q not in cut]
-                free2 = [q for q in side2 if q not in cut]
+                free1 = [pts[q] for q in side1 if not mask >> q & 1]
+                free2 = [pts[q] for q in side2 if not mask >> q & 1]
                 if not free1 or not free2:
                     continue
                 for x, q1, q2, d in zip(star_verts, side1, side2, diag):
-                    if d in comp and (q1 not in comp or q2 not in comp):
-                        out.append((tuple(free1 + free2), cstar, tau1, tau2, x))
+                    if comp[d] and not (comp[q1] and comp[q2]):
+                        out.append((tuple(free1 + free2), cstar, tau1, tau2, pts[x]))
                         break
     return tuple(out)
 
@@ -77,8 +80,8 @@ def _violation_in_cube(
     side image is not.  Only a shape with candidates reads the window's
     labeling, so the window is labeled at the first such cube."""
     for free, cstar, tau1, tau2, x in _candidates(pair.alpha, axes, mask):
-        id_of = region.complement(pair.beta, mset).id_of
-        if len({id_of(vec_add(base, d)) for d in free}) == 1:
+        labels = region.complement(pair.beta, mset)
+        if len({labels[vec_add(base, d)] for d in free}) == 1:
             return {
                 "kind": "separation",
                 "cube": Cube(base, axes).to_json(),
@@ -157,10 +160,8 @@ def beta_neighbor_lower_bound(k: int, size: int) -> int:
 
 def component_count_bounds_hold(m: Iterable[Point], c: Cube, pair: AdjacencyPair) -> bool:
     """Vertex-count bounds k <= |C n M| <= 2^k - 2 when C \\ M has two parts."""
-    mset = frozenset(m)
-    free = [v for v in cube_vertices(c) if v not in mset]
-    count = components(pair.beta, free).count
+    mask = occupancy(c, frozenset(m))
+    count = masked_components(pair.beta, corners(c.n, c.axes), ~mask).count
     if count != 2:
         raise ValueError(f"cube complement has {count} components, expected exactly 2")
-    inside = 2**c.dim - len(free)
-    return c.dim <= inside <= 2**c.dim - 2
+    return c.dim <= mask.bit_count() <= 2**c.dim - 2

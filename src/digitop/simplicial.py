@@ -23,17 +23,25 @@ from operator import sub
 from typing import AbstractSet, Iterable, Iterator, Optional
 
 from ._exact import integer_rank, open_simplices_intersect, point_in_closed_simplex
-from .adjacency import AdjacencyPair, ComponentLabeling, Region, axis_adjacency, components, label
+from .adjacency import (
+    AdjacencyPair,
+    ComponentLabeling,
+    Region,
+    axis_adjacency,
+    components,
+    label,
+    masked_components,
+    neighbour_table,
+)
 from .lattice import (
     Cube,
     HalfGrid,
     HalfPoint,
     Point,
     Shape,
-    at_origin,
     barycenter,
+    corners,
     cube_of_barycenter,
-    cube_vertices,
     double,
     half_corners,
     half_keys,
@@ -92,21 +100,18 @@ def _shape_verdict(pair: AdjacencyPair, axes: tuple[int, ...], mask: int) -> tup
 
     Adjacency is translation-invariant, so both depend only on the cube's
     axes and on which of its vertices are foreground; they are decided on
-    the shape's cube at the origin, so each shape is flooded once.  A
-    0-cube passes iff its point is foreground, with no background piece.
+    the shape's ``corners``, so each shape is flooded once.  A 0-cube
+    passes iff its point is foreground, with no background piece.
     """
-    c, fg = at_origin(pair.n, axes, mask)
-    verts = cube_vertices(c)
-    free = [v for v in verts if v not in fg]
-    labeling = components(pair.beta, free)
-    center = barycenter(c)
-    antipodes = [(v, tuple(s - x for s, x in zip(center, v))) for v in verts]
-    passed = not free or any(
-        pair.alpha.adjacent(v, w) if v in fg else not labeling.same_component(v, w)
-        for v, w in antipodes
-        if w > v and (v in fg) == (w in fg)
+    pts = corners(pair.n, axes)
+    background = masked_components(pair.beta, pts, ~mask)
+    ids, alpha, last = background.ids, neighbour_table(pair.alpha, pts)[1], len(pts) - 1  # last - i: i's antipode
+    passed = not background or any(
+        last - i in alpha[i] if mask >> i & 1 else ids[i] != ids[last - i]
+        for i in range(len(pts) // 2)
+        if mask >> i & 1 == mask >> last - i & 1
     )
-    return passed, labeling.count
+    return passed, background.count
 
 
 def barycenter_test(c: Cube, m: Iterable[Point], pair: AdjacencyPair) -> bool:

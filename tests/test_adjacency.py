@@ -30,7 +30,7 @@ from digitop.adjacency import (
 )
 from digitop import adjacency
 from digitop.adjacency import _contract_cycle, _CycleGraph
-from digitop.lattice import Point, row_major_strides, vec_add
+from digitop.lattice import Point, corners, row_major_strides, shell_offsets, vec_add
 from digitop.manifold import check_manifold
 
 
@@ -382,6 +382,37 @@ def test_label_matches_the_dict_flood_it_replaced(case):
 
 
 @st.composite
+def masked_cases(draw):
+    """A spec in n = 2..4, a cube's corners (random axes) or the shell
+    offsets, and a random mask of them, negative (``~occupied``) half the time."""
+    n = draw(st.integers(2, 4))
+    spec = draw(adjacency_specs(n))
+    if draw(st.booleans()):
+        points = corners(n, tuple(sorted(draw(st.sets(st.integers(0, n - 1))))))
+    else:
+        points = shell_offsets(n)
+    mask = draw(st.integers(0, (1 << len(points)) - 1))
+    return spec, points, ~mask if draw(st.booleans()) else mask
+
+
+@given(masked_cases())
+@settings(max_examples=150, deadline=None)
+def test_the_masked_flood_matches_components_of_the_decoded_points(case):
+    spec, points, mask = case
+    got = adjacency.masked_components(spec, points, mask)
+    chosen = [p for i, p in enumerate(points) if mask >> i & 1]
+    expected = components(spec, chosen)
+    assert got == expected and dict(got.items()) == dict(expected.items())
+    assert got.ids == [points.index(expected[p]) if p in expected else -1 for p in points]
+    assert got.count == expected.count and got.components() == expected.components()
+    assert all((p in got) == (p in expected) for p in points)
+    assert (9,) * spec.n not in got and (0,) * (spec.n + 1) not in got
+    assert not adjacency.masked_components(spec, (), mask)
+    # the table is one per (spec, tuple), shared by every mask
+    assert adjacency.neighbour_table(spec, points) is adjacency.neighbour_table(spec, points)
+
+
+@st.composite
 def spec_sets(draw):
     """A random set in a small 2-, 3- or 4-D box under an axis, full or custom spec."""
     n = draw(st.integers(2, 4))
@@ -403,7 +434,7 @@ def test_a_point_set_labeling_reads_as_the_flood_of_its_points(case):
     assert lab.count == expected.count == len(oracle)
     assert lab.sizes() == expected.sizes() and lab.components() == expected.components()
     assert list(lab.components()) == list(lab.sizes()) == sorted(min(comp) for comp in oracle)
-    assert all(lab.get(p) == lab[p] == lab.id_of(p) == expected.labels[p] for p in points)
+    assert all(lab.get(p) == lab[p] == expected.labels[p] for p in points)
     # a non-member and a point of another dimension are no keys
     for q in [(9,) * n, (0,) * (n + 1), (0,) * (n - 1), *(p + (0,) for p in points)]:
         assert q not in lab and lab.get(q) is None and lab.get(q, "default") == "default"

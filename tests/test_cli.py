@@ -474,6 +474,34 @@ def test_replay_of_a_tampered_witness_is_not_reproduced(tmp_path, capsys, text, 
     assert f"replay {kind}: NOT reproduced" in out.out
 
 
+def test_replay_reproduces_a_cube_witness_only_on_an_n_cube(tmp_path, capsys):
+    # the 2-cube at the origin holds 000 and 110, a cut that axis adjacency
+    # splits, but check_manifold scans only the n-cubes, and every 3-cube of
+    # this set has a connected cut: the report says cube_connectivity holds
+    points = tmp_path / "m.txt"
+    points.write_text("0 0 0\n1 1 0\n0 0 1\n0 1 1\n1 1 1\n0 0 -1\n0 1 -1\n1 1 -1\n", encoding="utf-8")
+    report = tmp_path / "vm.json"
+    argv = ["verify-manifold", "--points", str(points), "--alpha", "axis", "--beta", "full"]
+    assert main([*argv, "--format", "json", "-o", str(report)]) == 1
+    saved = json.loads(report.read_text(encoding="utf-8"))
+    assert saved["result"]["cube_connectivity"]["holds"]
+    square = {"kind": "cube-intersection-disconnected", "cube": {"base": [0, 0, 0], "axes": [0, 1]}}
+    report.write_text(json.dumps({**saved, "witnesses": [square]}), encoding="utf-8")
+    assert main([*argv, "--replay", str(report)]) == 2
+    assert "replay cube-intersection-disconnected: NOT reproduced" in capsys.readouterr().out
+    # a recorded n-cube witness still replays
+    two = tmp_path / "two.txt"
+    two.write_text("0 0 0\n1 1 1\n", encoding="utf-8")
+    argv = ["verify-manifold", "--points", str(two), "--alpha", "axis", "--beta", "full"]
+    assert main([*argv, "--format", "json", "-o", str(report)]) == 1
+    (cube,) = [w for w in json.loads(report.read_text(encoding="utf-8"))["witnesses"] if w["kind"] == square["kind"]]
+    assert cube["cube"]["axes"] == [0, 1, 2]
+    report.write_text(json.dumps({"witnesses": [cube]}), encoding="utf-8")
+    capsys.readouterr()
+    assert main([*argv, "--replay", str(report)]) == 1
+    assert "replay cube-intersection-disconnected: violation reproduced" in capsys.readouterr().out
+
+
 def _plate_witness(tmp_path):
     plate = tmp_path / "plate.txt"
     plate.write_text("0 0 0\n1 0 0\n0 1 1\n1 1 1\n", encoding="utf-8")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from digitop.lattice import (
     Cube,
     HalfGrid,
-    at_origin,
     barycenter,
     completing_translations,
     cube_of_barycenter,
@@ -238,9 +237,6 @@ def test_cubes_meeting_and_shapes_match_the_box_scan(m):
         for h, axes, mask in shapes:
             c = cube_of_barycenter(h)
             assert c.axes == axes and occupancy(c, m) == mask
-            origin, occupied = at_origin(n, axes, mask)
-            assert origin == Cube((0,) * n, axes)
-            assert {vec_add(v, c.base) for v in occupied} == {v for v in cube_vertices(c) if v in m}
 
 
 @given(

@@ -140,6 +140,42 @@ def test_component_count_bounds_precondition():
         component_count_bounds_hold(set(), square, pair)
 
 
+def component_count_bounds_hold_oracle(m, c, pair):
+    """The body the masked flood replaced: the cube's free vertices are decoded
+    and labeled as points."""
+    mset = frozenset(m)
+    free = [v for v in cube_vertices(c) if v not in mset]
+    count = components(pair.beta, free).count
+    if count != 2:
+        raise ValueError(f"cube complement has {count} components, expected exactly 2")
+    inside = 2**c.dim - len(free)
+    return c.dim <= inside <= 2**c.dim - 2
+
+
+@st.composite
+def cube_cases(draw):
+    """A translated k-cube of Z^n, n = 2..4, a random subset of its vertices
+    plus points off it, and a beta spec."""
+    n = draw(st.integers(2, 4))
+    axes = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    c = Cube(draw(st.tuples(*[st.integers(-9, 9)] * n)), axes)
+    m = draw(st.sets(st.sampled_from(cube_vertices(c)))) | {tuple(x + 5 for x in c.base)}
+    return m, c, AdjacencyPair(full_adjacency(n), draw(adjacency_specs(n)))
+
+
+@given(cube_cases())
+@settings(max_examples=150, deadline=None)
+def test_component_count_bounds_match_the_decoded_oracle(case):
+    m, c, pair = case
+    try:
+        expected = component_count_bounds_hold_oracle(m, c, pair)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            component_count_bounds_hold(m, c, pair)
+    else:
+        assert component_count_bounds_hold(m, c, pair) == expected
+
+
 def test_subcube_components_never_split_across_dimensions():
     # no background component of a cube may hold two components of a subcube
     ring = rect_boundary(5, 5)
@@ -183,7 +219,7 @@ def violation_in_cube_oracle(mset, c, pair, labels):
                 free2 = [q for q in side2 if q not in mset]
                 if not free1 or not free2:
                     continue
-                ids = {labels.id_of(q) for q in free1 + free2}
+                ids = {labels[q] for q in free1 + free2}
                 if len(ids) != 1:
                     continue
                 diag = tuple(a + b for a, b in zip(tau1, tau2))
@@ -268,7 +304,7 @@ def has_separation_property_unfiltered(mset, pair, region):
     for k in range(2, pair.n + 1):
         for base, axes, mask in cubes_meeting_unfiltered(mset, k, pair.n):
             for free, cstar, tau1, tau2, x in _candidates(pair.alpha, axes, mask):
-                if len({labels.id_of(vec_add(base, d)) for d in free}) == 1:
+                if len({labels[vec_add(base, d)] for d in free}) == 1:
                     return Verdict(False, {
                         "kind": "separation",
                         "cube": Cube(base, axes).to_json(),

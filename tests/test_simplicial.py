@@ -107,7 +107,7 @@ def barycenter_test_oracle(c, mset, pair):
     labeling = components(pair.beta, free)
     for v in free:
         opposite = tuple(s - x for s, x in zip(span, v))
-        if opposite > v and opposite not in mset and not labeling.same_component(v, opposite):
+        if opposite > v and opposite not in mset and labeling[v] != labeling[opposite]:
             return True
     return False
 
