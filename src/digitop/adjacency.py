@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from operator import eq, le
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
-from .lattice import HalfGrid, Point, Translation, bounding_box, row_major_strides, shell_offsets, unit, vec_add
+from .lattice import HalfGrid, Point, Translation, bounding_box, half_keys, row_major_strides, shell_offsets, unit, vec_add
 
 Path = Sequence[Point]
 _KING = frozenset((-1, 0, 1))
@@ -279,35 +279,35 @@ def label(todo: bytearray, step: Callable[[list[int]], Iterable[int]]) -> list[i
 
 
 def components(spec: AdjacencySpec, points: Iterable[Point]) -> ComponentLabeling:
-    """Exact connected components of a finite set under the adjacency."""
-    pts = sorted(set(points))
-    index = {p: i for i, p in enumerate(pts)}
-    offsets = spec.sorted_offsets
-    ids = label(
-        bytearray(b"\1") * len(pts),
-        lambda fr: [j for i in fr for v in offsets if (j := index.get(vec_add(pts[i], v))) is not None],
-    )
-    return ComponentLabeling(ids, lambda p: index.get(p, -1), pts.__getitem__)
+    """Exact connected components of a finite set under the adjacency: the
+    ``masked_components`` of its sorted points, every bit set, on an uncached table."""
+    return masked_components(spec, tuple(sorted(set(points))), -1, neighbour_table.__wrapped__)
 
 
 @lru_cache(maxsize=None)
 def neighbour_table(spec: AdjacencySpec, points: tuple[Point, ...]) -> tuple[dict[Point, int], list[list[int]]]:
     """The numbering of distinct sorted points, and each one's neighbours
     among them as increasing numbers: two points are adjacent iff their
-    difference is an offset.  Cached per fixed tuple (a cube's ``corners``,
-    ``shell_offsets``); ``__wrapped__`` is uncached."""
-    index = {p: i for i, p in enumerate(points)}
-    return index, [[j for v in spec.sorted_offsets if (j := index.get(vec_add(p, v))) is not None] for p in points]
+    difference is an offset.  A neighbour is found by one ``half_keys`` sum
+    and one probe per offset; a point not in Z^n raises ``ValueError``.
+    Cached per fixed tuple (a cube's ``corners``, ``shell_offsets``);
+    ``__wrapped__`` is uncached."""
+    grid, keys = half_keys(points, spec.n)
+    at = {h: i for i, h in enumerate(keys)}.get
+    deltas = [2 * grid.offset(v) for v in spec.sorted_offsets]  # a doubled offset's key delta
+    return {p: i for i, p in enumerate(points)}, [[j for d in deltas if (j := at(h + d)) is not None] for h in keys]
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def masked_components(spec: AdjacencySpec, points: tuple[Point, ...], mask: int) -> ComponentLabeling:
+def masked_components(
+    spec: AdjacencySpec, points: tuple[Point, ...], mask: int, numbering: Callable = neighbour_table
+) -> ComponentLabeling:
     """``components`` of the points whose bit is set in ``mask`` (bit i is
     ``points[i]``; ``~occupied`` selects the free ones), flooded through the
-    ``neighbour_table`` of the tuple."""
-    index, table = neighbour_table(spec, points)
+    ``neighbour_table`` of the tuple that ``numbering`` gives."""
+    index, table = numbering(spec, points)
     size = len(points)
     # byte i is bit i: the bits below a sentinel bit at ``size``, reversed
     todo = bytearray(format(mask & ~(-1 << size) | 1 << size, "b")[:0:-1], "ascii").translate(_BITS)

@@ -8,8 +8,9 @@ value exact and removes all rounding questions.
 A finite stretch of the doubled grid has one integer encoding, the
 row-major key of :class:`HalfGrid`: the last axis has stride 1, so key
 order is tuple order, and moving by a doubled offset adds one integer.
-The cube enumeration keys barycenters, corners and faces this way, and
-a complement window keys its lattice cells with it.
+The cube enumeration keys barycenters, corners and faces this way, a
+complement window keys its lattice cells with it, and a point set's
+neighbours and shell masks are found by key sums on it.
 """
 
 from __future__ import annotations
@@ -173,12 +174,6 @@ def shell_offsets(n: int) -> tuple[Translation, ...]:
     return tuple(v for v in itertools.product((-1, 0, 1), repeat=n) if any(v))
 
 
-def shell_mask(p: Point, m: AbstractSet[Point]) -> int:
-    """The shell mask of p: bit i is set iff ``p + shell_offsets(n)[i]`` is
-    in m.  Every test local to p's punctured neighbourhood depends only on it."""
-    return sum(1 << i for i, v in enumerate(shell_offsets(len(p))) if tuple(map(add, p, v)) in m)
-
-
 @lru_cache(maxsize=None)
 def half_corners(n: int, axes: tuple[int, ...]) -> tuple[HalfPoint, ...]:
     """Doubled offsets from a cube's barycenter to its vertices, in the order
@@ -242,10 +237,26 @@ class HalfGrid:
 
 
 def half_keys(m: Iterable[Point], n: int) -> tuple[HalfGrid, list[int]]:
-    """The grid around the doubled points of m, and their keys, in m's order."""
-    doubled = [double(p) for p in m]
-    grid = HalfGrid.around(doubled, n)
-    return grid, [grid.key(h) for h in doubled]
+    """The grid around the doubled points of m, and their keys, in m's order.
+    The grid is widened by one lattice step, so each point plus a king move
+    has a key of its own.  A point not in Z^n raises ``ValueError``."""
+    pts = list(m)
+    if set(map(len, pts)) - {n}:
+        raise ValueError(f"point {next(p for p in pts if len(p) != n)} has wrong dimension (expected {n})")
+    grid = HalfGrid.around([double(c) for c in bounding_box(pts)] if pts else [], n)
+    strides, base = grid.strides, grid.key((0,) * n)
+    return grid, [2 * sum(map(mul, p, strides)) + base for p in pts]
+
+
+def shell_masks(m: Sequence[Point], n: int, count: int | None = None) -> list[int]:
+    """The shell masks of the first ``count`` points of m (of all, by
+    default), in m's order: bit i of p's mask is set iff ``p +
+    shell_offsets(n)[i]`` is in m, found by one ``half_keys`` sum and one set
+    probe.  Every test local to p's punctured neighbourhood depends only on it."""
+    grid, keys = half_keys(m, n)
+    present = set(keys)
+    deltas = [(1 << i, 2 * grid.offset(v)) for i, v in enumerate(shell_offsets(n))]
+    return [sum([bit for bit, d in deltas if h + d in present]) for h in keys[:count]]
 
 
 Shape = tuple[int, tuple[int, ...], int]  # barycenter key, axes, occupancy mask

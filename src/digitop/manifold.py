@@ -33,7 +33,7 @@ from .lattice import (
     corners,
     cubes_meeting,
     occupancy,
-    shell_mask,
+    shell_masks,
     shell_offsets,
     vec_add,
     vec_sub,
@@ -100,7 +100,8 @@ def local_components(p: Point, m: Iterable[Point], pair: AdjacencyPair) -> list[
     mset = frozenset(m)
     if p not in mset:
         raise ValueError(f"{p} is not a foreground point")
-    return [frozenset(vec_add(p, v) for v in side) for side in _shell(pair, shell_mask(p, mset))[0]]
+    sides = _shell(pair, shell_masks((p, *mset), pair.n, 1)[0])[0]
+    return [frozenset(vec_add(p, v) for v in side) for side in sides]
 
 
 @lru_cache(maxsize=None)
@@ -138,8 +139,9 @@ def check_manifold(
     # both local tests read one table entry per shell mask; two-sidedness
     # holds vacuously unless every point has two local sides
     local_two = two_sided = Verdict(True)
-    for p in sorted(mset):
-        comps, one_sided = _shell(pair, shell_mask(p, mset))
+    pts = sorted(mset)
+    for p, mask in zip(pts, shell_masks(pts, n)):
+        comps, one_sided = _shell(pair, mask)
         if len(comps) != 2:
             local_two = Verdict(
                 False,
@@ -180,10 +182,10 @@ def global_sides(
     """Split the neighborhood shell of a certified set into its two sides.
 
     The shell components are computed by flood fill; every point's local
-    side pair must land in distinct shell components, otherwise the
-    certification was inconsistent.  The side containing the smallest
-    first-local-component point of the smallest foreground point is
-    returned first.
+    side pair, read from one gather of the shell masks, must land in
+    distinct shell components, otherwise the certification was
+    inconsistent.  The side containing the smallest first-local-component
+    point of the smallest foreground point is returned first.
     """
     mset = frozenset(m)
     if report is None:
@@ -197,13 +199,16 @@ def global_sides(
         raise RuntimeError(
             f"certified set has {len(comps)} shell components; certification inconsistent"
         )
-    for p in sorted(mset):
-        c_p, d_p = local_components(p, mset, pair)
-        if labels[min(c_p)] == labels[min(d_p)]:
+    pts = sorted(mset)
+    # the shell component of each local side's smallest point, its first offset
+    masks = shell_masks(pts, pair.n)
+    sides = [[labels[vec_add(p, side[0])] for side in _shell(pair, mask)[0]] for p, mask in zip(pts, masks)]
+    for p, (c_p, d_p) in zip(pts, sides):
+        if c_p == d_p:
             raise RuntimeError(
                 f"local sides of {p} fall into one shell component; certification inconsistent"
             )
-    first = labels[min(local_components(min(mset), mset, pair)[0])]
+    first = sides[0][0]
     (second,) = comps.keys() - {first}
     return GlobalSides(comps[first], comps[second])
 

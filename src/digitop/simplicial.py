@@ -397,11 +397,13 @@ def realization_chambers(k: SimplicialComplex, region: Region) -> int:
 
 
 def complex_to_json(k: SimplicialComplex) -> dict:
-    """Stable JSON form: doubled-integer vertices, index lists, provenance."""
+    """Stable JSON form: doubled-integer vertices, index rows, provenance.
+    The vertex table and the rows are the complex's own tuples, not copies;
+    ``json.dumps`` writes a tuple as a list."""
     return {
         "n": k.n,
-        "vertices": list(map(list, k.table)),
-        "simplices": list(map(list, k.rows)),
+        "vertices": k.table,
+        "simplices": k.rows,
         # cube_of_barycenter(v).to_json(), read off the doubled coordinates
         "provenance": {
             str(i): {"base": [c >> 1 for c in v], "axes": axes}

@@ -25,13 +25,16 @@ from digitop.adjacency import (
     elementary_equivalent,
     full_adjacency,
     is_path,
+    label,
     n_simply_connected_bounded,
     neighbors,
+    neighbour_table,
 )
 from digitop import adjacency
 from digitop.adjacency import _contract_cycle, _CycleGraph
 from digitop.lattice import Point, corners, row_major_strides, shell_offsets, vec_add
 from digitop.manifold import check_manifold
+from test_lattice import far_sets
 
 
 def brute_flood(points, offsets):
@@ -454,6 +457,61 @@ def test_a_point_set_labeling_reads_as_the_flood_of_its_points(case):
         window = complement_components(spec, points, region)
         free = components(spec, [p for p in region_points(region) if p not in points])
         assert window != free and window == ComponentLabeling(free.ids, free.index, free.point, window.infinite_ids)
+
+
+def components_oracle(spec, points):
+    """The replaced ``components``: the flood steps from a point to each
+    offset's tuple and probes a dict of points."""
+    pts = sorted(set(points))
+    index = {p: i for i, p in enumerate(pts)}
+    offsets = spec.sorted_offsets
+    ids = label(
+        bytearray(b"\1") * len(pts),
+        lambda fr: [j for i in fr for v in offsets if (j := index.get(vec_add(pts[i], v))) is not None],
+    )
+    return ComponentLabeling(ids, lambda p: index.get(p, -1), pts.__getitem__)
+
+
+def neighbour_table_oracle(spec, points):
+    """The replaced ``neighbour_table`` body: one tuple built and hashed per
+    point and offset."""
+    index = {p: i for i, p in enumerate(points)}
+    return index, [[j for v in spec.sorted_offsets if (j := index.get(vec_add(p, v))) is not None] for p in points]
+
+
+@st.composite
+def keyed_cases(draw):
+    """A spec in n = 2..4 and a set far from the origin or spread far apart."""
+    n = draw(st.integers(2, 4))
+    return draw(adjacency_specs(n)), draw(far_sets(n))
+
+
+@given(keyed_cases())
+@example((full_adjacency(2), frozenset({(10**12, -(10**12)), (10**12 + 1, -(10**12) + 1), (-(10**12), 10**12)})))
+@example((axis_adjacency(4), frozenset({(0, 0, 0, 0), (10**12, 0, 0, 0), (10**12, 0, 0, 1)})))
+@settings(max_examples=150, deadline=None)
+def test_keyed_lookups_match_the_tuple_stepping_oracles(case):
+    spec, points = case
+    pts = tuple(sorted(points))
+    assert neighbour_table.__wrapped__(spec, pts) == neighbour_table_oracle(spec, pts)
+    got, expected = components(spec, points), components_oracle(spec, points)
+    assert got.ids == expected.ids and got == expected and dict(got.items()) == dict(expected.items())
+    assert got.count == expected.count and got.components() == expected.components()
+    assert _CycleGraph(spec, points).adj == neighbour_table_oracle(spec, pts)[1]  # the search's graph
+
+
+def test_points_of_another_dimension_are_refused():
+    full2 = full_adjacency(2)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        components(full2, [(0, 0, 0), (1, 1, 1)])
+    with pytest.raises(ValueError, match="wrong dimension"):
+        components(full2, [(0, 0), (0, 0, 1)])
+    for table in (neighbour_table, neighbour_table.__wrapped__):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            table(full2, ((0, 0), (0, 0, 1)))
+        with pytest.raises(ValueError, match="wrong dimension"):
+            table(full2, ((5,),))
+    assert components(full2, []).count == 0
 
 
 def test_region_labels_its_complement_once_and_stays_a_value():

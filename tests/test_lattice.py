@@ -19,6 +19,8 @@ from digitop.lattice import (
     half_corners,
     half_keys,
     row_major_strides,
+    shell_masks,
+    shell_offsets,
     subcubes,
     unit,
     vec_add,
@@ -276,3 +278,59 @@ def test_row_major_strides_put_stride_one_last():
 
 def test_cubes_meeting_an_empty_set():
     assert cubes_meeting(frozenset(), 2, 3, lambda axes, mask: True) == []
+
+
+def test_half_keys_refuse_a_point_of_another_dimension():
+    # the grid's box zips the points, so unchecked, (0, 0, 1) would share
+    # the key of (0, 0)
+    for m in ([(0, 0), (0, 0, 1)], [(1, 2, 3)], [(0, 0), (5,)]):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            half_keys(m, 2)
+        with pytest.raises(ValueError, match="wrong dimension"):
+            shell_masks(m, 2)
+
+
+def shell_mask_oracle(p, m):
+    """The replaced per-point shell mask: bit i is set iff ``p +
+    shell_offsets(n)[i]`` is in m, one tuple built and hashed per offset."""
+    return sum(1 << i for i, v in enumerate(shell_offsets(len(p))) if vec_add(p, v) in m)
+
+
+_FAR = 10**12
+
+
+@st.composite
+def far_sets(draw, n=None):
+    """A set in n = 2..4: a random subset of a small box moved by up to
+    10^12 per axis, plus up to two far points and a king-move neighbour of
+    the first, so that keys are big ints on a grid that spans the distance."""
+    if n is None:
+        n = draw(st.integers(2, 4))
+    r = {2: 3, 3: 2, 4: 1}[n]
+    shift = draw(st.tuples(*[st.integers(-_FAR, _FAR)] * n))
+    near = draw(st.frozensets(st.tuples(*[st.integers(-r, r)] * n), max_size=20))
+    far = draw(st.lists(st.tuples(*[st.integers(-_FAR, _FAR)] * n), max_size=2))
+    if far:
+        far.append(vec_add(far[0], draw(st.sampled_from(shell_offsets(n)))))
+    return frozenset(vec_add(p, shift) for p in near) | frozenset(far)
+
+
+@given(far_sets(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_shell_gather_matches_the_per_point_masks(m, data):
+    n = len(next(iter(m))) if m else 2
+    order = data.draw(st.permutations(sorted(m)))
+    assert shell_masks(order, n) == [shell_mask_oracle(p, m) for p in order]
+    count = data.draw(st.integers(0, len(order)))
+    assert shell_masks(order, n, count) == [shell_mask_oracle(p, m) for p in order[:count]]
+    if order:  # a point given twice is one point of m
+        assert shell_masks((order[-1], *order), n, 1) == [shell_mask_oracle(order[-1], m)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_the_shell_gather_of_a_full_neighbourhood(n):
+    # every shell point sees the points of the shell that are king moves away
+    shell = shell_offsets(n)
+    full = (1 << len(shell)) - 1
+    masks = shell_masks(((0,) * n, *shell), n)
+    assert masks == [full] + [shell_mask_oracle(p, frozenset(shell) | {(0,) * n}) for p in shell]

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,11 +14,13 @@ from digitop.adjacency import (
     custom_adjacency,
     full_adjacency,
 )
+from digitop import manifold
 from digitop.adjacency import neighbors
-from digitop.jordan import box_surface, jordan_check, rect_boundary
-from digitop.lattice import shell_mask, vec_add, vec_sub
+from digitop.jordan import box_surface, jordan_check, rect_boundary, sphere_shell
+from digitop.lattice import shell_offsets, vec_add, vec_sub
 from digitop.manifold import (
     REPLAYS,
+    GlobalSides,
     NotCertifiedError,
     _shell,
     axis_adjacent,
@@ -32,7 +35,8 @@ from digitop.manifold import (
     local_components,
 )
 from digitop.verdict import Verdict
-from test_adjacency import adjacency_specs
+from test_adjacency import adjacency_specs, components_oracle
+from test_lattice import shell_mask_oracle
 
 AXIS_FULL_2 = AdjacencyPair(axis_adjacency(2), full_adjacency(2))
 AXIS_FULL_3 = AdjacencyPair(axis_adjacency(3), full_adjacency(3))
@@ -395,7 +399,7 @@ def test_verdicts_are_invariant_under_signed_axis_permutations(case):
 def local_components_oracle(p, m, pair):
     """Reference: flood the background of p's punctured full neighbourhood."""
     shell = neighbors(full_adjacency(pair.n), p) - frozenset(m)
-    comps = components(pair.beta, shell).components()
+    comps = components_oracle(pair.beta, shell).components()
     return [comps[cid] for cid in sorted(comps)]
 
 
@@ -469,7 +473,72 @@ def test_local_shell_table_matches_the_point_oracle(case):
     for p in m:
         expected = local_components_oracle(p, m, pair)
         assert local_components(p, m, pair) == expected
-        table_sides, found = _shell(pair, shell_mask(p, m))
+        table_sides, found = _shell(pair, shell_mask_oracle(p, m))
         assert table_sides == tuple(tuple(sorted(vec_sub(x, p) for x in side)) for side in expected)
         got = None if found is None else (vec_add(p, found[0]), found[1])
         assert got == (one_sided_oracle(p, m, pair, expected) if len(expected) == 2 else None)
+
+
+def test_local_components_refuse_a_point_of_another_dimension():
+    with pytest.raises(ValueError, match="wrong dimension"):
+        local_components((0, 0, 0), {(0, 0, 0), (1, 0, 0)}, AXIS_FULL_2)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        local_components((0, 0), {(0, 0), (1, 0, 0)}, AXIS_FULL_2)
+
+
+def test_one_check_and_one_global_sides_gather_the_shell_masks_once():
+    """Work, not time: each of them gathers every point's shell mask in one
+    call, so neither goes quadratic through a per-point ``local_components``."""
+    calls, gather = [], manifold.shell_masks
+
+    def spy(m, n, count=None):
+        calls.append(len(m) if count is None else count)
+        return gather(m, n, count)
+
+    box = box_surface(4, 4, 5)
+    with mock.patch.object(manifold, "shell_masks", spy):
+        report = check_manifold(box, AXIS_FULL_3)
+        assert report.certified and calls == [len(box)]
+        global_sides(box, AXIS_FULL_3, report)
+        assert calls == [len(box)] * 2
+        global_sides(box, AXIS_FULL_3)  # certifies first
+        assert calls == [len(box)] * 4
+        local_components(min(box), box, AXIS_FULL_3)  # one point's mask
+        assert calls == [len(box)] * 4 + [1]
+
+
+def global_sides_oracle(m, pair):
+    """The replaced ``global_sides`` body on the point oracles: each point's
+    local sides from ``local_components_oracle``, one point at a time."""
+    mset = frozenset(m)
+    shell = {vec_add(p, v) for p in mset for v in shell_offsets(pair.n)} - mset
+    labels = components_oracle(pair.beta, shell)
+    comps = labels.components()
+    assert len(comps) == 2
+    for p in sorted(mset):
+        c_p, d_p = local_components_oracle(p, mset, pair)
+        assert labels[min(c_p)] != labels[min(d_p)]
+    first = labels[min(local_components_oracle(min(mset), mset, pair)[0])]
+    (second,) = comps.keys() - {first}
+    return GlobalSides(comps[first], comps[second])
+
+
+_CERTIFIED = [
+    (rect_boundary(4, 4), AXIS_FULL_2),
+    (rect_boundary(5, 3), AXIS_FULL_2),
+    (frozenset(axis_adjacency(2).offsets), FULL_AXIS_2),
+    (box_surface(3, 3, 3), AXIS_FULL_3),
+    (box_surface(3, 4, 5), AXIS_FULL_3),
+    (sphere_shell(2, 3), AXIS_FULL_3),
+    (sphere_shell(3, 3), AXIS_FULL_3),
+    (frozenset(axis_adjacency(3).offsets), FULL_AXIS_3),
+]
+
+
+@given(st.sampled_from(_CERTIFIED), st.data())
+@settings(max_examples=30, deadline=None)
+def test_global_sides_match_the_point_oracle(case, data):
+    m, pair = case
+    shift = data.draw(st.tuples(*[st.integers(-(10**12), 10**12)] * pair.n))
+    moved = frozenset(vec_add(p, shift) for p in m)
+    assert global_sides(moved, pair) == global_sides_oracle(moved, pair)

@@ -639,8 +639,8 @@ def test_complex_json_shape():
     m = {(0, 0), (1, 0)}
     payload = complex_to_json(build_complex(m, FULL_AXIS_2))
     assert payload["n"] == 2
-    assert payload["vertices"] == [[0, 0], [1, 0], [2, 0]]
-    assert [0] in payload["simplices"] and [0, 1] in payload["simplices"]
+    assert payload["vertices"] == ((0, 0), (1, 0), (2, 0))
+    assert (0,) in payload["simplices"] and (0, 1) in payload["simplices"]
     assert payload["provenance"]["1"] == {"base": [0, 0], "axes": [0]}
 
 
