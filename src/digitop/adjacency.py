@@ -9,7 +9,6 @@ background relation.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -135,8 +134,15 @@ class Region:
 
     def require_inside(self, m: Iterable[Point]) -> None:
         """Raise ``ValueError`` unless every point of m sits at least one step
-        inside the window, as a complement labeling of it requires."""
-        for p in m:
+        inside the window, as a complement labeling of it requires.  The
+        bounding box of m decides when each point has at least the window's
+        n coordinates; otherwise, and when it fails, each point is tried in
+        turn, so that the first offender is named."""
+        pts = list(m)
+        axes = list(zip(*pts))
+        if len(axes) >= self.n and all(a < min(c) and max(c) < b for a, c, b in zip(self.lo, axes, self.hi)):
+            return
+        for p in pts:
             if not self.strictly_contains(p, 1):
                 raise ValueError(f"region too small: {p} touches the margin zone")
 
@@ -326,28 +332,77 @@ def complement_components(
     boundary: the one of ``region.lo``, which is also its id.  It stands in
     for the one infinite component of the full complement.
 
-    The flood runs on the cells of the region and a blocked one-cell rim,
-    keyed by a ``HalfGrid`` with lower corner ``region.lo - 1`` (key order is
-    lexicographic order), so a step adds one integer stride and never leaves
-    the grid.  The window costs one byte of ``todo`` and one list slot per
-    cell.  Its keys are the free points of the region; a point outside it,
-    or of another dimension, is none.
+    The cells of the region and a blocked one-cell rim are keyed by a
+    ``HalfGrid`` with lower corner ``region.lo - 1`` (key order is
+    lexicographic order, and the last axis has stride 1).  The points of m
+    split each row along the last axis into maximal free runs, which
+    ``label`` floods, numbered in key order.  A run meets the runs of each
+    row one prefix move away that overlap its keys widened by the last-axis
+    shifts the spec allows with that move (one interval per run of shifts:
+    a spec may allow -1 and 1 but not 0).  Runs of one row never meet, and a
+    seed run starts at the smallest key of its component, which is the id
+    of each of its cells.  The window costs one list slot per cell.  Its
+    keys are the free points of the region; a point outside it, or of
+    another dimension, is none.
     """
     mset = set(m)
     region.require_inside(mset)
     lo, hi = region.lo, region.hi
     sizes = [b - a + 3 for a, b in zip(lo, hi)]
     grid = HalfGrid(tuple(a - 1 for a in lo), row_major_strides(sizes))
-    todo = bytearray(sizes[0] * grid.strides[0])
-    row = sizes[-1] - 2
-    for k in itertools.product(*(range(1, size - 1) for size in sizes[:-1])):
-        start = grid.offset(k) + 1
-        todo[start : start + row] = b"\1" * row
-    for p in mset:
-        todo[grid.key(p)] = 0
+    cells = sizes[0] * grid.strides[0]
+    rows = [1]  # the first cell of every row of the region, in key order
+    for size, stride in zip(sizes[:-1], grid.strides):
+        rows = [r + k * stride for r in rows for k in range(1, size - 1)]
+    # the free runs [starts[r], stops[r]] of every row, in key order
+    starts: list[int] = []
+    stops: list[int] = []
+    cuts = sorted(map(grid.key, mset)) + [cells]  # a sentinel past every row
+    i, row = 0, sizes[-1] - 2
+    for a in rows:
+        end = a + row
+        while cuts[i] < end:
+            if cuts[i] > a:
+                starts.append(a)
+                stops.append(cuts[i] - 1)
+            a = cuts[i] + 1
+            i += 1
+        if a < end:
+            starts.append(a)
+            stops.append(end - 1)
+    # per prefix move, the key intervals that its last-axis shifts reach
+    shifts: dict[int, list[int]] = {}
+    for v in spec.sorted_offsets:
+        if any(v[:-1]):
+            shifts.setdefault(grid.offset(v[:-1]), []).append(v[-1])
+    spans: list[tuple[int, int]] = []
+    for d, s in shifts.items():
+        spans += [(d - 1, d - 1), (d + 1, d + 1)] if s == [-1, 1] else [(d + s[0], d + s[-1])]
+    # ids[k] first codes the runs around cell k: 2r + 1 in run r, and 2r in
+    # the gap before it, so the runs that meet keys k..l are number
+    # ids[k] >> 1 up to, not including, ids[l] + 1 >> 1
+    ids: list[int] = []
+    for r, (a, b) in enumerate(zip(starts, stops)):
+        ids += [2 * r] * (a - len(ids))
+        ids += [2 * r + 1] * (b + 1 - a)
+    ids += [2 * len(starts)] * (cells - len(ids))
+
+    def step(frontier: list[int]) -> list[int]:
+        out: list[int] = []
+        for r in frontier:
+            a, b = starts[r], stops[r]
+            for low, high in spans:
+                out += range(ids[a + low] >> 1, ids[b + high] + 1 >> 1)
+        return out
+
+    seeds = label(bytearray(b"\1") * len(starts), step)
+    gap = 0
+    for a, b, s in zip(starts, stops, seeds):
+        ids[gap:a] = [-1] * (a - gap)
+        ids[a : b + 1] = [starts[s]] * (b + 1 - a)
+        gap = b + 1
+    ids[gap:] = [-1] * (cells - gap)
     steps = lru_cache(maxsize=None)(lambda s: list(map(grid.offset, s.sorted_offsets)))
-    deltas = steps(spec)
-    ids = label(todo, lambda fr: [c + d for c in fr for d in deltas])
 
     def index(p: Point) -> int:
         if len(p) == len(lo) and all(map(le, lo, p)) and all(map(le, p, hi)):

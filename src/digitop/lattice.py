@@ -259,14 +259,15 @@ def shell_masks(m: Sequence[Point], n: int, count: int | None = None) -> list[in
     return [sum([bit for bit, d in deltas if h + d in present]) for h in keys[:count]]
 
 
-Shape = tuple[int, tuple[int, ...], int]  # barycenter key, axes, occupancy mask
+Shapes = tuple[tuple[int, ...], dict[int, int]]  # axes, and each cube's mask by barycenter key
 
 
-def shapes_meeting(grid: HalfGrid, keys: Sequence[int], k: int) -> Iterator[Shape]:
+def shapes_meeting(grid: HalfGrid, keys: Sequence[int], k: int) -> Iterator[Shapes]:
     """Every k-cube with a vertex among the doubled points ``keys`` of the
-    grid, in no particular order.  A point is vertex i of the cube whose
-    barycenter is the point minus ``half_corners(n, axes)[i]``, so masks are
-    gathered point by point, one key subtraction each."""
+    grid, per axes: the occupancy mask of each, by barycenter key, in no
+    particular order.  A point is vertex i of the cube whose barycenter is
+    the point minus ``half_corners(n, axes)[i]``, so masks are gathered
+    point by point, one key subtraction each."""
     for axes in itertools.combinations(range(grid.n), k):
         masks: dict[int, int] = {}
         for i, corner in enumerate(map(grid.offset, half_corners(grid.n, axes))):
@@ -274,19 +275,19 @@ def shapes_meeting(grid: HalfGrid, keys: Sequence[int], k: int) -> Iterator[Shap
             for h in keys:
                 h -= corner
                 masks[h] = masks.get(h, 0) | bit
-        yield from ((h, axes, mask) for h, mask in masks.items())
+        yield axes, masks
 
 
 def cubes_meeting(
     m: AbstractSet[Point], k: int, n: int, keep: Callable[[tuple[int, ...], int], object]
 ) -> list[tuple[Point, tuple[int, ...], int]]:
     """Every k-cube of Z^n with a vertex in m whose shape passes ``keep(axes,
-    mask)``, as ``(base, axes, mask)`` in cube order.  Shapes are filtered
-    before their keys are decoded and sorted.  ``>>`` floors, so odd negative
-    coordinates halve right."""
+    mask)``, as ``(base, axes, mask)`` in cube order.  ``keep`` is asked once
+    per distinct shape, and only the cubes it keeps are decoded and sorted.
+    ``>>`` floors, so odd negative coordinates halve right."""
     grid, keys = half_keys(m, n)
-    return sorted(
-        (tuple(c >> 1 for c in grid.point(h)), axes, mask)
-        for h, axes, mask in shapes_meeting(grid, keys, k)
-        if keep(axes, mask)
-    )
+    out = []
+    for axes, masks in shapes_meeting(grid, keys, k):
+        kept = {mask for mask in set(masks.values()) if keep(axes, mask)}
+        out += [(tuple(c >> 1 for c in grid.point(h)), axes, mask) for h, mask in masks.items() if mask in kept]
+    return sorted(out)

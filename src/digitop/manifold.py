@@ -100,7 +100,12 @@ def local_components(p: Point, m: Iterable[Point], pair: AdjacencyPair) -> list[
     mset = frozenset(m)
     if p not in mset:
         raise ValueError(f"{p} is not a foreground point")
-    sides = _shell(pair, shell_masks((p, *mset), pair.n, 1)[0])[0]
+    n = pair.n
+    if set(map(len, mset)) - {n}:
+        raise ValueError(f"point {next(q for q in mset if len(q) != n)} has wrong dimension (expected {n})")
+    # only p's king neighbours in m can set a bit of its mask
+    near = [q for v in shell_offsets(n) if (q := vec_add(p, v)) in mset]
+    sides = _shell(pair, shell_masks((p, *near), n, 1)[0])[0]
     return [frozenset(vec_add(p, v) for v in side) for side in sides]
 
 

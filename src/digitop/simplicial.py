@@ -38,7 +38,7 @@ from .lattice import (
     HalfGrid,
     HalfPoint,
     Point,
-    Shape,
+    Shapes,
     barycenter,
     corners,
     cube_of_barycenter,
@@ -136,16 +136,19 @@ def _face_offsets(n: int, axes: tuple[int, ...]) -> tuple[HalfPoint, ...]:
     return tuple(tuple(map(sub, barycenter(f), center)) for f in faces)
 
 
-def _passing(grid: HalfGrid, shapes: Iterable[Shape], pair: AdjacencyPair) -> Iterator[tuple]:
+def _passing(grid: HalfGrid, shapes: Iterable[Shapes], pair: AdjacencyPair) -> Iterator[tuple]:
     """(barycenter, axes, mask, kept, face offsets) of the passing cubes: the
     barycenter is a key, a face's key is the barycenter plus its offset, and
-    ``kept`` says whether K'(M) keeps the barycenter."""
-    verdict = lru_cache(maxsize=None)(partial(_shape_verdict, pair))  # hashes no pair
+    ``kept`` says whether K'(M) keeps the barycenter.  Each distinct shape
+    of one ``shapes_meeting`` group is decided once."""
     faces = grid.deltas(_face_offsets)
-    for center, axes, mask in shapes:
-        passed, count = verdict(axes, mask)
-        if passed:
-            yield center, axes, mask, count != 1, faces(axes)
+    for axes, masks in shapes:
+        verdicts = {mask: _shape_verdict(pair, axes, mask) for mask in set(masks.values())}
+        offsets = faces(axes)
+        for center, mask in masks.items():
+            passed, count = verdicts[mask]
+            if passed:
+                yield center, axes, mask, count != 1, offsets
 
 
 def _passing_cubes(m: Iterable[Point], pair: AdjacencyPair) -> tuple[HalfGrid, list[int], Iterator[tuple]]:

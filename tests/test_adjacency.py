@@ -32,7 +32,7 @@ from digitop.adjacency import (
 )
 from digitop import adjacency
 from digitop.adjacency import _contract_cycle, _CycleGraph
-from digitop.lattice import Point, corners, row_major_strides, shell_offsets, vec_add
+from digitop.lattice import HalfGrid, Point, corners, row_major_strides, shell_offsets, vec_add
 from digitop.manifold import check_manifold
 from test_lattice import far_sets
 
@@ -357,6 +357,126 @@ def test_the_window_view_keys_only_the_free_points_of_the_region():
         with pytest.raises(KeyError):
             labels[p]
     assert (1, 1) in labels and sorted(labels) == list(labels)
+
+
+def require_inside_oracle(region, m):
+    """The replaced ``Region.require_inside`` body: every point is tried in turn."""
+    for p in m:
+        if not region.strictly_contains(p, 1):
+            raise ValueError(f"region too small: {p} touches the margin zone")
+
+
+def complement_components_cell_oracle(spec, m, region):
+    """The replaced ``complement_components`` flood, which steps from every
+    free cell of the padded window to each offset's key: its ids list."""
+    mset = set(m)
+    require_inside_oracle(region, mset)
+    lo, hi = region.lo, region.hi
+    sizes = [b - a + 3 for a, b in zip(lo, hi)]
+    grid = HalfGrid(tuple(a - 1 for a in lo), row_major_strides(sizes))
+    todo = bytearray(sizes[0] * grid.strides[0])
+    row = sizes[-1] - 2
+    for k in itertools.product(*(range(1, size - 1) for size in sizes[:-1])):
+        start = grid.offset(k) + 1
+        todo[start : start + row] = b"\1" * row
+    for p in mset:
+        todo[grid.key(p)] = 0
+    deltas = list(map(grid.offset, spec.sorted_offsets))
+    return label(todo, lambda fr: [c + d for c in fr for d in deltas])
+
+
+# (1, 1, +-1) but not (1, 1, 0): the last-axis shifts of the prefix move (1, 1)
+# are no interval, and the two pockets below touch only through (1, 1, 0)
+_SKEW_3 = custom_adjacency(3, axis_adjacency(3).offsets | {(1, 1, 1), (-1, -1, -1), (1, 1, -1), (-1, -1, 1)})
+_POCKETS = frozenset(
+    p for c in ((0, 0, 0), (1, 1, 0)) for p in itertools.product(*((x - 1, x, x + 1) for x in c))
+) - {(0, 0, 0), (1, 1, 0)}
+# the row x = 1 is cut at (1, 0) and (1, 2) into three runs, and the middle
+# one, (1, 1), is an axis-enclosed hole
+_THREE_RUNS = frozenset({(1, 0), (1, 2), (0, 1), (2, 1)})
+_FAR = frozenset(vec_add(p, (10**12, -(10**12), 10**12)) for p in _POCKETS)
+
+
+@given(boxed_sets())
+@example((_POCKETS, AdjacencyPair(full_adjacency(3), _SKEW_3)))
+@example((_FAR, AdjacencyPair(full_adjacency(3), _SKEW_3)))
+@example((_THREE_RUNS, AdjacencyPair(full_adjacency(2), axis_adjacency(2))))
+@example((_THREE_RUNS, AdjacencyPair(axis_adjacency(2), full_adjacency(2))))
+@settings(max_examples=80, deadline=None)
+def test_the_run_flood_matches_the_cell_flood(case):
+    m, pair = case
+    for margin in (2, 4):
+        region = Region.around(m, margin)
+        got = complement_components(pair.beta, m, region)
+        assert got.ids == complement_components_cell_oracle(pair.beta, m, region)
+        assert got.infinite_ids == frozenset({region.lo})
+
+
+def test_pinned_run_floods():
+    full3 = full_adjacency(3)
+    for m in (_POCKETS, _FAR):
+        # each pocket is a component of its own under the skew spec, one with
+        # the other under full, and the outside is a third or a second
+        region = Region.around(m, 2)
+        assert complement_components(_SKEW_3, m, region).count == 3
+        assert complement_components(full3, m, region).count == 2
+    region = Region.around(_THREE_RUNS, 2)
+    axis = complement_components(axis_adjacency(2), _THREE_RUNS, region)
+    assert axis.count == 2 and axis[(1, 1)] == (1, 1) and axis[(1, 3)] == region.lo
+    assert complement_components(full_adjacency(2), _THREE_RUNS, region).count == 1
+
+
+def test_the_largest_window_floods_one_node_per_run():
+    """Work, not time: the two-point 1000 x 1000 window at the --max-cells cap
+    gives ``label`` at most one node per row plus one per point of m."""
+    m = frozenset({(0, 0), (995, 995)})
+    region = Region.around(m, 2)
+    nodes, flood = [], adjacency.label
+
+    def spy(todo, step):
+        nodes.append(len(todo))
+        return flood(todo, step)
+
+    with mock.patch.object(adjacency, "label", spy):
+        labeling = complement_components(full_adjacency(2), m, region)
+    rows = region.hi[0] - region.lo[0] + 1
+    assert rows == 1000 and nodes == [rows + len(m)]
+    assert labeling.count == 1 and len(labeling) == 1000 * 1000 - 2
+    assert labeling[(1, 1)] == labeling[(997, 997)] == region.lo and (0, 0) not in labeling
+
+
+@st.composite
+def windows_and_points(draw):
+    """A window in n = 2..3 and a few points of n - 1, n or n + 1
+    coordinates near it, in a list, a tuple or a frozenset."""
+    n = draw(st.integers(2, 3))
+    lo = draw(st.tuples(*[st.integers(-4, 4)] * n))
+    hi = tuple(a + draw(st.integers(0, 6)) for a in lo)
+    coords = st.integers(-6, 11)
+    point = st.integers(n - 1, n + 1).flatmap(lambda d: st.tuples(*[coords] * d))
+    inside = st.tuples(*[st.integers(a + 1, max(a + 1, b - 1)) for a, b in zip(lo, hi)])
+    pts = draw(st.lists(st.one_of(inside, point), max_size=8))
+    return Region(lo, hi), draw(st.sampled_from((list, tuple, frozenset)))(pts)
+
+
+def _raised(check, region, m):
+    try:
+        check(region, m)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+@given(windows_and_points())
+@example((Region((0, 0), (4, 4)), [(2, 2), (1,), (2, 2, 9)]))
+@example((Region((0, 0), (4, 4)), [(2, 2, 9), (0, 2)]))
+@example((Region((0, 0), (4, 4)), [(1,), (0,)]))
+@example((Region((0, 0), (4, 4)), frozenset({(2,), (2, 0)})))  # the short point hides the offender from the box
+@example((Region((0, 0, 0), (4, 4, 4)), []))
+@settings(max_examples=200, deadline=None)
+def test_require_inside_raises_as_the_point_loop_did(case):
+    region, m = case
+    assert _raised(Region.require_inside, region, m) == _raised(require_inside_oracle, region, m)
 
 
 @st.composite

@@ -233,12 +233,24 @@ def test_cubes_meeting_and_shapes_match_the_box_scan(m):
         # a shape filter keeps the kept cubes in cube order
         odd = cubes_meeting(m, k, n, lambda axes, mask: mask & 1 and axes[:1] != (1,))
         assert odd == [c for c in expected if c[2] & 1 and c[1][:1] != (1,)]
-        shapes = [(grid.point(h), axes, mask) for h, axes, mask in shapes_meeting(grid, keys, k)]
+        groups = shapes_meeting(grid, keys, k)
+        shapes = [(grid.point(h), axes, mask) for axes, masks in groups for h, mask in masks.items()]
         assert len(shapes) == len(expected)
         assert sorted(shapes) == sorted(shapes_meeting_oracle(m, k, n))
         for h, axes, mask in shapes:
             c = cube_of_barycenter(h)
             assert c.axes == axes and occupancy(c, m) == mask
+
+
+@given(small_sets)
+@settings(max_examples=40, deadline=None)
+def test_cubes_meeting_asks_keep_once_per_distinct_shape(m):
+    n = len(next(iter(m)))
+    for k in range(n + 1):
+        asked = []
+        kept = cubes_meeting(m, k, n, lambda axes, mask: asked.append((axes, mask)) or mask & 1)
+        assert sorted(asked) == sorted({(axes, mask) for _, axes, mask in shapes_meeting_oracle(m, k, n)})
+        assert kept == [c for c in cubes_meeting(m, k, n, lambda axes, mask: True) if c[2] & 1]
 
 
 @given(

@@ -14,7 +14,7 @@ from digitop.adjacency import (
     custom_adjacency,
     full_adjacency,
 )
-from digitop import manifold
+from digitop import lattice, manifold
 from digitop.adjacency import neighbors
 from digitop.jordan import box_surface, jordan_check, rect_boundary, sphere_shell
 from digitop.lattice import shell_offsets, vec_add, vec_sub
@@ -505,6 +505,26 @@ def test_one_check_and_one_global_sides_gather_the_shell_masks_once():
         assert calls == [len(box)] * 4
         local_components(min(box), box, AXIS_FULL_3)  # one point's mask
         assert calls == [len(box)] * 4 + [1]
+
+
+def test_one_local_components_call_keys_only_the_king_neighbourhood():
+    """Work, not time: a witness replay reads one point's shell mask from at
+    most 3^n keyed points, however large m is."""
+    keyed, keys = [], lattice.half_keys
+
+    def spy(m, n):
+        m = list(m)
+        keyed.append(len(m))
+        return keys(m, n)
+
+    cases = [(sphere_shell(4, 3), FULL_AXIS_3), (box_surface(6, 5, 5), AXIS_FULL_3), (rect_boundary(30, 30), AXIS_FULL_2)]
+    for m, pair in cases:
+        expected = [local_components_oracle(p, m, pair) for p in sorted(m)[:5]]
+        keyed.clear()
+        with mock.patch.object(lattice, "half_keys", spy):
+            got = [local_components(p, m, pair) for p in sorted(m)[:5]]
+        assert got == expected and len(m) > 3**pair.n
+        assert len(keyed) == 5 and max(keyed) <= 3**pair.n
 
 
 def global_sides_oracle(m, pair):

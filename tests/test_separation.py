@@ -294,7 +294,8 @@ def cubes_meeting_unfiltered(m, k, n):
     """The gather before shapes were filtered: every k-cube with a vertex in m
     is decoded to ``(base, axes, mask)``, and all of them are sorted."""
     grid, keys = half_keys(m, n)
-    return sorted((tuple(c >> 1 for c in grid.point(h)), axes, mask) for h, axes, mask in shapes_meeting(grid, keys, k))
+    shapes = [(h, axes, mask) for axes, masks in shapes_meeting(grid, keys, k) for h, mask in masks.items()]
+    return sorted((tuple(c >> 1 for c in grid.point(h)), axes, mask) for h, axes, mask in shapes)
 
 
 def has_separation_property_unfiltered(mset, pair, region):

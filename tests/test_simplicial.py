@@ -169,7 +169,7 @@ def reduce_complex_rechaining_oracle(k, m, pair):
     shapes = []
     for h, c in sorted(k.provenance.items(), key=lambda hc: hc[1].dim):
         center = grid.key(h)
-        shapes.append((center, c.axes, sum(1 << i for i, e in enumerate(corners(c.axes)) if center + e in on)))
+        shapes.append((c.axes, {center: sum(1 << i for i, e in enumerate(corners(c.axes)) if center + e in on)}))
     return _order_complex(grid, keys, [c for c in _passing(grid, shapes, pair) if c[3]])[0]
 
 
@@ -352,7 +352,7 @@ def build_complex_in_cube(cn, m, pair):
     grid = HalfGrid.around([barycenter(cn)], cn.n)
     keys = [grid.key(double(p)) for p in mset]
     faces = [
-        (grid.key(barycenter(f)), f.axes, occupancy(f, mset)) for k in range(1, cn.dim + 1) for f in subcubes(cn, k)
+        (f.axes, {grid.key(barycenter(f)): occupancy(f, mset)}) for k in range(1, cn.dim + 1) for f in subcubes(cn, k)
     ]
     return _order_complex(grid, keys, _passing(grid, faces, pair))[1]
 
