@@ -285,9 +285,12 @@ def label(todo: bytearray, step: Callable[[list[int]], Iterable[int]]) -> list[i
 
 
 def components(spec: AdjacencySpec, points: Iterable[Point]) -> ComponentLabeling:
-    """Exact connected components of a finite set under the adjacency: the
-    ``masked_components`` of its sorted points, every bit set, on an uncached table."""
-    return masked_components(spec, tuple(sorted(set(points))), -1, neighbour_table.__wrapped__)
+    """Exact connected components of a finite set under the adjacency: its
+    sorted points, ``label``-flooded through their uncached ``neighbour_table``."""
+    pts = tuple(sorted(set(points)))
+    index, table = neighbour_table.__wrapped__(spec, pts)
+    ids = label(bytearray(b"\1") * len(pts), lambda fr: [j for i in fr for j in table[i]])
+    return ComponentLabeling(ids, lambda p: index.get(p, -1), pts.__getitem__)
 
 
 @lru_cache(maxsize=None)
@@ -304,21 +307,37 @@ def neighbour_table(spec: AdjacencySpec, points: tuple[Point, ...]) -> tuple[dic
     return {p: i for i, p in enumerate(points)}, [[j for d in deltas if (j := at(h + d)) is not None] for h in keys]
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
+@lru_cache(maxsize=None)
+def neighbour_bits(spec: AdjacencySpec, points: tuple[Point, ...]) -> list[int]:
+    """Each ``neighbour_table`` row as one mask: bit j of entry i is set iff j neighbours i."""
+    return [sum(1 << j for j in row) for row in neighbour_table(spec, points)[1]]
 
 
-def masked_components(
-    spec: AdjacencySpec, points: tuple[Point, ...], mask: int, numbering: Callable = neighbour_table
-) -> ComponentLabeling:
-    """``components`` of the points whose bit is set in ``mask`` (bit i is
-    ``points[i]``; ``~occupied`` selects the free ones), flooded through the
-    ``neighbour_table`` of the tuple that ``numbering`` gives."""
-    index, table = numbering(spec, points)
-    size = len(points)
-    # byte i is bit i: the bits below a sentinel bit at ``size``, reversed
-    todo = bytearray(format(mask & ~(-1 << size) | 1 << size, "b")[:0:-1], "ascii").translate(_BITS)
-    ids = label(todo, lambda fr: [j for i in fr for j in table[i]])
-    return ComponentLabeling(ids, lambda p: index.get(p, -1), points.__getitem__)
+def masked_components(spec: AdjacencySpec, points: tuple[Point, ...], mask: int) -> Iterator[int]:
+    """The components of the points whose bit is set in ``mask`` (bit i is
+    ``points[i]``; ``~occupied`` selects the free ones), each as one mask, in
+    order of its lowest bit.  Each breadth-first layer from that bit is the
+    OR of the frontier's ``neighbour_bits``, less the bits already reached."""
+    nbits = neighbour_bits(spec, points)
+    todo = mask & ~(-1 << len(points))
+    while todo:
+        comp = frontier = todo & -todo
+        todo ^= comp
+        while frontier:
+            reach = 0
+            while frontier:
+                i = frontier.bit_length() - 1
+                reach |= nbits[i]
+                frontier ^= 1 << i
+            frontier = reach & todo
+            todo ^= frontier
+            comp |= frontier
+        yield comp
+
+
+def masked_points(points: Sequence[Point], mask: int) -> tuple[Point, ...]:
+    """The points whose bit is set in a nonnegative ``mask``, in order."""
+    return tuple(p for i, p in enumerate(points) if mask >> i & 1)
 
 
 def complement_components(

@@ -22,8 +22,10 @@ from .adjacency import (
     axis_adjacency,
     components,
     masked_components,
+    masked_points,
     n_simply_connected_bounded,
     neighbors,
+    neighbour_bits,
     neighbour_table,
 )
 from .lattice import (
@@ -71,28 +73,22 @@ def is_simple_translation(tau: Translation) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _shell(pair: AdjacencyPair, mask: int) -> tuple[tuple[tuple[Translation, ...], ...], Optional[tuple[Translation, int]]]:
-    """The local sides of a shell mask, each a sorted offset tuple, in order
-    of their smallest offsets; with exactly two sides, also the first
+def _shell(pair: AdjacencyPair, mask: int) -> tuple[tuple[int, ...], Optional[tuple[Translation, int]]]:
+    """The local sides of a shell mask, each a mask of ``shell_offsets``, in
+    order of their lowest bits; with exactly two sides, also the first
     alpha-neighbour offset in M that is beta-adjacent to no offset of some
     side, with that side's index (None if there is none)."""
     offsets = shell_offsets(pair.n)
-    index, table = neighbour_table(pair.beta, offsets)
-    ids = masked_components(pair.beta, offsets, ~mask).ids
-    sides: dict[int, list[Translation]] = {}  # a side's id is its first number
-    for v, c in zip(offsets, ids):
-        if c >= 0:
-            sides.setdefault(c, []).append(v)
-    as_offsets = tuple(map(tuple, sides.values()))
+    sides = tuple(masked_components(pair.beta, offsets, ~mask))
     if len(sides) == 2:
+        index, nbits = neighbour_table(pair.beta, offsets)[0], neighbour_bits(pair.beta, offsets)
         for a in pair.alpha.sorted_offsets:
             j = index[a]
-            if ids[j] < 0:  # a foreground point
-                near = {ids[x] for x in table[j]}
-                for k, c in enumerate(sides):
-                    if c not in near:
-                        return as_offsets, (a, k)
-    return as_offsets, None
+            if mask >> j & 1:  # a foreground point
+                for k, side in enumerate(sides):
+                    if not nbits[j] & side:
+                        return sides, (a, k)
+    return sides, None
 
 
 def local_components(p: Point, m: Iterable[Point], pair: AdjacencyPair) -> list[frozenset[Point]]:
@@ -106,13 +102,13 @@ def local_components(p: Point, m: Iterable[Point], pair: AdjacencyPair) -> list[
     # only p's king neighbours in m can set a bit of its mask
     near = [q for v in shell_offsets(n) if (q := vec_add(p, v)) in mset]
     sides = _shell(pair, shell_masks((p, *near), n, 1)[0])[0]
-    return [frozenset(vec_add(p, v) for v in side) for side in sides]
+    return [frozenset(vec_add(p, v) for v in masked_points(shell_offsets(n), side)) for side in sides]
 
 
 @lru_cache(maxsize=None)
 def _cut_connected(alpha: AdjacencySpec, axes: tuple[int, ...], mask: int) -> bool:
-    """Is the occupied part of a cube shape alpha-connected (or empty)?"""
-    return masked_components(alpha, corners(alpha.n, axes), mask).count <= 1
+    """Is the occupied part of a cube shape alpha-connected (or empty): does one flood reach every bit?"""
+    return next(masked_components(alpha, corners(alpha.n, axes), mask), 0) == mask
 
 
 def check_manifold(
@@ -129,10 +125,7 @@ def check_manifold(
         alpha_connected = Verdict(True)
     else:
         reps = list(lab.sizes())[:2]
-        alpha_connected = Verdict(
-            False,
-            {"kind": "alpha-disconnected", "components": [list(r) for r in reps]},
-        )
+        alpha_connected = Verdict(False, {"kind": "alpha-disconnected", "components": [list(r) for r in reps]})
 
     # only the n-cubes of a disconnected shape are decoded and sorted
     failing = cubes_meeting(mset, n, n, lambda axes, mask: not _cut_connected(pair.alpha, axes, mask))
@@ -146,25 +139,15 @@ def check_manifold(
     local_two = two_sided = Verdict(True)
     pts = sorted(mset)
     for p, mask in zip(pts, shell_masks(pts, n)):
-        comps, one_sided = _shell(pair, mask)
-        if len(comps) != 2:
-            local_two = Verdict(
-                False,
-                {"kind": "local-component-count", "point": list(p), "count": len(comps)},
-            )
+        sides, one_sided = _shell(pair, mask)
+        if len(sides) != 2:
+            local_two = Verdict(False, {"kind": "local-component-count", "point": list(p), "count": len(sides)})
             two_sided = Verdict(True)
             break
         if one_sided is not None and two_sided.holds:
             a, k = one_sided
-            two_sided = Verdict(
-                False,
-                {
-                    "kind": "one-sided-neighbor",
-                    "p": list(p),
-                    "q": list(vec_add(p, a)),
-                    "side": [list(vec_add(p, v)) for v in comps[k]],
-                },
-            )
+            q, side = vec_add(p, a), [list(vec_add(p, v)) for v in masked_points(shell_offsets(n), sides[k])]
+            two_sided = Verdict(False, {"kind": "one-sided-neighbor", "p": list(p), "q": list(q), "side": side})
 
     separation = has_separation_property(mset, pair, region)
 
@@ -205,9 +188,9 @@ def global_sides(
             f"certified set has {len(comps)} shell components; certification inconsistent"
         )
     pts = sorted(mset)
-    # the shell component of each local side's smallest point, its first offset
-    masks = shell_masks(pts, pair.n)
-    sides = [[labels[vec_add(p, side[0])] for side in _shell(pair, mask)[0]] for p, mask in zip(pts, masks)]
+    # the shell component of each local side's smallest point, its lowest bit
+    offs, masks = shell_offsets(pair.n), shell_masks(pts, pair.n)
+    sides = [[labels[vec_add(p, offs[(s & -s).bit_length() - 1])] for s in _shell(pair, k)[0]] for p, k in zip(pts, masks)]
     for p, (c_p, d_p) in zip(pts, sides):
         if c_p == d_p:
             raise RuntimeError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from typing import Iterable, Optional
 
-from .adjacency import AdjacencyPair, AdjacencySpec, Region, masked_components
+from .adjacency import AdjacencyPair, AdjacencySpec, Region, masked_components, masked_points
 from .lattice import (
     Cube,
     Point,
@@ -30,17 +30,17 @@ from .verdict import Verdict
 @lru_cache(maxsize=None)
 def _slices(n: int, axes: tuple[int, ...]) -> tuple:
     """Per codimension-2 slice of the cube of these axes at the origin, in
-    scan order: the slice, its vertices, and per completing pair (tau1,
-    tau2) the images of those vertices under tau1, tau2 and tau1 + tau2;
-    each vertex as its number in ``corners(n, axes)``."""
+    scan order: the slice, its vertex mask and vertices, and per completing
+    pair (tau1, tau2) the masks of their images under tau1 and tau2 and the
+    images under tau1, tau2 and tau1 + tau2; a vertex is its ``corners`` number."""
     c, out = Cube((0,) * n, axes), []
     index = {v: i for i, v in enumerate(corners(n, axes))}.__getitem__
     for cstar in subcubes(c, c.dim - 2):
         verts, moves = cube_vertices(cstar), []
         for tau1, tau2 in completing_translations(cstar, c):
-            images = (tuple(index(vec_add(v, t)) for v in verts) for t in (tau1, tau2, vec_add(tau1, tau2)))
-            moves.append((tau1, tau2, *images))
-        out.append((cstar, tuple(map(index, verts)), moves))
+            images = [tuple(index(vec_add(v, t)) for v in verts) for t in (tau1, tau2, vec_add(tau1, tau2))]
+            moves.append((tau1, tau2, *(sum(1 << i for i in side) for side in images[:2]), *images))
+        out.append((cstar, sum(1 << index(v) for v in verts), tuple(map(index, verts)), moves))
     return tuple(out)
 
 
@@ -52,22 +52,19 @@ def _candidates(alpha: AdjacencySpec, axes: tuple[int, ...], mask: int) -> tuple
     a cube violates at the first candidate whose free vertices share a label.
     """
     pts = corners(alpha.n, axes)
-    ids = masked_components(alpha, pts, mask).ids
     slices = _slices(alpha.n, axes)
     out = []
-    for comp in [[c == i for c in ids] for i, c in enumerate(ids) if c == i]:  # by component id
-        best = max(sum(comp[i] for i in verts) for _, verts, _ in slices)
-        for cstar, star_verts, moves in slices:
-            if sum(comp[i] for i in star_verts) != best:
+    for comp in masked_components(alpha, pts, mask):  # by lowest bit
+        best = max((comp & star).bit_count() for _, star, _, _ in slices)
+        for cstar, star, star_verts, moves in slices:
+            if (comp & star).bit_count() != best:
                 continue
-            for tau1, tau2, side1, side2, diag in moves:
-                free1 = [pts[q] for q in side1 if not mask >> q & 1]
-                free2 = [pts[q] for q in side2 if not mask >> q & 1]
-                if not free1 or not free2:
+            for tau1, tau2, bits1, bits2, side1, side2, diag in moves:
+                if not bits1 & ~mask or not bits2 & ~mask:  # a side with no free vertex
                     continue
                 for x, q1, q2, d in zip(star_verts, side1, side2, diag):
-                    if comp[d] and not (comp[q1] and comp[q2]):
-                        out.append((tuple(free1 + free2), cstar, tau1, tau2, pts[x]))
+                    if comp >> d & 1 and not (comp >> q1 & comp >> q2 & 1):
+                        out.append((masked_points(pts, (bits1 | bits2) & ~mask), cstar, tau1, tau2, pts[x]))
                         break
     return tuple(out)
 
@@ -161,7 +158,7 @@ def beta_neighbor_lower_bound(k: int, size: int) -> int:
 def component_count_bounds_hold(m: Iterable[Point], c: Cube, pair: AdjacencyPair) -> bool:
     """Vertex-count bounds k <= |C n M| <= 2^k - 2 when C \\ M has two parts."""
     mask = occupancy(c, frozenset(m))
-    count = masked_components(pair.beta, corners(c.n, c.axes), ~mask).count
+    count = len(list(masked_components(pair.beta, corners(c.n, c.axes), ~mask)))
     if count != 2:
         raise ValueError(f"cube complement has {count} components, expected exactly 2")
     return c.dim <= mask.bit_count() <= 2**c.dim - 2

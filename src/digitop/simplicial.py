@@ -31,7 +31,7 @@ from .adjacency import (
     components,
     label,
     masked_components,
-    neighbour_table,
+    neighbour_bits,
 )
 from .lattice import (
     Cube,
@@ -104,14 +104,14 @@ def _shape_verdict(pair: AdjacencyPair, axes: tuple[int, ...], mask: int) -> tup
     passes iff its point is foreground, with no background piece.
     """
     pts = corners(pair.n, axes)
-    background = masked_components(pair.beta, pts, ~mask)
-    ids, alpha, last = background.ids, neighbour_table(pair.alpha, pts)[1], len(pts) - 1  # last - i: i's antipode
+    background = tuple(masked_components(pair.beta, pts, ~mask))
+    alpha, last = neighbour_bits(pair.alpha, pts), len(pts) - 1  # last - i: i's antipode
     passed = not background or any(
-        last - i in alpha[i] if mask >> i & 1 else ids[i] != ids[last - i]
+        alpha[i] >> last - i & 1 if mask >> i & 1 else not any(c >> i & c >> last - i & 1 for c in background)
         for i in range(len(pts) // 2)
         if mask >> i & 1 == mask >> last - i & 1
     )
-    return passed, background.count
+    return passed, len(background)
 
 
 def barycenter_test(c: Cube, m: Iterable[Point], pair: AdjacencyPair) -> bool:

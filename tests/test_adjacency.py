@@ -506,9 +506,9 @@ def test_label_matches_the_dict_flood_it_replaced(case):
 
 @st.composite
 def masked_cases(draw):
-    """A spec in n = 2..4, a cube's corners (random axes) or the shell
+    """A spec in n = 2..5, a cube's corners (random axes) or the shell
     offsets, and a random mask of them, negative (``~occupied``) half the time."""
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 5))
     spec = draw(adjacency_specs(n))
     if draw(st.booleans()):
         points = corners(n, tuple(sorted(draw(st.sets(st.integers(0, n - 1))))))
@@ -518,21 +518,61 @@ def masked_cases(draw):
     return spec, points, ~mask if draw(st.booleans()) else mask
 
 
+def masked_components_oracle(spec, points, mask):
+    """The replaced ``masked_components``: the bits of ``mask`` as a byte
+    string, ``label``-flooded through the tuple's ``neighbour_table``."""
+    index, table = neighbour_table(spec, points)
+    size = len(points)
+    # byte i is bit i: the bits below a sentinel bit at ``size``, reversed
+    todo = bytearray(format(mask & ~(-1 << size) | 1 << size, "b")[:0:-1], "ascii").translate(bytes.maketrans(b"01", b"\0\1"))
+    ids = label(todo, lambda fr: [j for i in fr for j in table[i]])
+    return ComponentLabeling(ids, lambda p: index.get(p, -1), points.__getitem__)
+
+
+def decoded(points, comps):
+    """Each component mask as the set of its points."""
+    return [frozenset(adjacency.masked_points(points, c)) for c in comps]
+
+
 @given(masked_cases())
 @settings(max_examples=150, deadline=None)
 def test_the_masked_flood_matches_components_of_the_decoded_points(case):
     spec, points, mask = case
-    got = adjacency.masked_components(spec, points, mask)
+    got = list(adjacency.masked_components(spec, points, mask))
     chosen = [p for i, p in enumerate(points) if mask >> i & 1]
     expected = components(spec, chosen)
-    assert got == expected and dict(got.items()) == dict(expected.items())
-    assert got.ids == [points.index(expected[p]) if p in expected else -1 for p in points]
-    assert got.count == expected.count and got.components() == expected.components()
-    assert all((p in got) == (p in expected) for p in points)
-    assert (9,) * spec.n not in got and (0,) * (spec.n + 1) not in got
-    assert not adjacency.masked_components(spec, (), mask)
+    comps = decoded(points, got)
+    assert {p: min(comp) for comp in comps for p in comp} == dict(expected.items())
+    # a component's id is its lowest bit, which numbers its smallest point
+    ids = [-1] * len(points)
+    for c in got:
+        for i in range(len(points)):
+            if c >> i & 1:
+                ids[i] = (c & -c).bit_length() - 1
+    assert ids == [points.index(expected[p]) if p in expected else -1 for p in points]
+    assert len(got) == expected.count and comps == list(expected.components().values())
+    # the masks partition the chosen bits, and no bit lies past the points
+    assert sum(got) == mask & ~(-1 << len(points)) == sum(1 << i for i, p in enumerate(points) if p in expected)
+    assert sum(c.bit_count() for c in got) == len(expected)
+    assert not list(adjacency.masked_components(spec, (), mask))
     # the table is one per (spec, tuple), shared by every mask
-    assert adjacency.neighbour_table(spec, points) is adjacency.neighbour_table(spec, points)
+    assert adjacency.neighbour_bits(spec, points) is adjacency.neighbour_bits(spec, points)
+    assert adjacency.neighbour_bits(spec, points) == [
+        sum(1 << j for j in row) for row in adjacency.neighbour_table(spec, points)[1]
+    ]
+
+
+@given(masked_cases())
+@example((axis_adjacency(5), shell_offsets(5), -1))
+@example((full_adjacency(5), corners(5, (0, 1, 2, 3, 4)), 0b10000000000000000000000000000001))
+@example((custom_adjacency(2, axis_adjacency(2).offsets | {(1, 1), (-1, -1)}), shell_offsets(2), ~0b00100100))
+@settings(max_examples=150, deadline=None)
+def test_the_bit_flood_matches_the_label_flood_it_replaced(case):
+    spec, points, mask = case
+    got = list(adjacency.masked_components(spec, points, mask))
+    expected = masked_components_oracle(spec, points, mask)
+    assert decoded(points, got) == list(expected.components().values())
+    assert [(c & -c).bit_length() - 1 for c in got] == [i for i, c in enumerate(expected.ids) if c == i]
 
 
 @st.composite

@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import sys
 from unittest import mock
 
 import pytest
@@ -13,8 +15,9 @@ from digitop.adjacency import (
     components,
     custom_adjacency,
     full_adjacency,
+    masked_points,
 )
-from digitop import lattice, manifold
+from digitop import adjacency, lattice, manifold
 from digitop.adjacency import neighbors
 from digitop.jordan import box_surface, jordan_check, rect_boundary, sphere_shell
 from digitop.lattice import shell_offsets, vec_add, vec_sub
@@ -34,6 +37,8 @@ from digitop.manifold import (
     is_simple_translation,
     local_components,
 )
+from digitop.separation import _candidates, component_count_bounds_hold
+from digitop.simplicial import _shape_verdict
 from digitop.verdict import Verdict
 from test_adjacency import adjacency_specs, components_oracle
 from test_lattice import shell_mask_oracle
@@ -42,6 +47,7 @@ AXIS_FULL_2 = AdjacencyPair(axis_adjacency(2), full_adjacency(2))
 AXIS_FULL_3 = AdjacencyPair(axis_adjacency(3), full_adjacency(3))
 FULL_AXIS_2 = AdjacencyPair(full_adjacency(2), axis_adjacency(2))
 FULL_AXIS_3 = AdjacencyPair(full_adjacency(3), axis_adjacency(3))
+AXIS_FULL_4 = AdjacencyPair(axis_adjacency(4), full_adjacency(4))
 
 
 def test_local_components_isolated_point():
@@ -454,6 +460,7 @@ def local_cases(draw):
 
 
 _RING_KINK = frozenset(rect_boundary(5, 5) - {(0, 0)} | {(1, 1)})
+_KING_SPHERE_4 = frozenset(vec_add(v, (5, -3, 0, 7)) for v in full_adjacency(4).offsets)
 
 
 @given(local_cases())
@@ -462,6 +469,8 @@ _RING_KINK = frozenset(rect_boundary(5, 5) - {(0, 0)} | {(1, 1)})
 @example((_RING_KINK, AXIS_FULL_2))
 @example((frozenset(vec_add(p, (-6, 2, -9)) for p in box_surface(3, 4, 3)), AXIS_FULL_3))
 @example((box_surface(3, 3, 3), FULL_AXIS_3))
+@example((_KING_SPHERE_4, AXIS_FULL_4))  # the sphere good-pair --n 4 checks, moved
+@example((_KING_SPHERE_4 - {min(_KING_SPHERE_4)}, AXIS_FULL_4))
 @settings(max_examples=80, deadline=None)
 def test_local_shell_table_matches_the_point_oracle(case):
     m, pair = case
@@ -474,7 +483,8 @@ def test_local_shell_table_matches_the_point_oracle(case):
         expected = local_components_oracle(p, m, pair)
         assert local_components(p, m, pair) == expected
         table_sides, found = _shell(pair, shell_mask_oracle(p, m))
-        assert table_sides == tuple(tuple(sorted(vec_sub(x, p) for x in side)) for side in expected)
+        got_sides = tuple(masked_points(shell_offsets(pair.n), side) for side in table_sides)
+        assert got_sides == tuple(tuple(sorted(vec_sub(x, p) for x in side)) for side in expected)
         got = None if found is None else (vec_add(p, found[0]), found[1])
         assert got == (one_sided_oracle(p, m, pair, expected) if len(expected) == 2 else None)
 
@@ -525,6 +535,55 @@ def test_one_local_components_call_keys_only_the_king_neighbourhood():
             got = [local_components(p, m, pair) for p in sorted(m)[:5]]
         assert got == expected and len(m) > 3**pair.n
         assert len(keyed) == 5 and max(keyed) <= 3**pair.n
+
+
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << 2**n) - 1))))
+# an axis path from corner 0 to corner 15 of a 4-cube, and corner 12 cut off
+# beside it: the flood from the lowest bit reaches the top bit, not every bit
+@example((4, 1 << 0 | 1 << 1 | 1 << 3 | 1 << 7 | 1 << 15 | 1 << 12))
+@settings(max_examples=100, deadline=None)
+def test_cut_connected_matches_the_components_of_the_occupied_corners(case):
+    n, mask = case
+    axes = tuple(range(n))
+    occupied = [p for i, p in enumerate(lattice.corners(n, axes)) if mask >> i & 1]
+    for alpha in (axis_adjacency(n), full_adjacency(n)):
+        assert manifold._cut_connected(alpha, axes, mask) == (components_oracle(alpha, occupied).count <= 1)
+
+
+def test_the_cube_and_shell_tables_flood_without_label():
+    """Work, not time: with the four table caches cleared, every shape of a
+    3-cube and every shell mask of a certified box is decided by the bit
+    flood, with no ``adjacency.label`` call; a point-set labeling still
+    makes one, so the spy sees every call."""
+    calls, flood = [], adjacency.label
+
+    def spy(todo, step):
+        calls.append(len(todo))
+        return flood(todo, step)
+
+    box, cube = box_surface(4, 4, 5), lattice.Cube((0, 0, 0), (0, 1, 2))
+    masks = set(lattice.shell_masks(sorted(box), 3))
+    for table in (_shell, manifold._cut_connected, _candidates, _shape_verdict):
+        table.cache_clear()
+    with contextlib.ExitStack() as stack:
+        # every module that holds the name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("digitop") and getattr(module, "label", None) is flood:
+                stack.enter_context(mock.patch.object(module, "label", spy))
+        for pair in (AXIS_FULL_3, FULL_AXIS_3):
+            for mask in range(256):
+                manifold._cut_connected(pair.alpha, cube.axes, mask)
+                _candidates(pair.alpha, cube.axes, mask)
+                _shape_verdict(pair, cube.axes, mask)
+                m = [v for i, v in enumerate(lattice.cube_vertices(cube)) if mask >> i & 1]
+                with contextlib.suppress(ValueError):  # raised unless two background pieces
+                    component_count_bounds_hold(m, cube, pair)
+        for mask in masks:
+            _shell(AXIS_FULL_3, mask)
+        assert calls == []
+        assert _shell.cache_info().misses == len(masks) > 1 and _shape_verdict.cache_info().misses == 512
+        components(AXIS_FULL_3.alpha, box)
+        assert calls == [len(box)]
 
 
 def global_sides_oracle(m, pair):
