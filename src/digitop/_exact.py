@@ -88,6 +88,19 @@ def _strictly_feasible(strict_rows: list[list[Fraction]], strict_rhs: list[Fract
     return all(row[-1] < 0 for row in rows)
 
 
+def _solve_weights(
+    groups: Sequence[Sequence[Sequence[int]]], point: Sequence
+) -> Optional[tuple[list[Fraction], list[list[Fraction]]]]:
+    """``solve_affine`` for weights on the vertices of the groups: one row per
+    coordinate (the weighted vertices sum to the point), then one per group
+    (its weights sum to 1)."""
+    vertices = [v for g in groups for v in g]
+    coords = range(len(vertices[0]))
+    matrix = [[Fraction(v[c]) for v in vertices] for c in coords]
+    matrix += [[Fraction(int(i == j)) for j, g in enumerate(groups) for _ in g] for i in range(len(groups))]
+    return solve_affine(matrix, [Fraction(point[c]) for c in coords] + [Fraction(1)] * len(groups))
+
+
 def open_simplices_intersect(
     a_vertices: Sequence[Sequence[int]], b_vertices: Sequence[Sequence[int]]
 ) -> bool:
@@ -96,45 +109,23 @@ def open_simplices_intersect(
     Solves the affine system of a common point, then asks for strictly
     positive barycentric weights over the solution space.
     """
-    n = len(a_vertices[0])
-    na, nb = len(a_vertices), len(b_vertices)
-    # unknowns: la_0..la_{na-1}, mu_0..mu_{nb-1}
-    matrix: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for coord in range(n):
-        row = [Fraction(v[coord]) for v in a_vertices]
-        row += [Fraction(-v[coord]) for v in b_vertices]
-        matrix.append(row)
-        rhs.append(Fraction(0))
-    matrix.append([Fraction(1)] * na + [Fraction(0)] * nb)
-    rhs.append(Fraction(1))
-    matrix.append([Fraction(0)] * na + [Fraction(1)] * nb)
-    rhs.append(Fraction(1))
-    solved = solve_affine(matrix, rhs)
+    # weights la on a and mu on b with sum la_i a_i - sum mu_j b_j = 0
+    negated = [[-c for c in v] for v in b_vertices]
+    solved = _solve_weights((a_vertices, negated), (0,) * len(a_vertices[0]))
     if solved is None:
         return False
     particular, basis = solved
     if not basis:
         return all(x > 0 for x in particular)
     # need y with particular + B y > 0 componentwise
-    strict_rows = [[vec[i] for vec in basis] for i in range(na + nb)]
-    strict_rhs = [-particular[i] for i in range(na + nb)]
-    return _strictly_feasible(strict_rows, strict_rhs)
+    return _strictly_feasible([list(row) for row in zip(*basis)], [-x for x in particular])
 
 
 def barycentric_coordinates(
     vertices: Sequence[Sequence[int]], point: Sequence[Fraction]
 ) -> Optional[list[Fraction]]:
     """Affine weights expressing the point over the vertices, if any."""
-    n = len(vertices[0])
-    matrix: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for coord in range(n):
-        matrix.append([Fraction(v[coord]) for v in vertices])
-        rhs.append(Fraction(point[coord]))
-    matrix.append([Fraction(1)] * len(vertices))
-    rhs.append(Fraction(1))
-    solved = solve_affine(matrix, rhs)
+    solved = _solve_weights((vertices,), point)
     if solved is None:
         return None
     particular, basis = solved

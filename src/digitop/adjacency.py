@@ -9,11 +9,11 @@ background relation.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import eq, le
+from operator import le
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .lattice import HalfGrid, Point, Translation, bounding_box, half_keys, row_major_strides, shell_offsets, unit, vec_add
@@ -37,7 +37,6 @@ class AdjacencySpec:
 
     n: int
     offsets: frozenset[Translation]
-    label: str = field(default="custom", compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -71,13 +70,13 @@ class AdjacencySpec:
 @lru_cache(maxsize=None)
 def axis_adjacency(n: int) -> AdjacencySpec:
     """The 2n-neighbor relation generated by the unit translations."""
-    return AdjacencySpec(n, _axis_offsets(n), label="axis")
+    return AdjacencySpec(n, _axis_offsets(n))
 
 
 @lru_cache(maxsize=None)
 def full_adjacency(n: int) -> AdjacencySpec:
     """The (3^n - 1)-neighbor king-move relation."""
-    return AdjacencySpec(n, _full_offsets(n), label="full")
+    return AdjacencySpec(n, _full_offsets(n))
 
 
 def custom_adjacency(n: int, offsets: Iterable[Translation]) -> AdjacencySpec:
@@ -129,8 +128,8 @@ class Region:
     def n(self) -> int:
         return len(self.lo)
 
-    def strictly_contains(self, p: Point, margin: int = 1) -> bool:
-        return all(a + margin <= c <= b - margin for a, c, b in zip(self.lo, p, self.hi))
+    def strictly_contains(self, p: Point) -> bool:
+        return all(a < c < b for a, c, b in zip(self.lo, p, self.hi))
 
     def require_inside(self, m: Iterable[Point]) -> None:
         """Raise ``ValueError`` unless every point of m sits at least one step
@@ -143,7 +142,7 @@ class Region:
         if len(axes) >= self.n and all(a < min(c) and max(c) < b for a, c, b in zip(self.lo, axes, self.hi)):
             return
         for p in pts:
-            if not self.strictly_contains(p, 1):
+            if not self.strictly_contains(p):
                 raise ValueError(f"region too small: {p} touches the margin zone")
 
     @staticmethod
@@ -169,7 +168,9 @@ class ComponentLabeling(Mapping):
     It is one list of ids over a numbering of points that follows their
     lexicographic order: ``index(p)`` is p's number (-1 for a point outside
     the numbering) and ``point(i)`` decodes one.  ``ids[i]`` is the smallest
-    number in i's component, or -1 when i is no key.  A point set numbers
+    number in i's component, or -1 when i is no key; ``id_sizes`` maps each
+    id to its component's size, in increasing order, as the flood counted
+    it.  A point set numbers
     its sorted points through a dict.  A complement window numbers its
     cells by ``HalfGrid`` keys and passes ``steps``, each adjacency's key
     step per offset, so ``ids_near`` reads a point inside it by strides.
@@ -179,17 +180,19 @@ class ComponentLabeling(Mapping):
     ``infinite_ids`` are; a plain mapping compares by labels alone.
     """
 
-    __slots__ = ("ids", "index", "point", "infinite_ids", "_steps")
+    __slots__ = ("ids", "id_sizes", "index", "point", "infinite_ids", "_steps")
 
     def __init__(
         self,
         ids: list[int],
+        id_sizes: dict[int, int],
         index: Callable[[Point], int],
         point: Callable[[int], Point],
         infinite_ids: frozenset[Point] = frozenset(),
         steps: Callable[[AdjacencySpec], list[int]] | None = None,
     ) -> None:
-        self.ids, self.index, self.point, self.infinite_ids, self._steps = ids, index, point, infinite_ids, steps
+        self.ids, self.id_sizes, self.index, self.point = ids, id_sizes, index, point
+        self.infinite_ids, self._steps = infinite_ids, steps
 
     @property
     def labels(self) -> "ComponentLabeling":
@@ -212,21 +215,19 @@ class ComponentLabeling(Mapping):
         return q
 
     def __len__(self) -> int:
-        return len(self.ids) - self.ids.count(-1)
+        return sum(self.id_sizes.values())
 
     def __iter__(self) -> Iterator[Point]:
         return (self.point(i) for i, c in enumerate(self.ids) if c >= 0)
 
     @property
     def count(self) -> int:
-        """The number of components: numbers that are their own id."""
-        return sum(map(eq, self.ids, range(len(self.ids))))
+        """The number of components."""
+        return len(self.id_sizes)
 
     def sizes(self) -> dict[Point, int]:
         """Each component id, in increasing order, with its number of points."""
-        sizes = Counter(self.ids)
-        del sizes[-1]
-        return {self.point(c): k for c, k in sorted(sizes.items())}
+        return {self.point(c): k for c, k in self.id_sizes.items()}
 
     def ids_near(self, spec: AdjacencySpec, p: Point) -> set[Point]:
         """The ids of the components that p's spec-neighbours in this labeling lie in."""
@@ -256,9 +257,10 @@ def neighbors(spec: AdjacencySpec, p: Point) -> set[Point]:
     return {vec_add(p, v) for v in spec.offsets}
 
 
-def label(todo: bytearray, step: Callable[[list[int]], Iterable[int]]) -> list[int]:
+def label(todo: bytearray, step: Callable[[list[int]], Iterable[int]]) -> tuple[list[int], dict[int, int]]:
     """Flood-fill labeling on integer ids: each id i with ``todo[i]`` set maps
-    to the smallest such id of its component, every other id to -1.
+    to the smallest such id of its component, every other id to -1; and each
+    seed, in increasing order, with the number of ids it floods.
 
     ``step(frontier)`` returns the neighbour ids of every id of a frontier,
     under a symmetric relation; ids whose ``todo`` byte is clear are
@@ -267,11 +269,13 @@ def label(todo: bytearray, step: Callable[[list[int]], Iterable[int]]) -> list[i
     ``todo`` is consumed: every byte ends clear.
     """
     ids = [-1] * len(todo)
+    sizes: dict[int, int] = {}
     seed = todo.find(1)
     while seed >= 0:
         todo[seed] = 0
         ids[seed] = seed
         frontier = [seed]
+        size = 1
         while frontier:
             layer = []
             for q in step(frontier):
@@ -280,8 +284,10 @@ def label(todo: bytearray, step: Callable[[list[int]], Iterable[int]]) -> list[i
                     ids[q] = seed
                     layer.append(q)
             frontier = layer
+            size += len(layer)
+        sizes[seed] = size
         seed = todo.find(1, seed)
-    return ids
+    return ids, sizes
 
 
 def components(spec: AdjacencySpec, points: Iterable[Point]) -> ComponentLabeling:
@@ -289,8 +295,8 @@ def components(spec: AdjacencySpec, points: Iterable[Point]) -> ComponentLabelin
     sorted points, ``label``-flooded through their uncached ``neighbour_table``."""
     pts = tuple(sorted(set(points)))
     index, table = neighbour_table.__wrapped__(spec, pts)
-    ids = label(bytearray(b"\1") * len(pts), lambda fr: [j for i in fr for j in table[i]])
-    return ComponentLabeling(ids, lambda p: index.get(p, -1), pts.__getitem__)
+    ids, sizes = label(bytearray(b"\1") * len(pts), lambda fr: [j for i in fr for j in table[i]])
+    return ComponentLabeling(ids, sizes, lambda p: index.get(p, -1), pts.__getitem__)
 
 
 @lru_cache(maxsize=None)
@@ -414,11 +420,14 @@ def complement_components(
                 out += range(ids[a + low] >> 1, ids[b + high] + 1 >> 1)
         return out
 
-    seeds = label(bytearray(b"\1") * len(starts), step)
+    seeds = label(bytearray(b"\1") * len(starts), step)[0]
+    sizes: dict[int, int] = {}  # the runs' lengths per id; a seed run comes first, so ids ascend
     gap = 0
     for a, b, s in zip(starts, stops, seeds):
         ids[gap:a] = [-1] * (a - gap)
-        ids[a : b + 1] = [starts[s]] * (b + 1 - a)
+        c = starts[s]
+        ids[a : b + 1] = [c] * (b + 1 - a)
+        sizes[c] = sizes.get(c, 0) + b + 1 - a
         gap = b + 1
     ids[gap:] = [-1] * (cells - gap)
     steps = lru_cache(maxsize=None)(lambda s: list(map(grid.offset, s.sorted_offsets)))
@@ -428,7 +437,7 @@ def complement_components(
             return grid.key(p)
         return -1
 
-    return ComponentLabeling(ids, index, grid.point, frozenset({lo}), steps)
+    return ComponentLabeling(ids, sizes, index, grid.point, frozenset({lo}), steps)
 
 
 def is_path(spec: AdjacencySpec, seq: Path) -> bool:

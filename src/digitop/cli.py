@@ -147,16 +147,6 @@ def _config(args: argparse.Namespace, n: int) -> dict:
     }
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.output:
-        try:
-            Path(args.output).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise InputFormatError(f"{args.output}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)  # every report ends in a newline
-
-
 def _row(n: int, indent: str) -> str:
     """The template of a list of n ints that closes at ``indent``: one ``%d`` per int."""
     if not n:
@@ -249,9 +239,16 @@ def _report(args: argparse.Namespace, config: dict, result: dict, witnesses: lis
             "result": result,
             "witnesses": witnesses,
         }
-        _emit(args, _json(envelope) + "\n")
+        text = _json(envelope) + "\n"
     else:
-        _emit(args, "\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
+    if args.output:
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputFormatError(f"{args.output}: {exc.strerror or exc}") from exc
+    else:
+        sys.stdout.write(text)  # every report ends in a newline
 
 
 def _maybe_replay(args: argparse.Namespace, mset, pair: AdjacencyPair) -> int | None:
@@ -301,35 +298,37 @@ def _verdict_lines(report) -> list[str]:
     return lines + [_witness_line(w) for w in report.witnesses()]
 
 
-def _cmd_verify_manifold(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
+# each command returns (result, witnesses, text lines, exit code), which
+# main reports
+Outcome = tuple[dict, list[dict], list[str], int]
+
+
+def _cmd_verify_manifold(args: argparse.Namespace, mset, pair: AdjacencyPair, region) -> Outcome:
     report = check_manifold(mset, pair, region)
     lines = [f"certified: {report.certified}"]
     for name, verdict in report.verdicts():
         lines.append(f"{name.replace('_', '-')}: {verdict.holds}")
         if not verdict.holds and verdict.witness:
             lines.append(_witness_line(verdict.witness))
-    _report(args, _config(args, n), report.to_json(), report.witnesses(), lines)
-    return 0 if report.certified else 1
+    return report.to_json(), report.witnesses(), lines, 0 if report.certified else 1
 
 
-def _cmd_check_separation(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
+def _cmd_check_separation(args: argparse.Namespace, mset, pair: AdjacencyPair, region) -> Outcome:
     verdict = has_separation_property(mset, pair, region)
     witnesses = [verdict.witness] if verdict.witness else []
     lines = [f"separation: {verdict.holds}", *map(_witness_line, witnesses)]
-    _report(args, _config(args, n), verdict.to_json(), witnesses, lines)
-    return 0 if verdict.holds else 1
+    return verdict.to_json(), witnesses, lines, 0 if verdict.holds else 1
 
 
-def _cmd_build(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
-    if args.format == "off":
+def _cmd_build(args: argparse.Namespace, mset, pair: AdjacencyPair, region) -> Outcome:
+    if args.format == "off":  # the text report of its lines is the OFF text
         text, skipped = complex_to_off(build_reduced_complex(mset, pair))
         if skipped:
             print(
                 f"warning: {skipped} simplices of dimension < 2 are not representable in OFF",
                 file=sys.stderr,
             )
-        _emit(args, text)
-        return 0
+        return {}, [], text.splitlines(), 0
     full, reduced = build_complexes(mset, pair)
     lines = [
         f"{name}: {len(k)} simplices on {len(k.table)} vertices"
@@ -337,26 +336,21 @@ def _cmd_build(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, regi
     ]
     # text reports only the counts, so the JSON form is built for JSON alone
     result = {"K": complex_to_json(full), "K_prime": complex_to_json(reduced)} if args.format == "json" else {}
-    _report(args, _config(args, n), result, [], lines)
-    return 0
+    return result, [], lines, 0
 
 
-def _cmd_check_pseudomanifold(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
+def _cmd_check_pseudomanifold(args: argparse.Namespace, mset, pair: AdjacencyPair, region) -> Outcome:
     report = is_pseudomanifold(build_reduced_complex(mset, pair), pair.n - 1)
     lines = [f"pseudomanifold (dimension {report.dimension}): {report.all_hold}", *_verdict_lines(report)]
-    _report(args, _config(args, n), report.to_json(), report.witnesses(), lines)
-    return 0 if report.all_hold else 1
+    return report.to_json(), report.witnesses(), lines, 0 if report.all_hold else 1
 
 
-def _cmd_euler(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
+def _cmd_euler(args: argparse.Namespace, mset, pair: AdjacencyPair, region) -> Outcome:
     chi, chi_prime = euler_characteristics(mset, pair)
-    result = {"chi_K": chi, "chi_K_prime": chi_prime}
-    lines = [f"chi(K) = {result['chi_K']}", f"chi(K') = {result['chi_K_prime']}"]
-    _report(args, _config(args, n), result, [], lines)
-    return 0
+    return {"chi_K": chi, "chi_K_prime": chi_prime}, [], [f"chi(K) = {chi}", f"chi(K') = {chi_prime}"], 0
 
 
-def _cmd_jordan(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
+def _cmd_jordan(args: argparse.Namespace, mset, pair: AdjacencyPair, region) -> Outcome:
     report = jordan_check(mset, pair, margin=args.margin)
     lines = [
         f"all-true: {report.all_true}",
@@ -365,11 +359,10 @@ def _cmd_jordan(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, reg
         f"outside-flagged: {report.outside_flagged}",
         *_verdict_lines(report),
     ]
-    _report(args, _config(args, n), report.to_json(), report.witnesses(), lines)
-    return 0 if report.all_true else 1
+    return report.to_json(), report.witnesses(), lines, 0 if report.all_true else 1
 
 
-def _cmd_good_pair(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
+def _cmd_good_pair(args: argparse.Namespace, mset, pair: AdjacencyPair, region) -> Outcome:
     report = is_good_pair(pair, bound=args.bound, budget=args.budget)
     lines = [
         f"good-pair: {report.verdict}",
@@ -378,21 +371,15 @@ def _cmd_good_pair(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, 
         f"double-points: {len(report.double_point_witnesses)}",
         *map(_witness_line, report.double_point_witnesses),
     ]
-    _report(args, _config(args, n), report.to_json(), report.witnesses(), lines)
-    if report.verdict == "yes":
-        return 0
-    if report.verdict == "no":
-        return 1
-    return 3
+    return report.to_json(), report.witnesses(), lines, {"yes": 0, "no": 1}.get(report.verdict, 3)
 
 
-def _cmd_simple_points(args: argparse.Namespace, mset, n: int, pair: AdjacencyPair, region) -> int:
+def _cmd_simple_points(args: argparse.Namespace, mset, pair: AdjacencyPair, region) -> Outcome:
     simple = [p for p in sorted(mset) if is_simple_point(p, mset, pair, region)]
     result = {"simple_points": [list(p) for p in simple], "count": len(simple)}
     witnesses = [simple_point_witness(p) for p in simple]
     lines = [f"simple points: {len(simple)}"] + [f"  {' '.join(map(str, p))}" for p in simple]
-    _report(args, _config(args, n), result, witnesses, lines)
-    return 0 if not simple else 1
+    return result, witnesses, lines, 0 if not simple else 1
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -434,7 +421,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         mset, n, pair, region = _load_context(args)
         # witnesses of a good-pair report live on the origin's background sphere
         code = _maybe_replay(args, pair.beta.offsets if args.command == "good-pair" else mset, pair)
-        return _COMMANDS[args.command][3](args, mset, n, pair, region) if code is None else code
+        if code is not None:
+            return code
+        result, witnesses, lines, code = _COMMANDS[args.command][3](args, mset, pair, region)
+        _report(args, _config(args, n), result, witnesses, lines)
+        return code
     except ValueError as exc:  # InputFormatError and NotCertifiedError too
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -248,15 +248,15 @@ def half_keys(m: Iterable[Point], n: int) -> tuple[HalfGrid, list[int]]:
     return grid, [2 * sum(map(mul, p, strides)) + base for p in pts]
 
 
-def shell_masks(m: Sequence[Point], n: int, count: int | None = None) -> list[int]:
-    """The shell masks of the first ``count`` points of m (of all, by
-    default), in m's order: bit i of p's mask is set iff ``p +
-    shell_offsets(n)[i]`` is in m, found by one ``half_keys`` sum and one set
-    probe.  Every test local to p's punctured neighbourhood depends only on it."""
+def shell_masks(m: Sequence[Point], n: int) -> list[int]:
+    """The shell masks of the points of m, in m's order: bit i of p's mask
+    is set iff ``p + shell_offsets(n)[i]`` is in m, found by one ``half_keys``
+    sum and one set probe.  Every test local to p's punctured neighbourhood
+    depends only on it."""
     grid, keys = half_keys(m, n)
     present = set(keys)
     deltas = [(1 << i, 2 * grid.offset(v)) for i, v in enumerate(shell_offsets(n))]
-    return [sum([bit for bit, d in deltas if h + d in present]) for h in keys[:count]]
+    return [sum([bit for bit, d in deltas if h + d in present]) for h in keys]
 
 
 Shapes = tuple[tuple[int, ...], dict[int, int]]  # axes, and each cube's mask by barycenter key

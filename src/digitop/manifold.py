@@ -63,10 +63,6 @@ class GlobalSides:
     d_side: frozenset[Point]
 
 
-def axis_adjacent(p: Point, q: Point) -> bool:
-    return sum(abs(a - b) for a, b in zip(p, q)) == 1
-
-
 def is_simple_translation(tau: Translation) -> bool:
     """True iff tau is no nontrivial power of another translation."""
     return math.gcd(*tau) == 1
@@ -99,10 +95,9 @@ def local_components(p: Point, m: Iterable[Point], pair: AdjacencyPair) -> list[
     n = pair.n
     if set(map(len, mset)) - {n}:
         raise ValueError(f"point {next(q for q in mset if len(q) != n)} has wrong dimension (expected {n})")
-    # only p's king neighbours in m can set a bit of its mask
-    near = [q for v in shell_offsets(n) if (q := vec_add(p, v)) in mset]
-    sides = _shell(pair, shell_masks((p, *near), n, 1)[0])[0]
-    return [frozenset(vec_add(p, v) for v in masked_points(shell_offsets(n), side)) for side in sides]
+    offsets = shell_offsets(n)  # bit i of p's shell mask is p + offsets[i] in m
+    sides = _shell(pair, sum(1 << i for i, v in enumerate(offsets) if vec_add(p, v) in mset))[0]
+    return [frozenset(vec_add(p, v) for v in masked_points(offsets, side)) for side in sides]
 
 
 @lru_cache(maxsize=None)
@@ -354,13 +349,13 @@ def _replay_one_sided(w: dict, mset, pair: AdjacencyPair, region) -> bool:
 def _replay_double_point(w: dict, mset, pair: AdjacencyPair, region) -> bool:
     """Replay every defining condition of the configuration."""
     z, p, q, r, tau = (tuple(w[k]) for k in ("z", "p", "q", "r", "tau"))
-    alpha, beta = pair.alpha, pair.beta
+    alpha, beta, axis = pair.alpha, pair.beta, axis_adjacency(pair.n)
     return (
         beta.adjacent(z, p)
-        and axis_adjacent(z, q)
+        and axis.adjacent(z, q)
         and alpha.adjacent(p, q)
         and beta.adjacent(z, r)
-        and axis_adjacent(p, r)
+        and axis.adjacent(p, r)
         and vec_add(p, tau) == q
         and vec_add(r, tau) == z
         and alpha.adjacent(r, q)

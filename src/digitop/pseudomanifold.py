@@ -42,7 +42,7 @@ def is_pseudomanifold(k: SimplicialComplex, d: int) -> PseudomanifoldReport:
         for face in itertools.combinations(t, d):
             cofaces.setdefault(face, []).append(i)
     thin = next(((s, c) for s in k.rows if len(s) == d and (c := len(cofaces.get(s, ()))) != 2), None)
-    ids = label(
+    ids, _ = label(
         bytearray(b"\1") * len(top),
         lambda fr: [o for i in fr for face in itertools.combinations(top[i], d) for o in cofaces[face]],
     )

@@ -40,6 +40,7 @@ from .lattice import (
     Point,
     Shapes,
     barycenter,
+    bounding_box,
     corners,
     cube_of_barycenter,
     double,
@@ -255,13 +256,9 @@ def skeleton_components(k: SimplicialComplex) -> ComponentLabeling:
     for a, b in (r for r in k.rows if len(r) == 2):
         edges[a].append(b)
         edges[b].append(a)
-    ids = label(bytearray(b"\1") * len(k.table), lambda fr: [j for i in fr for j in edges[i]])
+    ids, sizes = label(bytearray(b"\1") * len(k.table), lambda fr: [j for i in fr for j in edges[i]])
     index = {v: i for i, v in enumerate(k.table)}
-    return ComponentLabeling(ids, lambda v: index.get(v, -1), k.table.__getitem__)
-
-
-def _bbox2(s: Simplex) -> Box:
-    return tuple(map(min, zip(*s))), tuple(map(max, zip(*s)))
+    return ComponentLabeling(ids, sizes, lambda v: index.get(v, -1), k.table.__getitem__)
 
 
 def _bboxes_overlap(a: Box, b: Box) -> bool:
@@ -342,7 +339,7 @@ def verify_complex_axioms(k: SimplicialComplex) -> tuple[bool, Optional[dict]]:
     others = [i for i, chain in enumerate(chains) if not chain]
     if not others:
         return True, None
-    boxes = [_bbox2(s) for s in simplices]
+    boxes = list(map(bounding_box, simplices))
     open_boxes = [_open_box(box) for box in boxes]
     buckets = _buckets(boxes)
     pairs = {(min(i, j), max(i, j)) for i in others for cell in _cells(boxes[i]) for j in buckets[cell] if j != i}
@@ -368,7 +365,7 @@ def lattice_correspondence(k: SimplicialComplex, m: Iterable[Point]) -> tuple[bo
         if _is_chain(s):
             continue
         # the lattice points inside the doubled box
-        for p in itertools.product(*(range((l + 1) // 2, h // 2 + 1) for l, h in zip(*_bbox2(s)))):
+        for p in itertools.product(*(range((l + 1) // 2, h // 2 + 1) for l, h in zip(*bounding_box(s)))):
             h = double(p)
             if h not in s and point_in_closed_simplex(s, [Fraction(c) for c in h]):
                 return False, {"kind": "lattice-point-inside-simplex", "simplex": [list(v) for v in s], "point": list(p)}
@@ -385,7 +382,7 @@ def realization_chambers(k: SimplicialComplex, region: Region) -> int:
     chambers.  Exact arithmetic throughout.
     """
     simplices = list(map(k.points, k.rows))
-    boxes = [_bbox2(s) for s in simplices]
+    boxes = list(map(bounding_box, simplices))
     buckets = _buckets(boxes)
     free: set[tuple[int, ...]] = set()
     for x2 in itertools.product(*(range(2 * a, 2 * b + 1) for a, b in zip(region.lo, region.hi))):

@@ -110,7 +110,7 @@ def test_an_axis_spec_in_12_dimensions_builds_no_full_offset_set():
 
 def test_adjacency_hash_ignores_the_label_and_is_stable():
     full = full_adjacency(3)
-    relabeled = AdjacencySpec(3, frozenset(full.offsets), label="king")
+    relabeled = AdjacencySpec(3, frozenset(full.offsets))  # built apart from the cached spec
     assert relabeled == full and hash(relabeled) == hash(full)
     assert AdjacencySpec(3, full.offsets) != axis_adjacency(3)
     pair = AdjacencyPair(relabeled, axis_adjacency(3))
@@ -269,7 +269,7 @@ def complement_components_oracle(spec, m, region):
     their ids.  It shares no code with the labeling under test."""
     mset = set(m)
     for p in mset:
-        if not region.strictly_contains(p, 1):
+        if not region.strictly_contains(p):
             raise ValueError(f"region too small: {p} touches the margin zone")
     free = {p for p in region_points(region) if p not in mset}
     labeling = DictLabeling(label_oracle(free, lambda p: [vec_add(p, v) for v in spec.sorted_offsets]))
@@ -362,7 +362,7 @@ def test_the_window_view_keys_only_the_free_points_of_the_region():
 def require_inside_oracle(region, m):
     """The replaced ``Region.require_inside`` body: every point is tried in turn."""
     for p in m:
-        if not region.strictly_contains(p, 1):
+        if not region.strictly_contains(p):
             raise ValueError(f"region too small: {p} touches the margin zone")
 
 
@@ -382,7 +382,7 @@ def complement_components_cell_oracle(spec, m, region):
     for p in mset:
         todo[grid.key(p)] = 0
     deltas = list(map(grid.offset, spec.sorted_offsets))
-    return label(todo, lambda fr: [c + d for c in fr for d in deltas])
+    return label(todo, lambda fr: [c + d for c in fr for d in deltas])[0]
 
 
 # (1, 1, +-1) but not (1, 1, 0): the last-axis shifts of the prefix move (1, 1)
@@ -498,9 +498,10 @@ def flood_cases(draw):
 def test_label_matches_the_dict_flood_it_replaced(case):
     adj, mask = case
     todo = bytearray(mask)
-    ids = adjacency.label(todo, lambda fr: [j for i in fr for j in adj[i]])
+    ids, sizes = adjacency.label(todo, lambda fr: [j for i in fr for j in adj[i]])
     expected = label_oracle([i for i, free in enumerate(mask) if free], adj.__getitem__)
     assert ids == [expected.get(i, -1) for i in range(len(adj))]
+    assert list(sizes.items()) == sorted(Counter(expected.values()).items())  # per seed, in seed order
     assert not any(todo)  # consumed
 
 
@@ -525,8 +526,8 @@ def masked_components_oracle(spec, points, mask):
     size = len(points)
     # byte i is bit i: the bits below a sentinel bit at ``size``, reversed
     todo = bytearray(format(mask & ~(-1 << size) | 1 << size, "b")[:0:-1], "ascii").translate(bytes.maketrans(b"01", b"\0\1"))
-    ids = label(todo, lambda fr: [j for i in fr for j in table[i]])
-    return ComponentLabeling(ids, lambda p: index.get(p, -1), points.__getitem__)
+    ids, sizes = label(todo, lambda fr: [j for i in fr for j in table[i]])
+    return ComponentLabeling(ids, sizes, lambda p: index.get(p, -1), points.__getitem__)
 
 
 def decoded(points, comps):
@@ -575,6 +576,20 @@ def test_the_bit_flood_matches_the_label_flood_it_replaced(case):
     assert [(c & -c).bit_length() - 1 for c in got] == [i for i, c in enumerate(expected.ids) if c == i]
 
 
+def counted_oracle(lab):
+    """The replaced scans of a labeling's id list: its count, its sizes in
+    increasing id order and its len, from the numbers that are their own id
+    and a ``Counter`` of the ids; ``counts(lab)`` reads the same from the labeling."""
+    sizes = Counter(lab.ids)
+    del sizes[-1]
+    count = sum(c == i for i, c in enumerate(lab.ids))
+    return count, [(lab.point(c), k) for c, k in sorted(sizes.items())], len(lab.ids) - lab.ids.count(-1)
+
+
+def counts(lab):
+    return lab.count, list(lab.sizes().items()), len(lab)
+
+
 @st.composite
 def spec_sets(draw):
     """A random set in a small 2-, 3- or 4-D box under an axis, full or custom spec."""
@@ -585,6 +600,8 @@ def spec_sets(draw):
 
 
 @given(spec_sets())
+@example((_THREE_RUNS, axis_adjacency(2)))  # windows whose components span several runs
+@example((_POCKETS, _SKEW_3))
 @settings(max_examples=80, deadline=None)
 def test_a_point_set_labeling_reads_as_the_flood_of_its_points(case):
     points, spec = case
@@ -597,6 +614,7 @@ def test_a_point_set_labeling_reads_as_the_flood_of_its_points(case):
     assert lab.count == expected.count == len(oracle)
     assert lab.sizes() == expected.sizes() and lab.components() == expected.components()
     assert list(lab.components()) == list(lab.sizes()) == sorted(min(comp) for comp in oracle)
+    assert counts(lab) == counted_oracle(lab)
     assert all(lab.get(p) == lab[p] == expected.labels[p] for p in points)
     # a non-member and a point of another dimension are no keys
     for q in [(9,) * n, (0,) * (n + 1), (0,) * (n - 1), *(p + (0,) for p in points)]:
@@ -610,13 +628,15 @@ def test_a_point_set_labeling_reads_as_the_flood_of_its_points(case):
     # equal when the labels and infinite_ids agree, whatever the numbering
     assert components(spec, sorted(points, reverse=True)) == lab == expected.labels
     if points:
-        flagged = ComponentLabeling(lab.ids, lab.index, lab.point, frozenset({min(points)}))
+        flagged = ComponentLabeling(lab.ids, lab.id_sizes, lab.index, lab.point, frozenset({min(points)}))
         assert dict(flagged.items()) == dict(lab.items()) and flagged != lab
         assert components(spec, points - {max(points)}) != lab
         region = Region.around(points, 2)
         window = complement_components(spec, points, region)
+        assert counts(window) == counted_oracle(window)
         free = components(spec, [p for p in region_points(region) if p not in points])
-        assert window != free and window == ComponentLabeling(free.ids, free.index, free.point, window.infinite_ids)
+        flat = ComponentLabeling(free.ids, free.id_sizes, free.index, free.point, window.infinite_ids)
+        assert window != free and window == flat
 
 
 def components_oracle(spec, points):
@@ -625,11 +645,11 @@ def components_oracle(spec, points):
     pts = sorted(set(points))
     index = {p: i for i, p in enumerate(pts)}
     offsets = spec.sorted_offsets
-    ids = label(
+    ids, sizes = label(
         bytearray(b"\1") * len(pts),
         lambda fr: [j for i in fr for v in offsets if (j := index.get(vec_add(pts[i], v))) is not None],
     )
-    return ComponentLabeling(ids, lambda p: index.get(p, -1), pts.__getitem__)
+    return ComponentLabeling(ids, sizes, lambda p: index.get(p, -1), pts.__getitem__)
 
 
 def neighbour_table_oracle(spec, points):

@@ -15,6 +15,7 @@ from digitop import adjacency, cli, jordan, manifold, pseudomanifold, separation
 from digitop.adjacency import AdjacencyPair, AdjacencySpec, Region, axis_adjacency, full_adjacency
 from digitop.cli import main
 from digitop.jordan import rect_boundary
+from digitop.simplicial import build_reduced_complex, complex_to_off
 from digitop.fileio import (
     InputFormatError,
     format_points,
@@ -53,8 +54,8 @@ def test_parse_points_errors_carry_line_numbers():
 
 
 def test_adjacency_arg_names():
-    assert parse_adjacency_arg("axis", 2).label == "axis"
-    assert parse_adjacency_arg("full", 3).label == "full"
+    assert parse_adjacency_arg("axis", 2) is axis_adjacency(2)
+    assert parse_adjacency_arg("full", 3) is full_adjacency(3)
     with pytest.raises(InputFormatError):
         parse_adjacency_arg("king", 2)
 
@@ -235,6 +236,19 @@ def test_off_export(box_file, tmp_path, capsys):
     nv, nf, _ = map(int, lines[1].split())
     assert nv > 0 and nf > 0
     assert "warning" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha, beta", [("axis", "full"), ("full", "axis")])
+def test_off_stdout_is_the_off_text_byte_for_byte(box_file, tmp_path, capsysbinary, alpha, beta):
+    m, _ = load_points(str(box_file))
+    pair = AdjacencyPair(parse_adjacency_arg(alpha, 3), parse_adjacency_arg(beta, 3))
+    text = complex_to_off(build_reduced_complex(m, pair))[0]
+    argv = ["build", "--points", str(box_file), "--alpha", alpha, "--beta", beta, "--format", "off"]
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == text.encode()
+    out = tmp_path / "box.off"
+    assert main([*argv, "-o", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
 
 
 @pytest.mark.parametrize(

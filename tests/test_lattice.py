@@ -334,9 +334,9 @@ def test_the_shell_gather_matches_the_per_point_masks(m, data):
     order = data.draw(st.permutations(sorted(m)))
     assert shell_masks(order, n) == [shell_mask_oracle(p, m) for p in order]
     count = data.draw(st.integers(0, len(order)))
-    assert shell_masks(order, n, count) == [shell_mask_oracle(p, m) for p in order[:count]]
+    assert shell_masks(order, n)[:count] == [shell_mask_oracle(p, m) for p in order[:count]]
     if order:  # a point given twice is one point of m
-        assert shell_masks((order[-1], *order), n, 1) == [shell_mask_oracle(order[-1], m)]
+        assert shell_masks((order[-1], *order), n)[:1] == [shell_mask_oracle(order[-1], m)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

@@ -32,7 +32,6 @@ from digitop.lattice import (
 )
 from digitop.simplicial import (
     SimplicialComplex,
-    _bbox2,
     _bboxes_overlap,
     _buckets,
     _cells,
@@ -56,6 +55,7 @@ from digitop.simplicial import (
     barycenter_test,
     verify_complex_axioms,
 )
+from test_adjacency import counted_oracle, counts
 from test_lattice import box2, shapes_meeting_oracle
 
 AXIS_FULL_2 = AdjacencyPair(axis_adjacency(2), full_adjacency(2))
@@ -264,7 +264,7 @@ def verify_complex_axioms_ranked_oracle(k):
     if witness:
         return False, witness
     others = [i for i, s in enumerate(simplices) if not _is_chain(s)]
-    boxes = [_bbox2(s) for s in simplices]
+    boxes = [bounding_box(s) for s in simplices]
     open_boxes = [_open_box(box) for box in boxes]
     buckets = _buckets(boxes)
     pairs = {(min(i, j), max(i, j)) for i in others for cell in _cells(boxes[i]) for j in buckets[cell] if j != i}
@@ -283,7 +283,7 @@ def lattice_correspondence_oracle(k, m):
     for s in sorted(k.simplices):
         if len(s) < 2:
             continue
-        lo, hi = _bbox2(s)
+        lo, hi = bounding_box(s)
         for p in itertools.product(*(range((l + 1) // 2, h // 2 + 1) for l, h in zip(lo, hi))):
             h = double(p)
             if h not in s and point_in_closed_simplex(s, [Fraction(c) for c in h]):
@@ -569,6 +569,7 @@ def test_skeleton_components_match_the_oracle(case):
     for c in (k, reduce_complex(k, m, pair)):
         got = skeleton_components(c)
         assert got.labels == skeleton_components_oracle(c)
+        assert counts(got) == counted_oracle(got)
         assert got.infinite_ids == frozenset()
         assert (10**6,) * c.n not in got.labels and got.labels.get((10**6,) * c.n) is None  # not a vertex
 
