@@ -7,6 +7,7 @@ coordinates, so no predicate ever sees a rounding error.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 Vec = Sequence[Fraction]
@@ -136,5 +137,18 @@ def barycentric_coordinates(
 
 
 def point_in_closed_simplex(vertices: Sequence[Sequence[int]], point: Sequence[Fraction]) -> bool:
-    coords = barycentric_coordinates(vertices, point)
-    return coords is not None and all(c >= 0 for c in coords)
+    """Is the point in the convex hull of the vertices?  When they are
+    affinely dependent, it is iff it is in the hull of some affinely
+    independent subset of them (Caratheodory)."""
+    solved = _solve_weights((vertices,), point)
+    if solved is None:
+        return False
+    weights, basis = solved
+    if not basis:
+        return all(c >= 0 for c in weights)
+    return any(
+        point_in_closed_simplex(s, point)
+        for size in range(1, len(vertices))
+        for s in combinations(vertices, size)
+        if integer_rank([[x - y for x, y in zip(v, s[0])] for v in s[1:]]) == size - 1
+    )

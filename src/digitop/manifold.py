@@ -347,7 +347,7 @@ def _replay_one_sided(w: dict, mset, pair: AdjacencyPair, region) -> bool:
 
 
 def _replay_double_point(w: dict, mset, pair: AdjacencyPair, region) -> bool:
-    """Replay every defining condition of the configuration."""
+    """Replay the defining conditions of the configuration."""
     z, p, q, r, tau = (tuple(w[k]) for k in ("z", "p", "q", "r", "tau"))
     alpha, beta, axis = pair.alpha, pair.beta, axis_adjacency(pair.n)
     return (
@@ -355,7 +355,7 @@ def _replay_double_point(w: dict, mset, pair: AdjacencyPair, region) -> bool:
         and axis.adjacent(z, q)
         and alpha.adjacent(p, q)
         and beta.adjacent(z, r)
-        and axis.adjacent(p, r)
+        # p, r axis-adjacent follows: r - p = z - q by the translations, and z, q are
         and vec_add(p, tau) == q
         and vec_add(r, tau) == z
         and alpha.adjacent(r, q)

@@ -176,17 +176,16 @@ def _without(k: SimplicialComplex, dropped: AbstractSet[int]) -> SimplicialCompl
     return SimplicialComplex(k.n, tuple(map(k.table.__getitem__, left)), rows)
 
 
-def _order_complex(
-    grid: HalfGrid, points: list[int], cubes: Iterable[tuple]
-) -> tuple[SimplicialComplex, SimplicialComplex]:
-    """K'(M) and K(M) of these passing cubes: the chains c0 < c1 < ... < ck
-    of the cubes plus the points of the set (their keys), and K minus the
-    barycenters of the cubes not kept.
+def _order_complex(grid: HalfGrid, points: list[int], cubes: Iterable[tuple]) -> tuple[SimplicialComplex, set[int]]:
+    """K(M) of these passing cubes, the chains c0 < c1 < ... < ck of the
+    cubes plus the points of the set (their keys), and the ids of the
+    barycenters that K'(M) drops, the cubes not kept.
 
     ``cubes`` comes from ``_passing``, in order of dimension, and holds
     every passing face of dimension >= 1 of each of its cubes.  Vertices
     are numbered before any chain grows, in key order, which is point
     order; a chain is sorted ids, keyed by the barycenter of its top cube.
+    The rows are bucketed by first id and each bucket sorted: one sort's order.
     """
     cubes = list(cubes)
     keys = sorted(points + [c[0] for c in cubes])
@@ -199,20 +198,25 @@ def _order_complex(
         for f in faces:
             below += chains.get(center + f, ())
         chains[center] = [(top,)] + _grown(below, top)
-    rows = sorted(itertools.chain(((ids[h],) for h in points), *chains.values()))
-    k = SimplicialComplex(grid.n, tuple(map(grid.point, keys)), tuple(rows))
-    return _without(k, {ids[c[0]] for c in cubes if not c[3]}), k
+    first: list[list[Row]] = [[] for _ in keys]
+    for h in points:
+        first[ids[h]].append((ids[h],))
+    for ch in itertools.chain.from_iterable(chains.values()):
+        first[ch[0]].append(ch)
+    rows = tuple(itertools.chain.from_iterable(map(sorted, first)))
+    k = SimplicialComplex(grid.n, tuple(map(grid.point, keys)), rows)
+    return k, {ids[c[0]] for c in cubes if not c[3]}
 
 
 def build_complex(m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
     """K(M): the order complex of the cubes that pass the barycenter test."""
-    return build_complexes(m, pair)[0]
+    return _order_complex(*_passing_cubes(m, pair))[0]
 
 
 def build_complexes(m: Iterable[Point], pair: AdjacencyPair) -> tuple[SimplicialComplex, SimplicialComplex]:
     """K(M) and K'(M) from one enumeration of the chains."""
-    reduced, full = _order_complex(*_passing_cubes(m, pair))
-    return full, reduced
+    full, dropped = _order_complex(*_passing_cubes(m, pair))
+    return full, _without(full, dropped)
 
 
 def build_reduced_complex(m: Iterable[Point], pair: AdjacencyPair) -> SimplicialComplex:
@@ -293,18 +297,40 @@ def _buckets(boxes: list[Box]) -> dict[Point, list[int]]:
     return out
 
 
-def _is_chain(s: Simplex) -> bool:
-    """Are the vertices the barycenters of a strict chain of lattice cubes?
+def _is_face(a: HalfPoint, b: HalfPoint) -> bool:
+    """Is the cube of barycenter ``a`` a face of the cube of ``b``?
 
     A doubled vertex is the barycenter of the cube whose free axes are its
     odd coordinates, and that cube spans [x - x % 2, x + x % 2] on each
     axis; a cube is a face of another iff its spans lie in the other's.
     """
-    cubes = sorted((sum(c & 1 for c in v), v) for v in s)
-    return all(
-        da < db and all(abs(x - y) <= (y & 1) - (x & 1) for x, y in zip(a, b))
-        for (da, a), (db, b) in zip(cubes, cubes[1:])
-    )
+    return all(abs(x - y) <= (y & 1) - (x & 1) for x, y in zip(a, b))
+
+
+def _chain_flags(k: SimplicialComplex) -> list[bool]:
+    """Is each row of ``k`` the barycenters of a strict chain of lattice cubes?
+
+    A row is one when its vertices, ordered by their cubes' dimensions (the
+    odd coordinates), have distinct dimensions and each is a face of the
+    next.  The face test runs once per distinct (lower id, upper id) pair.
+    A lone vertex is a chain, and a chain never repeats a vertex.
+    """
+    dims = [sum(c & 1 for c in v) for v in k.table]
+    faces: dict[tuple[int, int], bool] = {}
+    flags = []
+    for r in k.rows:
+        r = sorted(r, key=dims.__getitem__)
+        chain = True
+        for pair in zip(r, r[1:]):
+            face = faces.get(pair)
+            if face is None:
+                a, b = pair
+                face = faces[pair] = dims[a] < dims[b] and _is_face(k.table[a], k.table[b])
+            if not face:
+                chain = False
+                break
+        flags.append(chain)
+    return flags
 
 
 def verify_complex_axioms(k: SimplicialComplex) -> tuple[bool, Optional[dict]]:
@@ -312,33 +338,34 @@ def verify_complex_axioms(k: SimplicialComplex) -> tuple[bool, Optional[dict]]:
 
     Returns (True, None) or (False, witness).  The barycentric subdivision
     of the lattice's cube complex is a triangulation, so a strict cube
-    chain is affinely independent, and the open simplices of two distinct
-    chains never meet (Rourke and Sanderson, *Introduction to
-    Piecewise-Linear Topology*, ch. 2).  Every other pair that shares a
-    lattice cell, and whose open projections meet on every axis, gets the
-    exact rational intersection test; both filters are necessary
-    conditions, and pairs are visited in sorted order, so the witness is
-    the first intersecting pair in that order.
+    chain has distinct, affinely independent vertices, and the open
+    simplices of two distinct chains never meet (Rourke and Sanderson,
+    *Introduction to Piecewise-Linear Topology*, ch. 2).  So only the rows
+    that are not chains are decoded for the repeated-vertex and rank
+    tests, and each pair with such a row that shares a lattice cell, and
+    whose open projections meet on every axis, gets the exact rational
+    intersection test; both filters are necessary conditions, and pairs are
+    visited in sorted order, so the witness is the first intersecting pair
+    in that order.
     """
-    simplices = list(map(k.points, k.rows))  # sorted, as the rows are
-    chains = list(map(_is_chain, simplices))
-    for s, chain in zip(simplices, chains):
+    chains = _chain_flags(k)
+    others = [i for i, chain in enumerate(chains) if not chain]
+    for s in (k.points(k.rows[i]) for i in others):
         if len(set(s)) != len(s):
             return False, {"kind": "repeated-vertex", "simplex": [list(v) for v in s]}
-        if not chain:  # a lone vertex is a chain
-            rows = [[v[i] - s[0][i] for i in range(len(s[0]))] for v in s[1:]]
-            if integer_rank(rows) != len(s) - 1:
-                return False, {"kind": "affinely-dependent", "simplex": [list(v) for v in s]}
+        rows = [[v[i] - s[0][i] for i in range(len(s[0]))] for v in s[1:]]
+        if integer_rank(rows) != len(s) - 1:
+            return False, {"kind": "affinely-dependent", "simplex": [list(v) for v in s]}
     rset = set(k.rows)
-    for r, s in zip(k.rows, simplices):
+    for r in k.rows:
         for size in range(1, len(r)):
             for face in itertools.combinations(r, size):
                 if face not in rset:
                     face = [list(v) for v in k.points(face)]
-                    return False, {"kind": "missing-face", "simplex": [list(v) for v in s], "face": face}
-    others = [i for i, chain in enumerate(chains) if not chain]
+                    return False, {"kind": "missing-face", "simplex": [list(v) for v in k.points(r)], "face": face}
     if not others:
         return True, None
+    simplices = list(map(k.points, k.rows))  # every box, for the pairs of the others
     boxes = list(map(bounding_box, simplices))
     open_boxes = [_open_box(box) for box in boxes]
     buckets = _buckets(boxes)
@@ -356,14 +383,15 @@ def lattice_correspondence(k: SimplicialComplex, m: Iterable[Point]) -> tuple[bo
     Checks that lattice vertices equal the set and that no simplex of
     dimension >= 1 passes through any other lattice point.  A strict cube
     chain, a simplex of the barycentric subdivision, meets the lattice in
-    its vertices only.
+    its vertices only, so only the rows that are not chains are decoded.
     """
     mset = frozenset(m)
     if set(k.lattice_vertices()) != mset:
         return False, {"kind": "lattice-vertex-mismatch", "vertices": [list(v) for v in k.lattice_vertices()]}
-    for s in map(k.points, k.rows):
-        if _is_chain(s):
+    for r, chain in zip(k.rows, _chain_flags(k)):
+        if chain:
             continue
+        s = k.points(r)
         # the lattice points inside the doubled box
         for p in itertools.product(*(range((l + 1) // 2, h // 2 + 1) for l, h in zip(*bounding_box(s)))):
             h = double(p)

@@ -121,6 +121,25 @@ def test_point_in_simplex_open_vs_closed():
     assert point_in_open_simplex(triangle, interior)
 
 
+def test_point_in_the_hull_of_affinely_dependent_vertices():
+    # Caratheodory: in the hull iff in the hull of an affinely independent subset
+    line = [(0, 0), (2, 0), (4, 0)]
+    assert point_in_closed_simplex(line, [F(1), F(0)])
+    assert point_in_closed_simplex(line, [F(4), F(0)])
+    assert not point_in_closed_simplex(line, [F(5), F(0)])
+    assert not point_in_closed_simplex(line, [F(1), F(1)])  # off the affine hull
+    square = [(0, 0), (2, 0), (0, 2), (2, 2)]  # four points of a plane
+    assert point_in_closed_simplex(square, [F(2), F(1)])
+    assert point_in_closed_simplex(square, [F(3, 2), F(3, 2)])
+    assert not point_in_closed_simplex(square, [F(3), F(1)])
+    twice = [(0, 0), (0, 0), (2, 2)]  # one vertex named twice
+    assert point_in_closed_simplex(twice, [F(1), F(1)])
+    assert not point_in_closed_simplex(twice, [F(1), F(0)])
+    once = [(2, 2), (2, 2)]  # one point: its independent subsets are single vertices
+    assert point_in_closed_simplex(once, [F(2), F(2)])
+    assert not point_in_closed_simplex(once, [F(2), F(1)])
+
+
 # open-intersection battery: segments and triangles with half-integer
 # coordinates stored doubled, the same convention the complex uses
 

@@ -191,6 +191,20 @@ def test_double_points_full_full():
         assert REPLAYS["double-point"](w, None, AdjacencyPair(full_adjacency(2), full_adjacency(2)), None)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_double_point_with_r_moved_one_unit_fails_replay(n):
+    # the replay asks no axis test of (p, r): moving r breaks r + tau == z
+    pair = AdjacencyPair(full_adjacency(n), full_adjacency(n))
+    witnesses = double_points((0,) * n, pair)
+    assert witnesses
+    for w in witnesses:
+        assert REPLAYS["double-point"](w, None, pair, None)
+        for axis, step in itertools.product(range(n), (-1, 1)):
+            r = list(w["r"])
+            r[axis] += step
+            assert not REPLAYS["double-point"]({**w, "r": r}, None, pair, None)
+
+
 def test_double_points_axis_background_is_empty():
     assert double_points((0, 0), FULL_AXIS_2) == []
 

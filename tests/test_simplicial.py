@@ -16,7 +16,7 @@ from digitop.adjacency import (
     custom_adjacency,
     full_adjacency,
 )
-from digitop.jordan import box_surface, rect_boundary
+from digitop.jordan import box_surface, rect_boundary, sphere_shell
 from digitop.lattice import (
     Cube,
     HalfGrid,
@@ -36,7 +36,7 @@ from digitop.simplicial import (
     _buckets,
     _cells,
     _face_offsets,
-    _is_chain,
+    _chain_flags,
     _open_box,
     _order_complex,
     _passing,
@@ -257,13 +257,26 @@ def verify_complex_axioms_oracle(k):
     return True, None
 
 
+def is_chain_oracle(s):
+    """The replaced ``simplicial._is_chain``: are the vertices of the point
+    tuple the barycenters of a strict chain of lattice cubes?  A doubled
+    vertex is the barycenter of the cube whose free axes are its odd
+    coordinates, spanning [x - x % 2, x + x % 2] on each axis; a cube is a
+    face of another iff its spans lie in the other's."""
+    cubes = sorted((sum(c & 1 for c in v), v) for v in s)
+    return all(
+        da < db and all(abs(x - y) <= (y & 1) - (x & 1) for x, y in zip(a, b))
+        for (da, a), (db, b) in zip(cubes, cubes[1:])
+    )
+
+
 def verify_complex_axioms_ranked_oracle(k):
     """The bucketed axiom check that gives every simplex the rank test."""
     simplices = sorted(k.simplices)
     witness = _ranks_and_faces_oracle(simplices, k.simplices)
     if witness:
         return False, witness
-    others = [i for i, s in enumerate(simplices) if not _is_chain(s)]
+    others = [i for i, s in enumerate(simplices) if not is_chain_oracle(s)]
     boxes = [bounding_box(s) for s in simplices]
     open_boxes = [_open_box(box) for box in boxes]
     buckets = _buckets(boxes)
@@ -354,7 +367,7 @@ def build_complex_in_cube(cn, m, pair):
     faces = [
         (f.axes, {grid.key(barycenter(f)): occupancy(f, mset)}) for k in range(1, cn.dim + 1) for f in subcubes(cn, k)
     ]
-    return _order_complex(grid, keys, _passing(grid, faces, pair))[1]
+    return _order_complex(grid, keys, _passing(grid, faces, pair))[0]
 
 
 def test_build_in_square_two_points():
@@ -740,7 +753,7 @@ def complexes_with_an_extra_simplex(draw):
     lo, hi = bounding_box(m)
     if draw(st.booleans()):
         extra = draw(strict_chains(lo, hi).filter(lambda s: s not in full.simplices))
-        assert _is_chain(extra)
+        assert is_chain_oracle(extra)
     else:
         grid = st.tuples(*[st.integers(2 * a - 1, 2 * b + 1) for a, b in zip(lo, hi)])
         extra = sorted(draw(st.lists(grid, min_size=2, max_size=pair.n + 1, unique=True)))
@@ -773,8 +786,8 @@ def test_cubes_of_equal_dimension_are_not_a_chain():
     # overlaps the chain edge from the first midpoint to the square's center
     across = ((1, 0), (1, 2))
     chain = ((1, 0), (1, 1))
-    assert not _is_chain(across) and _is_chain(chain)
-    assert not _is_chain(((1, 0), (1, 0)))  # one cube twice is no strict chain
+    assert not is_chain_oracle(across) and is_chain_oracle(chain)
+    assert not is_chain_oracle(((1, 0), (1, 0)))  # one cube twice is no strict chain
     k = SimplicialComplex.of(2, _face_closure(across, chain))
     ok, witness = verify_complex_axioms(k)
     assert not ok and witness == {
@@ -789,7 +802,7 @@ def test_a_cube_that_is_not_a_face_of_the_next_is_not_a_chain():
     # the edge (1, 0)-(1, 1)
     skew = ((0, 0), (3, 1))
     chain = ((2, 0), (2, 1))
-    assert not _is_chain(skew) and _is_chain(chain)
+    assert not is_chain_oracle(skew) and is_chain_oracle(chain)
     k = SimplicialComplex.of(2, _face_closure(skew, chain))
     ok, witness = verify_complex_axioms(k)
     assert not ok and witness == {
@@ -835,3 +848,100 @@ def sets_to_four_dimensions(draw):
 def test_chain_free_euler_matches_the_chain_count(case):
     m, pair = case
     assert euler_characteristics(m, pair) == tuple(map(euler_characteristic, build_complexes(m, pair)))
+
+
+def chain_flags_oracle(k):
+    """One verdict of the point-tuple oracle per row."""
+    return [is_chain_oracle(k.points(r)) for r in k.rows]
+
+
+@st.composite
+def corrupted_complexes(draw):
+    """A built K or K' with one corruption: an extra row of drawn vertices,
+    which mostly mixes dimensions, a row that repeats an id, or a table that
+    repeats a point (its copy appended, the rows through the point copied
+    onto it, and one row naming both).  The kind is returned too."""
+    m, pair = draw(boxed_sets().filter(lambda case: len(case[0]) > 1))  # two vertices or more
+    k = draw(st.sampled_from(build_complexes(m, pair)))
+    table, rows = k.table, set(k.rows)
+    kind = draw(st.sampled_from(("mixed", "repeated-id", "repeated-point")))
+    ids = st.integers(0, len(table) - 1)
+    if kind == "mixed":
+        rows.add(tuple(sorted(draw(st.lists(ids, min_size=2, max_size=pair.n + 1, unique=True)))))
+    elif kind == "repeated-id":
+        r = draw(st.sampled_from(sorted(rows)))
+        rows.add(tuple(sorted(r + (draw(st.sampled_from(r)),))))
+    else:
+        i, j = draw(ids), len(table)
+        table += (table[i],)
+        rows |= {tuple(sorted(j if x == i else x for x in r)) for r in rows if i in r}
+        rows.add((i, j))
+    return kind, SimplicialComplex(k.n, table, tuple(sorted(rows)))
+
+
+@given(boxed_sets())
+@settings(max_examples=40, deadline=None)
+def test_chain_flags_match_the_point_tuple_oracle_on_built_complexes(case):
+    m, pair = case
+    for k in build_complexes(m, pair):
+        assert _chain_flags(k) == chain_flags_oracle(k)
+
+
+@given(corrupted_complexes())
+@settings(max_examples=80, deadline=None)
+def test_chain_flags_match_the_point_tuple_oracle_on_corrupted_complexes(case):
+    kind, k = case
+    assert _chain_flags(k) == chain_flags_oracle(k)
+    if kind == "repeated-point":
+        # the row naming the point twice is the only one that is no chain
+        v = list(k.table[-1])
+        assert verify_complex_axioms(k) == (False, {"kind": "repeated-vertex", "simplex": [v, v]})
+    else:
+        # a sorted table: rows sort as their simplices, so the oracles' order is the rows'
+        assert verify_complex_axioms(k) == verify_complex_axioms_ranked_oracle(k)
+        m = k.lattice_vertices()
+        assert lattice_correspondence(k, m) == lattice_correspondence_oracle(k, m)
+
+
+def test_the_chain_flags_ask_one_face_test_per_vertex_pair(monkeypatch):
+    # no clock: count the face tests and the rows decoded to points
+    tests, decoded = [], []
+    is_face, points = simplicial._is_face, SimplicialComplex.points
+    monkeypatch.setattr(simplicial, "_is_face", lambda a, b: tests.append((a, b)) or is_face(a, b))
+    monkeypatch.setattr(SimplicialComplex, "points", lambda k, r: decoded.append(r) or points(k, r))
+    for m, pair in ((sphere_shell(4, 3), FULL_AXIS_3), (box_surface(3, 3, 3), AXIS_FULL_3), (rect_boundary(5, 5), AXIS_FULL_2)):
+        for k in build_complexes(m, pair):
+            tests.clear()
+            assert all(_chain_flags(k))
+            dims = [sum(c & 1 for c in v) for v in k.table]
+            pairs = {(a, b) for r in k.rows for a in r for b in r if dims[a] < dims[b]}
+            assert 0 < len(tests) == len(set(tests)) <= len(pairs)
+            if k.n == 3:  # pairs recur across triangles: one test per row and step would pass the bound
+                assert len(pairs) < sum(len(r) - 1 for r in k.rows)
+            decoded.clear()
+            assert verify_complex_axioms(k) == (True, None) == lattice_correspondence(k, m)
+            assert decoded == []  # every row is a chain: none is decoded
+
+
+def test_a_dependent_simplex_through_a_lattice_point_is_a_witness_not_an_error():
+    # three vertices on a line through the lattice point (1, 1): the rows
+    # through (0, 0) and (4, 4) doubled are no chain, and their vertices are
+    # affinely dependent; the point is in the hull of the independent subset
+    # {(0, 0), (4, 4)} (Caratheodory)
+    k = SimplicialComplex.of(2, _face_closure(((0, 0), (1, 1), (4, 4))))
+    m = {(0, 0), (2, 2)}
+    witness = {"kind": "lattice-point-inside-simplex", "simplex": [[0, 0], [1, 1], [4, 4]], "point": [1, 1]}
+    assert lattice_correspondence(k, m) == (False, witness) == lattice_correspondence_oracle(k, m)
+    # the segment ends inside the region, so one chamber surrounds it
+    assert realization_chambers(k, Region.around(m, 1)) == 1
+
+
+def test_only_the_pair_build_drops_the_barycenters_of_k_prime(monkeypatch):
+    calls = []
+    without = simplicial._without
+    monkeypatch.setattr(simplicial, "_without", lambda k, dropped: calls.append(dropped) or without(k, dropped))
+    sphere = sphere_shell(4, 3)
+    k = build_complex(sphere, FULL_AXIS_3)
+    assert calls == []
+    full, reduced = build_complexes(sphere, FULL_AXIS_3)
+    assert full == k != reduced == build_reduced_complex(sphere, FULL_AXIS_3) and len(calls) == 1 and calls[0]
