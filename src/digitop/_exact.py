@@ -7,10 +7,7 @@ coordinates, so no predicate ever sees a rounding error.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
-
-Vec = Sequence[Fraction]
 
 
 def integer_rank(rows: list[list[int]]) -> int:
@@ -65,11 +62,14 @@ def solve_affine(
     return particular, basis
 
 
-def _strictly_feasible(strict_rows: list[list[Fraction]], strict_rhs: list[Fraction]) -> bool:
-    """Does a point with A y > b exist?  Fourier-Motzkin on strict inequalities."""
-    rows = [list(r) + [c] for r, c in zip(strict_rows, strict_rhs)]
-    nvars = len(strict_rows[0]) if strict_rows else 0
-    for var in range(nvars):
+def _feasible(particular: list[Fraction], basis: list[list[Fraction]], strict: bool) -> bool:
+    """Is some point of particular + span(basis) positive (``strict``) or
+    nonnegative in every coordinate?  Fourier-Motzkin elimination of the
+    basis weights, exact for strict and for non-strict systems alike; with
+    no basis, the particular solution is tested as it is."""
+    # one row per coordinate i: sum_k basis[k][i] y_k > (or >=) -particular[i]
+    rows = [[b[i] for b in basis] + [-x] for i, x in enumerate(particular)]
+    for var in range(len(basis)):
         lowers, uppers, rest = [], [], []
         for row in rows:
             coeff = row[var]
@@ -82,11 +82,11 @@ def _strictly_feasible(strict_rows: list[list[Fraction]], strict_rhs: list[Fract
         new_rows = rest
         for low in lowers:
             for up in uppers:
-                # lower bound < upper bound, strictly; the var column cancels
+                # lower bound below (or at) the upper bound; the var column cancels
                 new_rows.append([lo + hi for lo, hi in zip(low, up)])
         rows = new_rows
-    # all variables eliminated: rows are 0 > b
-    return all(row[-1] < 0 for row in rows)
+    # all variables eliminated: rows are 0 > b, or 0 >= b
+    return all(row[-1] < 0 if strict else row[-1] <= 0 for row in rows)
 
 
 def _solve_weights(
@@ -113,42 +113,12 @@ def open_simplices_intersect(
     # weights la on a and mu on b with sum la_i a_i - sum mu_j b_j = 0
     negated = [[-c for c in v] for v in b_vertices]
     solved = _solve_weights((a_vertices, negated), (0,) * len(a_vertices[0]))
-    if solved is None:
-        return False
-    particular, basis = solved
-    if not basis:
-        return all(x > 0 for x in particular)
-    # need y with particular + B y > 0 componentwise
-    return _strictly_feasible([list(row) for row in zip(*basis)], [-x for x in particular])
+    return solved is not None and _feasible(*solved, strict=True)
 
 
-def barycentric_coordinates(
-    vertices: Sequence[Sequence[int]], point: Sequence[Fraction]
-) -> Optional[list[Fraction]]:
-    """Affine weights expressing the point over the vertices, if any."""
+def point_in_closed_simplex(vertices: Sequence[Sequence[int]], point: Sequence) -> bool:
+    """Is the point (ints or fractions) in the convex hull of the vertices?
+    Solves for affine weights, then asks for nonnegative ones over the
+    solution space, so affinely dependent vertices need no other test."""
     solved = _solve_weights((vertices,), point)
-    if solved is None:
-        return None
-    particular, basis = solved
-    if basis:
-        # affinely independent vertices always give a unique solution
-        raise ValueError("vertices are affinely dependent")
-    return particular
-
-
-def point_in_closed_simplex(vertices: Sequence[Sequence[int]], point: Sequence[Fraction]) -> bool:
-    """Is the point in the convex hull of the vertices?  When they are
-    affinely dependent, it is iff it is in the hull of some affinely
-    independent subset of them (Caratheodory)."""
-    solved = _solve_weights((vertices,), point)
-    if solved is None:
-        return False
-    weights, basis = solved
-    if not basis:
-        return all(c >= 0 for c in weights)
-    return any(
-        point_in_closed_simplex(s, point)
-        for size in range(1, len(vertices))
-        for s in combinations(vertices, size)
-        if integer_rank([[x - y for x, y in zip(v, s[0])] for v in s[1:]]) == size - 1
-    )
+    return solved is not None and _feasible(*solved, strict=False)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from operator import sub
 from typing import AbstractSet, Iterable, Iterator, Optional
@@ -69,7 +68,12 @@ class SimplicialComplex:
 
     @classmethod
     def of(cls, n: int, simplices: Iterable[Simplex]) -> "SimplicialComplex":
+        """The complex of these simplices: each a non-empty tuple of vertices,
+        each vertex a tuple of ``n`` int (not bool) doubled coordinates."""
         simplices = set(simplices)
+        for s in simplices:
+            if not s or not all(type(v) is tuple and len(v) == n and all(type(c) is int for c in v) for v in s):
+                raise ValueError(f"not a simplex of {n}-dimensional doubled int vertices: {s!r}")
         table = tuple(sorted({v for s in simplices for v in s}))
         index = {v: i for i, v in enumerate(table)}
         return cls(n, table, tuple(sorted(tuple(map(index.__getitem__, s)) for s in simplices)))
@@ -395,7 +399,7 @@ def lattice_correspondence(k: SimplicialComplex, m: Iterable[Point]) -> tuple[bo
         # the lattice points inside the doubled box
         for p in itertools.product(*(range((l + 1) // 2, h // 2 + 1) for l, h in zip(*bounding_box(s)))):
             h = double(p)
-            if h not in s and point_in_closed_simplex(s, [Fraction(c) for c in h]):
+            if h not in s and point_in_closed_simplex(s, h):
                 return False, {"kind": "lattice-point-inside-simplex", "simplex": [list(v) for v in s], "point": list(p)}
     return True, None
 
@@ -417,7 +421,7 @@ def realization_chambers(k: SimplicialComplex, region: Region) -> int:
         cell = tuple(c // 2 for c in x2)
         if not any(
             _bboxes_overlap(boxes[i], (x2, x2))
-            and point_in_closed_simplex(simplices[i], [Fraction(c) for c in x2])
+            and point_in_closed_simplex(simplices[i], x2)
             for i in buckets.get(cell, ())
         ):
             free.add(x2)

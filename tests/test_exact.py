@@ -1,11 +1,13 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from digitop import _exact
 from digitop._exact import (
-    barycentric_coordinates,
+    _solve_weights,
     integer_rank,
     open_simplices_intersect,
     point_in_closed_simplex,
@@ -13,6 +15,69 @@ from digitop._exact import (
 )
 
 F = Fraction
+
+
+def barycentric_coordinates(vertices, point):
+    """Affine weights expressing the point over affinely independent
+    vertices, or None; raises ValueError on dependent ones."""
+    solved = _solve_weights((vertices,), point)
+    if solved is None:
+        return None
+    particular, basis = solved
+    if basis:
+        # affinely independent vertices always give a unique solution
+        raise ValueError("vertices are affinely dependent")
+    return particular
+
+
+def point_in_closed_simplex_oracle(vertices, point) -> bool:
+    """Reference: with affinely dependent vertices, the point is in their
+    hull iff it is in the hull of some affinely independent subset of them
+    (Caratheodory); with independent ones, iff its weights are nonnegative."""
+    solved = _solve_weights((vertices,), point)
+    if solved is None:
+        return False
+    weights, basis = solved
+    if not basis:
+        return all(c >= 0 for c in weights)
+    return any(
+        point_in_closed_simplex_oracle(s, point)
+        for size in range(1, len(vertices))
+        for s in combinations(vertices, size)
+        if integer_rank([[x - y for x, y in zip(v, s[0])] for v in s[1:]]) == size - 1
+    )
+
+
+def strictly_feasible_oracle(strict_rows, strict_rhs) -> bool:
+    """Reference: does a point with A y > b exist?  Fourier-Motzkin on
+    strict inequalities only."""
+    rows = [list(r) + [c] for r, c in zip(strict_rows, strict_rhs)]
+    nvars = len(strict_rows[0]) if strict_rows else 0
+    for var in range(nvars):
+        lowers, uppers, rest = [], [], []
+        for row in rows:
+            coeff = row[var]
+            if coeff > 0:
+                lowers.append([(c / coeff) for c in row])
+            elif coeff < 0:
+                uppers.append([(c / -coeff) for c in row])
+            else:
+                rest.append(row)
+        rows = rest + [[lo + hi for lo, hi in zip(low, up)] for low in lowers for up in uppers]
+    return all(row[-1] < 0 for row in rows)
+
+
+def open_simplices_intersect_oracle(a_vertices, b_vertices) -> bool:
+    """Reference: the unique weights when the null space is trivial, the
+    strict elimination over it otherwise."""
+    negated = [[-c for c in v] for v in b_vertices]
+    solved = _solve_weights((a_vertices, negated), (0,) * len(a_vertices[0]))
+    if solved is None:
+        return False
+    particular, basis = solved
+    if not basis:
+        return all(x > 0 for x in particular)
+    return strictly_feasible_oracle([list(row) for row in zip(*basis)], [-x for x in particular])
 
 
 def point_in_open_simplex(vertices, point) -> bool:
@@ -199,3 +264,93 @@ def test_coplanar_segment_inside_triangle():
     t = [(0, 0, 0), (4, 0, 0), (0, 4, 0)]
     inside = [(1, 1, 0), (2, 1, 0)]
     assert open_simplices_intersect(t, inside)
+
+
+@st.composite
+def vertex_lists(draw, n=None):
+    """Up to six doubled vertices in 2-D or 3-D: drawn freely (mostly
+    independent), on one line or on one plane, with a vertex sometimes
+    named twice."""
+    n = n or draw(st.integers(2, 3))
+    coord = st.integers(-4, 4)
+    vec = st.tuples(*[coord] * n)
+    kind = draw(st.sampled_from(["free", "line", "plane"]))
+    if kind == "free":
+        vertices = draw(st.lists(vec, min_size=1, max_size=n + 1))
+    else:
+        base = draw(vec)
+        dirs = draw(st.lists(vec, min_size=1, max_size=1 if kind == "line" else 2, unique=True))
+        steps = st.lists(st.integers(-2, 2), min_size=len(dirs), max_size=len(dirs))
+        vertices = [
+            tuple(b + sum(t * d[i] for t, d in zip(ts, dirs)) for i, b in enumerate(base))
+            for ts in draw(st.lists(steps, min_size=2, max_size=6))
+        ]
+    if draw(st.booleans()):
+        vertices.append(draw(st.sampled_from(vertices)))
+    return vertices
+
+
+@st.composite
+def hulls_and_points(draw):
+    """A vertex list and a point with half-integer coordinates: drawn near
+    the vertices, or an affine combination of them with half-integer
+    weights, inside or outside their hull, so that both answers are common
+    on dependent vertices too."""
+    vertices = draw(vertex_lists())
+    n = len(vertices[0])
+    if draw(st.booleans()):
+        return vertices, [F(draw(st.integers(-10, 10)), 2) for _ in range(n)]
+    halves = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 2), F(1)])
+    weights = draw(st.lists(halves, min_size=len(vertices) - 1, max_size=len(vertices) - 1))
+    weights.append(1 - sum(weights))
+    return vertices, [sum(w * v[i] for w, v in zip(weights, vertices)) for i in range(n)]
+
+
+@given(hulls_and_points())
+@example(([(0, 0), (2, 0), (4, 0)], [F(1), F(0)]))
+@example(([(0, 0), (2, 0), (4, 0)], [F(1, 2), F(1, 2)]))
+@example(([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0)], [F(3, 2), F(1, 2), F(0)]))
+@example(([(2, 2), (2, 2)], [F(2), F(2)]))
+@example(([(1, 1, 1), (1, 1, 1)], [F(1), F(1), F(3, 2)]))
+@settings(max_examples=400, deadline=None)
+def test_closed_hull_membership_matches_the_caratheodory_oracle(case):
+    vertices, point = case
+    assert point_in_closed_simplex(vertices, point) is point_in_closed_simplex_oracle(vertices, point)
+
+
+@st.composite
+def simplex_pairs(draw):
+    """Two vertex lists of one dimension; the second sometimes shares
+    vertices with the first."""
+    a = draw(vertex_lists())
+    b = draw(vertex_lists(len(a[0])))
+    if draw(st.booleans()):
+        b = b[: draw(st.integers(0, len(b) - 1))] + draw(st.lists(st.sampled_from(a), min_size=1, max_size=2))
+    return a, b
+
+
+@given(simplex_pairs())
+@example(([(0, 0), (2, 0)], [(0, 0), (0, 2)]))
+@example(([(0, 0), (4, 0)], [(2, 0), (6, 0)]))
+@example(([(0, 0, 0), (4, 0, 0), (0, 4, 0)], [(1, 1, 0), (1, 1, 4)]))
+@settings(max_examples=400, deadline=None)
+def test_open_intersection_matches_the_strict_elimination_oracle(case):
+    a, b = case
+    assert open_simplices_intersect(a, b) is open_simplices_intersect_oracle(a, b)
+
+
+def test_a_dependent_hull_is_decided_by_one_solve_and_no_rank(monkeypatch):
+    # one affine solve per question, then the elimination: no subset search
+    calls = {"solve_affine": 0, "integer_rank": 0}
+    for name in calls:
+        real = getattr(_exact, name)
+        monkeypatch.setattr(_exact, name, lambda *a, _real=real, _name=name: calls.__setitem__(_name, calls[_name] + 1) or _real(*a))
+    cases = [
+        ([(0, 0), (2, 0), (4, 0)], [F(1), F(0)], True),
+        ([(0, 0), (2, 0), (4, 0)], [F(5), F(0)], False),
+        ([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0)], [F(3, 2), F(3, 2), F(0)], True),
+        ([(0, 0), (0, 0), (2, 2)], [F(1), F(0)], False),
+    ]
+    for vertices, point, inside in cases:
+        assert point_in_closed_simplex(vertices, point) is inside
+    assert calls == {"solve_affine": len(cases), "integer_rank": 0}

@@ -945,3 +945,22 @@ def test_only_the_pair_build_drops_the_barycenters_of_k_prime(monkeypatch):
     assert calls == []
     full, reduced = build_complexes(sphere, FULL_AXIS_3)
     assert full == k != reduced == build_reduced_complex(sphere, FULL_AXIS_3) and len(calls) == 1 and calls[0]
+
+
+@pytest.mark.parametrize(
+    "simplices",
+    [
+        # an edge to a vertex of three coordinates: the checks answered (True, None)
+        _face_closure(((0, 0), (2, 0, 1))),
+        # a triangle with a vertex of one coordinate: the rank test raised IndexError
+        _face_closure(((0, 0), (2, 0), (1,))),
+        [((0, 0),), ()],  # the empty simplex
+        [((0, 0),), ((True, 0),)],  # a bool is no coordinate
+        [((0, 0),), ((1.0, 0),)],
+        [((0, 0),), ((0, 0), 2)],  # a vertex that is no tuple
+    ],
+    ids=["three-coordinates", "one-coordinate", "empty", "bool", "float", "not-a-tuple"],
+)
+def test_of_refuses_malformed_simplices(simplices):
+    with pytest.raises(ValueError):
+        SimplicialComplex.of(2, simplices)
