@@ -16,7 +16,18 @@ from functools import cached_property, lru_cache
 from operator import le
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
-from .lattice import HalfGrid, Point, Translation, bounding_box, half_keys, row_major_strides, shell_offsets, unit, vec_add
+from .lattice import (
+    HalfGrid,
+    Point,
+    Translation,
+    bounding_box,
+    half_keys,
+    require_dimension,
+    row_major_strides,
+    shell_offsets,
+    unit,
+    vec_add,
+)
 
 Path = Sequence[Point]
 _KING = frozenset((-1, 0, 1))
@@ -25,10 +36,6 @@ DEFAULT_BUDGET = 100_000  # the contractibility search's default --budget
 
 def _axis_offsets(n: int) -> frozenset[Translation]:
     return frozenset(unit(n, i, s) for i in range(n) for s in (1, -1))
-
-
-def _full_offsets(n: int) -> frozenset[Translation]:
-    return frozenset(shell_offsets(n))
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,7 @@ def axis_adjacency(n: int) -> AdjacencySpec:
 @lru_cache(maxsize=None)
 def full_adjacency(n: int) -> AdjacencySpec:
     """The (3^n - 1)-neighbor king-move relation."""
-    return AdjacencySpec(n, _full_offsets(n))
+    return AdjacencySpec(n, frozenset(shell_offsets(n)))
 
 
 def custom_adjacency(n: int, offsets: Iterable[Translation]) -> AdjacencySpec:
@@ -132,14 +139,13 @@ class Region:
         return all(a < c < b for a, c, b in zip(self.lo, p, self.hi))
 
     def require_inside(self, m: Iterable[Point]) -> None:
-        """Raise ``ValueError`` unless every point of m sits at least one step
-        inside the window, as a complement labeling of it requires.  The
-        bounding box of m decides when each point has at least the window's
-        n coordinates; otherwise, and when it fails, each point is tried in
-        turn, so that the first offender is named."""
+        """Raise ``ValueError`` unless every point of m is in Z^n and sits at
+        least one step inside the window, as a complement labeling of it
+        requires.  The bounding box of m decides; when it fails, each point
+        is tried in turn, so that the first offender is named."""
         pts = list(m)
-        axes = list(zip(*pts))
-        if len(axes) >= self.n and all(a < min(c) and max(c) < b for a, c, b in zip(self.lo, axes, self.hi)):
+        require_dimension(pts, self.n)
+        if all(a < min(c) and max(c) < b for a, c, b in zip(self.lo, zip(*pts), self.hi)):
             return
         for p in pts:
             if not self.strictly_contains(p):
@@ -232,7 +238,7 @@ class ComponentLabeling(Mapping):
     def ids_near(self, spec: AdjacencySpec, p: Point) -> set[Point]:
         """The ids of the components that p's spec-neighbours in this labeling lie in."""
         if len(p) != spec.n:
-            raise ValueError(f"point {p} has wrong dimension (expected {spec.n})")
+            require_dimension((p,), spec.n)
         ids, i = self.ids, self.index(p)
         if i >= 0 and self._steps is not None:  # inside a window, every neighbour has a cell
             near = {ids[i + d] for d in self._steps(spec)}
@@ -253,7 +259,7 @@ class ComponentLabeling(Mapping):
 def neighbors(spec: AdjacencySpec, p: Point) -> set[Point]:
     """The neighborhood {p + v : v in offsets}."""
     if len(p) != spec.n:
-        raise ValueError(f"point {p} has wrong dimension (expected {spec.n})")
+        require_dimension((p,), spec.n)
     return {vec_add(p, v) for v in spec.offsets}
 
 

@@ -33,7 +33,7 @@ from .simplicial import (
     complex_to_off,
     euler_characteristics,
 )
-from .verdict import wrong_dimension
+from .verdict import malformed
 
 _INT = {int}  # exact: %d would print a bool as 1
 MAX_CELLS = 1_000_000  # the default --max-cells, and the bound of every generated set's window
@@ -275,9 +275,9 @@ def _maybe_replay(args: argparse.Namespace, mset, pair: AdjacencyPair) -> int | 
             kind = w.get("kind")
             if not isinstance(kind, str) or kind not in _REPLAYS:
                 raise InputFormatError(f"cannot replay witness kind {kind!r}")
-            bad = wrong_dimension(w, pair.n)
-            if bad is not None:
-                raise InputFormatError(f"{args.replay}: {kind} witness is not of dimension {pair.n}: {bad}")
+            why = malformed(w, pair.n)
+            if why is not None:
+                raise InputFormatError(f"{args.replay}: {kind} witness {why}")
         for w in witnesses:
             ok = _REPLAYS[w["kind"]](w, mset, pair, region)
             print(f"replay {w['kind']}: {'violation reproduced' if ok else 'NOT reproduced'}")

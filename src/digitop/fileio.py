@@ -38,7 +38,7 @@ def _vectors(text: str, source: str, n: int | None = None) -> tuple[list[Point],
         if not line:
             continue
         try:
-            vec = tuple(int(tok) for tok in line.split())
+            vec = tuple(map(int, line.split()))
         except ValueError as exc:
             raise InputFormatError(f"{source}:{lineno}: not an integer vector: {line!r}") from exc
         if n is None:

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, mul, sub
-from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Collection, Iterable, Iterator, Sequence
 
 Point = tuple[int, ...]
 HalfPoint = tuple[int, ...]  # doubled coordinates
@@ -76,9 +76,6 @@ class Cube:
     @property
     def n(self) -> int:
         return len(self.base)
-
-    def vertices(self) -> tuple[Point, ...]:
-        return cube_vertices(self)
 
     def to_json(self) -> dict:
         return {"base": list(self.base), "axes": list(self.axes)}
@@ -236,13 +233,20 @@ class HalfGrid:
         return tuple(out)
 
 
+def require_dimension(points: Collection[Point], n: int) -> None:
+    """Raise ``ValueError`` naming the first point that is not in Z^n.  Every
+    entry that takes points, a window's included, refuses them by this one
+    rule, since a zip of coordinates would fold such a point onto another."""
+    if set(map(len, points)) - {n}:
+        raise ValueError(f"point {next(p for p in points if len(p) != n)} has wrong dimension (expected {n})")
+
+
 def half_keys(m: Iterable[Point], n: int) -> tuple[HalfGrid, list[int]]:
     """The grid around the doubled points of m, and their keys, in m's order.
     The grid is widened by one lattice step, so each point plus a king move
     has a key of its own.  A point not in Z^n raises ``ValueError``."""
     pts = list(m)
-    if set(map(len, pts)) - {n}:
-        raise ValueError(f"point {next(p for p in pts if len(p) != n)} has wrong dimension (expected {n})")
+    require_dimension(pts, n)
     grid = HalfGrid.around([double(c) for c in bounding_box(pts)] if pts else [], n)
     strides, base = grid.strides, grid.key((0,) * n)
     return grid, [2 * sum(map(mul, p, strides)) + base for p in pts]

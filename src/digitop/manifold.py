@@ -9,7 +9,6 @@ every alpha-neighbor, and the separation property.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Literal, Optional
@@ -35,6 +34,7 @@ from .lattice import (
     corners,
     cubes_meeting,
     occupancy,
+    require_dimension,
     shell_masks,
     shell_offsets,
     vec_add,
@@ -63,11 +63,6 @@ class GlobalSides:
     d_side: frozenset[Point]
 
 
-def is_simple_translation(tau: Translation) -> bool:
-    """True iff tau is no nontrivial power of another translation."""
-    return math.gcd(*tau) == 1
-
-
 @lru_cache(maxsize=None)
 def _shell(pair: AdjacencyPair, mask: int) -> tuple[tuple[int, ...], Optional[tuple[Translation, int]]]:
     """The local sides of a shell mask, each a mask of ``shell_offsets``, in
@@ -92,10 +87,8 @@ def local_components(p: Point, m: Iterable[Point], pair: AdjacencyPair) -> list[
     mset = frozenset(m)
     if p not in mset:
         raise ValueError(f"{p} is not a foreground point")
-    n = pair.n
-    if set(map(len, mset)) - {n}:
-        raise ValueError(f"point {next(q for q in mset if len(q) != n)} has wrong dimension (expected {n})")
-    offsets = shell_offsets(n)  # bit i of p's shell mask is p + offsets[i] in m
+    require_dimension(mset, pair.n)
+    offsets = shell_offsets(pair.n)  # bit i of p's shell mask is p + offsets[i] in m
     sides = _shell(pair, sum(1 << i for i, v in enumerate(offsets) if vec_add(p, v) in mset))[0]
     return [frozenset(vec_add(p, v) for v in masked_points(offsets, side)) for side in sides]
 
@@ -218,7 +211,8 @@ def is_simple_point(
     mset = frozenset(m)
     if p not in mset:
         raise ValueError(f"{p} is not a foreground point")
-    if region is None:
+    if region is None:  # a given window checks the set once, as it labels it
+        require_dimension(mset, pair.n)
         region = Region.around(mset, margin=2)
     if len(region.complement(pair.beta, mset).ids_near(pair.beta, p)) != 1:
         return False
@@ -249,13 +243,10 @@ class GoodPairReport:
     separating: Literal["yes", "no", "unknown"]
     contractibility: Literal["yes", "unknown", "skipped"]
     double_point_witnesses: tuple[dict, ...]
-    sphere_report: Optional[ManifoldReport]
+    sphere_report: ManifoldReport
 
     def witnesses(self) -> list[dict]:
-        out = list(self.double_point_witnesses)
-        if self.sphere_report is not None and not self.sphere_report.certified:
-            out.extend(self.sphere_report.witnesses())
-        return out
+        return [*self.double_point_witnesses, *self.sphere_report.witnesses()]
 
     def to_json(self) -> dict:
         return {
@@ -263,46 +254,37 @@ class GoodPairReport:
             "separating": self.separating,
             "contractibility": self.contractibility,
             "double_points": list(self.double_point_witnesses),
-            "sphere_certified": (
-                self.sphere_report.certified if self.sphere_report else None
-            ),
+            "sphere_certified": self.sphere_report.certified,
         }
 
 
 def is_separating_pair(
     pair: AdjacencyPair, bound: int = 2, budget: int = DEFAULT_BUDGET
 ) -> Literal["yes", "no", "unknown"]:
-    """Is the background neighborhood of the origin a digital sphere?
-
-    Translation invariance of the offset sets makes the origin check
-    sufficient.  "unknown" means the manifold part certified but the bounded
-    contractibility search was inconclusive.
-    """
-    verdict, _, _ = _sphere_check(pair, bound, budget)
-    return verdict
-
-
-def _sphere_check(
-    pair: AdjacencyPair, bound: int, budget: int
-) -> tuple[Literal["yes", "no", "unknown"], ManifoldReport, str]:
-    sphere = pair.beta.offsets  # the origin's neighbours
-    report = check_manifold(sphere, pair)
-    if not report.certified:
-        return "no", report, "skipped"
-    contractible = n_simply_connected_bounded(pair.alpha, sphere, bound, budget)
-    return contractible, report, contractible
+    """Is the background neighborhood of the origin a digital sphere?"""
+    return is_good_pair(pair, bound, budget).separating
 
 
 def is_good_pair(
     pair: AdjacencyPair, bound: int = 2, budget: int = DEFAULT_BUDGET
 ) -> GoodPairReport:
     """Separating pair with no double points; "unknown" only propagates
-    from the bounded contractibility search."""
-    origin = (0,) * pair.n
-    doubles = tuple(double_points(origin, pair))
-    separating, sphere_report, contractibility = _sphere_check(pair, bound, budget)
+    from the bounded contractibility search.
+
+    The pair separates when the background neighborhood of the origin is a
+    digital sphere: it certifies, and the bounded search contracts every
+    cycle of it.  Translation invariance of the offset sets makes the
+    origin check sufficient.
+    """
+    doubles = tuple(double_points((0,) * pair.n, pair))
+    sphere = pair.beta.offsets  # the origin's neighbours
+    report = check_manifold(sphere, pair)
+    if report.certified:
+        separating = contractibility = n_simply_connected_bounded(pair.alpha, sphere, bound, budget)
+    else:
+        separating, contractibility = "no", "skipped"
     verdict = "no" if doubles else separating
-    return GoodPairReport(verdict, separating, contractibility, doubles, sphere_report)
+    return GoodPairReport(verdict, separating, contractibility, doubles, report)
 
 
 def is_regular_rotation(spec: AdjacencySpec) -> bool:
@@ -359,7 +341,8 @@ def _replay_double_point(w: dict, mset, pair: AdjacencyPair, region) -> bool:
         and vec_add(p, tau) == q
         and vec_add(r, tau) == z
         and alpha.adjacent(r, q)
-        and is_simple_translation(tau)
+        # tau simple (gcd 1) follows: tau = q - p, an alpha offset, and every
+        # offset is a nonzero king move, so some entry of tau is +-1
     )
 
 

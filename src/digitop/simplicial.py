@@ -82,15 +82,8 @@ class SimplicialComplex:
     def simplices(self) -> frozenset[Simplex]:
         return frozenset(self.points(r) for r in self.rows)
 
-    @cached_property
-    def provenance(self) -> dict[HalfPoint, Cube]:
-        return {v: cube_of_barycenter(v) for v in self.table if not is_lattice2(v)}
-
     def points(self, row: Row) -> Simplex:
         return tuple(map(self.table.__getitem__, row))
-
-    def vertices(self) -> tuple[HalfPoint, ...]:
-        return self.table
 
     def lattice_vertices(self) -> tuple[Point, ...]:
         return tuple(tuple(c // 2 for c in v) for v in self.table if is_lattice2(v))

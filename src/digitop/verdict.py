@@ -54,25 +54,27 @@ class Checks:
         return {**out, self._conjunction: self.holds}
 
 
-def wrong_dimension(value, n: int):
-    """The first point or cube in a witness whose dimension is not n, else None.
+def malformed(value, n: int) -> str | None:
+    """Why a witness cannot be replayed on a set in Z^n, else None: the
+    first boolean in it (no witness holds one, and JSON ``true`` is no
+    integer), or the first point or cube whose dimension is not n.
 
     A point is a nonempty list of integers; a cube is a dict with a
-    ``base`` point and ``axes`` indices.
+    ``base`` point and ``axes`` indices, whose entries are scalars.
     """
+    if type(value) is bool:
+        return f"holds the boolean {str(value).lower()}"
     if isinstance(value, dict):
         if "base" in value and "axes" in value:
-            ok = len(value["base"]) == n and all(0 <= a < n for a in value["axes"])
-            return None if ok else value
-        items = list(value.values())
+            if len(value["base"]) != n or not all(0 <= a < n for a in value["axes"]):
+                return f"is not of dimension {n}: {value}"
+            items = [*value["base"], *value["axes"]]
+        else:
+            items = list(value.values())
     elif isinstance(value, list):
-        if value and all(isinstance(c, int) for c in value):
-            return None if len(value) == n else value
+        if value and all(type(c) is int for c in value):
+            return None if len(value) == n else f"is not of dimension {n}: {value}"
         items = value
     else:
         return None
-    for item in items:
-        bad = wrong_dimension(item, n)
-        if bad is not None:
-            return bad
-    return None
+    return next(filter(None, (malformed(item, n) for item in items)), None)

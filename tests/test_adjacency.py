@@ -475,8 +475,26 @@ def _raised(check, region, m):
 @example((Region((0, 0, 0), (4, 4, 4)), []))
 @settings(max_examples=200, deadline=None)
 def test_require_inside_raises_as_the_point_loop_did(case):
+    """As the point loop, except that a point of another dimension, which the
+    loop's zip folded onto the window, is refused first, by name."""
     region, m = case
-    assert _raised(Region.require_inside, region, m) == _raised(require_inside_oracle, region, m)
+    odd = [p for p in m if len(p) != region.n]
+    expected = _raised(require_inside_oracle, region, m)
+    if odd:
+        expected = f"point {odd[0]} has wrong dimension (expected {region.n})"
+    assert _raised(Region.require_inside, region, m) == expected
+
+
+@pytest.mark.parametrize("m, odd", [({(0, 0, 5)}, (0, 0, 5)), ([(1,), (0, 0)], (1,))])
+def test_a_window_refuses_a_point_of_another_dimension(m, odd):
+    # both were labeled as if folded onto the window: 1 component of 48
+    # cells, and 47 cells
+    region, spec = Region((-3, -3), (3, 3)), axis_adjacency(2)
+    message = re.escape(f"point {odd} has wrong dimension (expected 2)")
+    with pytest.raises(ValueError, match=message):
+        complement_components(spec, m, region)
+    with pytest.raises(ValueError, match=message):
+        region.complement(spec, m)
 
 
 @st.composite

@@ -16,6 +16,7 @@ from digitop.adjacency import AdjacencyPair, AdjacencySpec, Region, axis_adjacen
 from digitop.cli import main
 from digitop.jordan import rect_boundary
 from digitop.simplicial import build_reduced_complex, complex_to_off
+from digitop.verdict import malformed
 from digitop.fileio import (
     InputFormatError,
     format_points,
@@ -541,6 +542,37 @@ def test_replay_rejects_a_witness_of_another_dimension(tmp_path, capsys):
     code, out = _replay_bogus(tmp_path, capsys, "check-separation", plate, "full", "axis", bogus)
     assert code == 2
     assert "not of dimension 3" in out.err and "replay" not in out.out
+
+
+@pytest.mark.parametrize(
+    "command, text, witness, value",
+    [
+        ("jordan", "0 0\n", {"kind": "component-count", "count": True}, "true"),
+        ("simple-points", "0 0\n1 0\n2 0\n", {"kind": "simple-point", "point": [False, False]}, "false"),
+    ],
+)
+def test_replay_refuses_a_witness_holding_a_boolean(tmp_path, capsys, command, text, witness, value):
+    # both replayed as "violation reproduced" (exit 1): True passed for an int
+    points = tmp_path / "m.txt"
+    points.write_text(text, encoding="utf-8")
+    code, out = _replay_bogus(tmp_path, capsys, command, points, "full", "axis", witness)
+    assert code == 2
+    assert f"holds the boolean {value}" in out.err and "replay" not in out.out
+
+
+@pytest.mark.parametrize(
+    "witness, why",
+    [
+        ({"cube": {"base": [True, 0, 0], "axes": [0]}}, "holds the boolean true"),
+        ({"cube": {"base": [0, 0, 0], "axes": [False]}}, "holds the boolean false"),
+        ({"side": [[0, 0, 0], [1, False, 0]]}, "holds the boolean false"),
+        ({"cube": {"base": [0, 0, 0], "axes": [0, 1]}, "count": 1}, None),  # axes are no point
+        ({"cube": {"base": [0, 0], "axes": [0]}}, "is not of dimension 3: {'base': [0, 0], 'axes': [0]}"),
+        ({"point": [0, 0]}, "is not of dimension 3: [0, 0]"),
+    ],
+)
+def test_malformed_names_the_first_boolean_or_point_of_another_dimension(witness, why):
+    assert malformed({"kind": "x", **witness}, 3) == why
 
 
 def test_replay_checks_the_recorded_simplex_of_a_pseudomanifold_witness(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import math
 import sys
 from unittest import mock
 
@@ -20,7 +21,7 @@ from digitop.adjacency import (
 from digitop import adjacency, lattice, manifold
 from digitop.adjacency import neighbors
 from digitop.jordan import box_surface, jordan_check, rect_boundary, sphere_shell
-from digitop.lattice import shell_offsets, vec_add, vec_sub
+from digitop.lattice import half_keys, shell_masks, shell_offsets, vec_add, vec_sub
 from digitop.manifold import (
     REPLAYS,
     GlobalSides,
@@ -33,7 +34,6 @@ from digitop.manifold import (
     is_regular_rotation,
     is_separating_pair,
     is_simple_point,
-    is_simple_translation,
     local_components,
 )
 from digitop.separation import _candidates, component_count_bounds_hold
@@ -237,6 +237,11 @@ def test_the_axis_spec_is_the_l1_unit_relation(case):
     assert axis_adjacency(len(p)).adjacent(p, q) == axis_adjacent(p, q)
 
 
+def is_simple_translation(tau):
+    """True iff tau is no nontrivial power of another translation."""
+    return math.gcd(*tau) == 1
+
+
 def double_points_oracle(z, pair):
     """Reference: each defining condition of a double point written out, the
     cheap ones first."""
@@ -291,6 +296,13 @@ def test_separating_pair_axis_axis_fails():
 def test_separating_pair_axis_full_needs_larger_bound():
     assert is_separating_pair(AXIS_FULL_2, bound=2, budget=20_000) == "unknown"
     assert is_separating_pair(AXIS_FULL_2, bound=4, budget=100_000) == "yes"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("alpha, beta", list(itertools.product((axis_adjacency, full_adjacency), repeat=2)))
+def test_the_separating_verdict_is_the_good_pair_one(n, alpha, beta):
+    pair = AdjacencyPair(alpha(n), beta(n))
+    assert is_separating_pair(pair) == is_good_pair(pair).separating
 
 
 def test_good_pair_verdicts():
@@ -514,6 +526,49 @@ def test_local_shell_table_matches_the_point_oracle(case):
         assert got_sides == tuple(tuple(sorted(vec_sub(x, p) for x in side)) for side in expected)
         got = None if found is None else (vec_add(p, found[0]), found[1])
         assert got == (one_sided_oracle(p, m, pair, expected) if len(expected) == 2 else None)
+
+
+@st.composite
+def sets_with_one_odd_point(draw):
+    """A pair of the four axis/full pairs in n = 2..3, a list of points of
+    Z^n with one point of n - 1 or n + 1 coordinates put in among them,
+    that odd point, and a point of Z^n in the list."""
+    n = draw(st.integers(2, 3))
+    pair = AdjacencyPair(*(draw(st.sampled_from((axis_adjacency(n), full_adjacency(n)))) for _ in "ab"))
+    coords = st.integers(-3, 3)
+    good = draw(st.lists(st.tuples(*[coords] * n), min_size=1, max_size=6, unique=True))
+    odd = draw(st.tuples(*[coords] * draw(st.sampled_from((n - 1, n + 1)))))
+    m = list(good)
+    m.insert(draw(st.integers(0, len(m))), odd)
+    return pair, m, odd, good[0]
+
+
+@given(sets_with_one_odd_point())
+@settings(max_examples=60, deadline=None)
+def test_every_entry_that_takes_points_refuses_one_of_another_dimension(case):
+    pair, m, odd, p = case
+    n, good = pair.n, [q for q in m if q != odd]
+    region = Region.around(good, 2)
+    entries = {
+        "half_keys": lambda: half_keys(m, n),
+        "shell_masks": lambda: shell_masks(m, n),
+        "components": lambda: components(pair.alpha, m),
+        "complement_components": lambda: complement_components(pair.beta, m, region),
+        "check_manifold": lambda: check_manifold(m, pair),
+        "is_simple_point": lambda: is_simple_point(p, m, pair),
+        "is_simple_point in a window": lambda: is_simple_point(p, m, pair, region),
+        "local_components": lambda: local_components(p, m, pair),
+        "ids_near": lambda: components(pair.beta, good).ids_near(pair.beta, odd),
+        "ids_near in a window": lambda: region.complement(pair.beta, good).ids_near(pair.beta, odd),
+        "neighbors": lambda: neighbors(pair.alpha, odd),
+    }
+    for name, entry in entries.items():
+        try:
+            entry()
+        except ValueError as error:
+            assert str(error) == f"point {odd} has wrong dimension (expected {n})", name
+        else:
+            pytest.fail(f"{name} accepted {odd}")
 
 
 def test_local_components_refuse_a_point_of_another_dimension():

@@ -129,7 +129,7 @@ def test_component_count_bounds_diagonal_square():
 def test_component_count_bounds_antipodal_cube():
     pair = AdjacencyPair(full_adjacency(3), axis_adjacency(3))
     cube = Cube((0, 0, 0), (0, 1, 2))
-    m = set(cube.vertices()) - {(0, 0, 0), (1, 1, 1)}
+    m = set(cube_vertices(cube)) - {(0, 0, 0), (1, 1, 1)}
     assert component_count_bounds_hold(m, cube, pair)
 
 
